@@ -42,7 +42,11 @@ def _print_json(payload) -> None:
 
 def _load_tree(path: str) -> ScenarioTree:
     with open(path, "r", encoding="utf-8") as fh:
-        return tree_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return tree_from_json(text)
 
 
 def _load_valid_tree(path: str) -> ScenarioTree:

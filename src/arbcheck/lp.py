@@ -4,7 +4,11 @@ Problems are maximizations subject to rows ``A x <= b`` (equality rows
 flagged) and per-variable bounds: each variable is either free or
 bounded below. The solver is a two-phase primal simplex with Bland's
 anti-cycling rule and exact pivots, so it terminates on every input and
-its certificates are bit-exact.
+its certificates are bit-exact. Its tableau keeps each row as Python
+ints over one positive row denominator (fraction-free pivoting: an
+integer multiply-and-subtract and one gcd per touched row), so pivots
+never touch the rational scalar type; values become rationals again
+only when an outcome is read off.
 
 Every outcome is re-verified before it leaves ``solve_lp``:
 
@@ -25,6 +29,7 @@ never bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalError
@@ -172,10 +177,34 @@ def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
     return dot(certificate, rhs) < 0
 
 
+def _int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over the lcm of their denominators."""
+    den = lcm(*(int(v.denominator) for v in values if v))
+    return [int(v.numerator) * (den // int(v.denominator)) if v else 0 for v in values], den
+
+
+def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
+    """Subtract the multiple of ``prow / p`` (pivot ``p > 0`` in column
+    ``col``) that clears ``row / den`` in that column; returns the new
+    (numerators, denominator) reduced to lowest terms."""
+    f = row[col]
+    new = [a * p - f * b for a, b in zip(row, prow)]
+    den *= p
+    g = gcd(*new, den)
+    if g > 1:
+        new = [a // g for a in new]
+        den //= g
+    return new, den
+
+
 class _Simplex:
-    """Dense exact tableau. Columns: structural (one per free-variable
-    half or shifted bounded variable), then one slack per inequality
-    row, then artificials. The right-hand side is stored separately."""
+    """Dense exact tableau of integer rows. Columns: structural (one per
+    free-variable half or shifted bounded variable), then one slack per
+    inequality row, then artificials; each row also carries its
+    right-hand side in the last slot. Row i stands for ``T[i] / den[i]``:
+    Python ints over one positive denominator, kept in lowest terms, so
+    a pivot is integer multiply-and-subtract plus one gcd per touched
+    row. The reduced-cost row ``obj / obj_den`` has the same form."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -199,18 +228,9 @@ class _Simplex:
                 self.shift.append(lo)
         self.n_struct = ncols
 
-        body: list[list[Rational]] = []
-        rhs: list[Rational] = []
-        for k in range(m):
-            row = [ZERO] * self.n_struct
-            for j, a in enumerate(lp.rows[k]):
-                if a:
-                    row[self.plus_col[j]] = a
-                    mc = self.minus_col[j]
-                    if mc is not None:
-                        row[mc] = -a
-            body.append(row)
-            rhs.append(lp.rhs[k] - dot(lp.rows[k], self.shift))
+        shifted = [(j, lo) for j, lo in enumerate(self.shift) if lo]
+        rhs = [b - sum((row[j] * lo for j, lo in shifted if row[j]), ZERO)
+               for row, b in zip(lp.rows, lp.rhs)]
 
         self.slack_col: list[Optional[int]] = [None] * m
         for k in range(m):
@@ -231,93 +251,98 @@ class _Simplex:
         self.n_cols = ncols
         self.n_art = sum(1 for c in self.art_col if c is not None)
 
-        self.T: list[list[Rational]] = []
-        self.rhs: list[Rational] = []
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
         self.basis: list[int] = []
         self.active: list[bool] = [True] * m
         for k in range(m):
-            full = [ZERO] * ncols
+            nums, den = _int_row((*lp.rows[k], rhs[k]))
             s = self.sigma[k]
-            for j, a in enumerate(body[k]):
+            full = [0] * (ncols + 1)
+            for j, a in enumerate(nums[:-1]):
                 if a:
-                    full[j] = a if s > 0 else -a
+                    full[self.plus_col[j]] = s * a
+                    mc = self.minus_col[j]
+                    if mc is not None:
+                        full[mc] = -s * a
+            full[-1] = s * nums[-1]
             sc = self.slack_col[k]
             if sc is not None:
-                full[sc] = ONE if s > 0 else Q(-1)
+                full[sc] = s * den
             ac = self.art_col[k]
             if ac is not None:
-                full[ac] = ONE
+                full[ac] = den
             self.T.append(full)
-            self.rhs.append(rhs[k] if s > 0 else -rhs[k])
+            self.den.append(den)
             self.basis.append(ac if ac is not None else sc)  # type: ignore[arg-type]
         self.init_basis = list(self.basis)
         self.art_start = ncols - self.n_art if self.n_art else ncols
+        self.obj: list[int] = [0] * (ncols + 1)
+        self.obj_den = 1
         # generous cap; Bland's rule guarantees no cycling long before this
         self.max_pivots = 2000 + 50 * (m + 1) * (ncols + 1)
         self.pivots = 0
 
     # --- pivoting -------------------------------------------------------
 
-    def _pivot(self, i: int, enter: int, reduced: list[Rational]) -> None:
-        T, rhs = self.T, self.rhs
+    def _price(self, cost: list[int], cost_den: int) -> None:
+        """Set the reduced-cost row to cost - c_B B^-1 A for the current
+        basis by clearing each basic column in turn."""
+        self.obj, self.obj_den = cost, cost_den
+        for i, bi in enumerate(self.basis):
+            if self.active[i] and self.obj[bi]:
+                self.obj, self.obj_den = _eliminate(
+                    self.obj, self.obj_den, self.T[i], self.den[i], bi)
+
+    def _pivot(self, i: int, enter: int) -> None:
+        T, den = self.T, self.den
         prow = T[i]
-        piv = prow[enter]
-        if piv != 1:
-            inv = 1 / piv
-            for j, v in enumerate(prow):
-                if v:
-                    prow[j] = v * inv
-            rhs[i] *= inv
-        nz = [j for j, v in enumerate(prow) if v]
+        p = prow[enter]
+        if p < 0:
+            prow = [-a for a in prow]
+            p = -p
+        g = gcd(*prow)
+        if g > 1:
+            prow = [a // g for a in prow]
+            p //= g
+        T[i] = prow
+        den[i] = p
         for r in range(len(T)):
-            if r == i or not self.active[r]:
-                continue
-            row = T[r]
-            f = row[enter]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                if rhs[i]:
-                    rhs[r] -= f * rhs[i]
-        f = reduced[enter]
-        if f:
-            for j in nz:
-                reduced[j] -= f * prow[j]
+            if r != i and self.active[r] and T[r][enter]:
+                T[r], den[r] = _eliminate(T[r], den[r], prow, p, enter)
+        if self.obj[enter]:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, enter)
         self.basis[i] = enter
         self.pivots += 1
         if self.pivots > self.max_pivots:
             raise InternalError("pivot budget exhausted; anti-cycling rule violated")
 
-    def _optimize(self, reduced: list[Rational], allowed: list[bool]):
-        """Bland's rule: entering = smallest allowed column with positive
-        reduced cost; leaving = smallest ratio, ties by smallest basis
-        column. Returns ('optimal', None) or ('unbounded', enter)."""
-        T, rhs = self.T, self.rhs
-        m = len(T)
+    def _optimize(self, ncols: int):
+        """Bland's rule over the first ``ncols`` columns: entering =
+        smallest column with positive reduced cost; leaving = smallest
+        ratio rhs/a over a > 0 (row denominators cancel, so ratios are
+        compared by cross-multiplying), ties by smallest basis column.
+        Returns ('optimal', None) or ('unbounded', enter)."""
+        T = self.T
         while True:
-            enter = -1
-            for j in range(self.n_cols):
-                if allowed[j] and reduced[j] > 0:
-                    enter = j
-                    break
+            obj = self.obj
+            enter = next((j for j in range(ncols) if obj[j] > 0), -1)
             if enter < 0:
                 return "optimal", None
             leave = -1
-            best: Optional[Rational] = None
-            for i in range(m):
-                if not self.active[i]:
-                    continue
-                a = T[i][enter]
-                if a > 0:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
+            best_b = best_a = 0
+            for i, row in enumerate(T):
+                a = row[enter]
+                if a > 0 and self.active[i]:
+                    b = row[-1]
+                    if leave < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
+                        best_b, best_a = b, a
                         leave = i
             if leave < 0:
                 return "unbounded", enter
-            self._pivot(leave, enter, reduced)
+            self._pivot(leave, enter)
 
     # --- phases ---------------------------------------------------------
 
@@ -326,50 +351,30 @@ class _Simplex:
         m = lp.n_rows
 
         if self.n_art:
-            # price out the artificial basis rows: reduced = c1 - c1_B B^-1 A
-            reduced = [ZERO] * self.n_cols
+            cost = [0] * (self.n_cols + 1)
             for c in self.art_col:
                 if c is not None:
-                    reduced[c] = Q(-1)
-            for i in range(m):
-                if self.art_col[i] is not None:
-                    row = self.T[i]
-                    for j in range(self.n_cols):
-                        if row[j]:
-                            reduced[j] += row[j]
-            allowed = [True] * self.n_cols
-            status, _ = self._optimize(reduced, allowed)
+                    cost[c] = -1
+            self._price(cost, 1)
+            status, _ = self._optimize(self.n_cols)
             if status != "optimal":
                 raise InternalError("phase 1 cannot be unbounded")
-            value1 = ZERO
-            for i in range(m):
-                if self.active[i] and self.basis[i] >= self.art_start:
-                    value1 -= self.rhs[i]
-            if value1 != 0:
-                return self._extract_infeasible(reduced)
+            if any(self.T[i][-1] for i in range(m) if self.basis[i] >= self.art_start):
+                return self._extract_infeasible()
             self._expel_artificials()
+            # artificials never re-enter, so their columns are dropped
+            for row in self.T:
+                del row[self.art_start:self.n_cols]
 
-        reduced = [ZERO] * self.n_cols
-        cost = [ZERO] * self.n_cols
+        cost_q = [ZERO] * (self.art_start + 1)
         for j, c in enumerate(lp.objective):
             if c:
-                cost[self.plus_col[j]] = c
+                cost_q[self.plus_col[j]] = c
                 mc = self.minus_col[j]
                 if mc is not None:
-                    cost[mc] = -c
-        for j in range(self.n_struct):
-            reduced[j] = cost[j]
-        for i in range(m):
-            if not self.active[i]:
-                continue
-            cb = cost[self.basis[i]] if self.basis[i] < self.n_struct else ZERO
-            if cb:
-                row = self.T[i]
-                for j in range(self.n_cols):
-                    if row[j]:
-                        reduced[j] -= cb * row[j]
-        allowed = [True] * self.art_start + [False] * self.n_art
-        status, enter = self._optimize(reduced, allowed)
+                    cost_q[mc] = -c
+        self._price(*_int_row(cost_q))
+        status, enter = self._optimize(self.art_start)
         if status == "unbounded":
             return self._extract_ray(enter)  # type: ignore[arg-type]
         return self._extract_optimal()
@@ -378,6 +383,8 @@ class _Simplex:
         """After a zero-value phase 1, pivot artificials out of the basis;
         rows where no structural or slack coefficient remains are
         redundant and dropped."""
+        # phase-1 costs are spent; phase 2 prices its costs after these pivots
+        self.obj = [0] * (self.n_cols + 1)
         for i in range(len(self.T)):
             if not self.active[i] or self.basis[i] < self.art_start:
                 continue
@@ -387,8 +394,7 @@ class _Simplex:
                 self.active[i] = False
                 continue
             # rhs here is exactly 0, so any nonzero pivot keeps feasibility
-            dummy = [ZERO] * self.n_cols
-            self._pivot(i, enter, dummy)
+            self._pivot(i, enter)
 
     # --- outcome extraction ----------------------------------------------
 
@@ -396,7 +402,7 @@ class _Simplex:
         y = [ZERO] * self.n_cols
         for i, bi in enumerate(self.basis):
             if self.active[i]:
-                y[bi] = self.rhs[i]
+                y[bi] = Q(self.T[i][-1], self.den[i])
         point = []
         for j in range(self.lp.n_vars):
             v = y[self.plus_col[j]]
@@ -414,7 +420,7 @@ class _Simplex:
         y[enter] = ONE
         for i, bi in enumerate(self.basis):
             if self.active[i]:
-                y[bi] = -self.T[i][enter]
+                y[bi] = Q(-self.T[i][enter], self.den[i])
         ray = []
         for j in range(self.lp.n_vars):
             v = y[self.plus_col[j]]
@@ -427,7 +433,7 @@ class _Simplex:
             raise InternalError("unbounded ray failed exact re-check")
         return Unbounded(r)
 
-    def _extract_infeasible(self, reduced: list[Rational]) -> Infeasible:
+    def _extract_infeasible(self) -> Infeasible:
         """Multipliers from the phase-1 duals. For tableau row i with
         initial basis column c (slack or artificial), pi_i equals the
         phase-1 cost of c minus its final reduced cost; undoing the row
@@ -439,7 +445,7 @@ class _Simplex:
         for k in range(lp.n_rows):
             c = self.init_basis[k]
             c1 = Q(-1) if c >= self.art_start else ZERO
-            pi = c1 - reduced[c]
+            pi = c1 - Q(self.obj[c], self.obj_den)
             u.append(pi if self.sigma[k] > 0 else -pi)
         cert.extend(u)
         for j in range(lp.n_vars):

@@ -1,10 +1,11 @@
 """Exact rational scalars and fixed-dimension vectors.
 
-The scalar type is gmpy2's mpq when available (roughly an order of
-magnitude faster under pivot-heavy workloads), with fractions.Fraction
-as a drop-in fallback. Both keep values canonical: lowest terms,
-positive denominator. str() on either already yields the "p/q" wire
-format (denominator omitted when 1), e.g. "3/4", "-2", "0".
+The scalar type is gmpy2's mpq when available (the optional ``fast``
+extra), with fractions.Fraction as a drop-in fallback. The simplex
+pivots on plain ints, so the scalar type does not set the cost of a
+pivot. Both keep values canonical: lowest terms, positive denominator.
+str() on either already yields the "p/q" wire format (denominator
+omitted when 1), e.g. "3/4", "-2", "0".
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ RationalLike = Union[Rational, int, str]
 ZERO = Q(0)
 ONE = Q(1)
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Rational:
     """Parse the strict "p/q" wire format. Non-canonical inputs like
     "2/4" are accepted and reduced; anything else is rejected."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
@@ -53,6 +54,8 @@ def format_rational(value: Rational) -> str:
 def as_rational(value: RationalLike) -> Rational:
     """Coerce to an exact rational. Floats are rejected: silently
     accepting them would smuggle binary rounding into exact checks."""
+    if isinstance(value, Rational):
+        return value
     if isinstance(value, float):
         raise InputError(f"refusing inexact float {value!r}; pass int, str or Rational")
     if isinstance(value, int):
@@ -85,7 +88,8 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
         raise InputError(f"dimension mismatch in dot product: {len(u)} vs {len(v)}")
     total = ZERO
     for a, b in zip(u, v):
-        total += a * b
+        if a and b:
+            total += a * b
     return total
 
 

@@ -380,7 +380,7 @@ def tree_from_json(data) -> ScenarioTree:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("tree JSON must be an object")

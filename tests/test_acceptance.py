@@ -6,6 +6,8 @@ or in the failure report).  Criteria 1, 2, 3 and 5 share a single
 1000-tree seeded sweep, so the first of them to run pays the build cost.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -32,7 +34,7 @@ from arbcheck.geometry import (
     separation_optimum,
 )
 from arbcheck.tree import LeafDensity, check_density
-from arbcheck.verify import MODES, TreeParams, random_tree
+from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
 from helpers import binomial, skewed_coin
 from lp_oracle import oracle_check, random_lp
 
@@ -41,6 +43,9 @@ ONE = Q(1)
 
 SWEEP_SIZE = 1000
 SWEEP_BUDGET_SECONDS = 300.0
+# sha256 of the sweep's report_to_json lines; pins every verdict, witness
+# and certificate the routes return, pivot for pivot
+SWEEP_REPORTS_SHA256 = "b28c7e419498b81a4f1d4408c2b54a8770b412aa3c7f4dcc0a919fa3f12a08b3"
 
 
 def _sweep_params(seed):
@@ -81,6 +86,15 @@ def test_criterion_1_three_route_agreement(sweep):
     assert len(records) >= SWEEP_SIZE
     assert inconsistent == []
     assert elapsed <= SWEEP_BUDGET_SECONDS
+
+
+def test_sweep_reports_are_pinned(sweep):
+    records, _ = sweep
+    digest = hashlib.sha256()
+    for _, _, rep in records:
+        digest.update(json.dumps(report_to_json(rep), sort_keys=True).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == SWEEP_REPORTS_SHA256
 
 
 def test_criterion_2_martingale_construction_exactness(sweep):

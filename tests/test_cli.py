@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,47 @@ class TestValidate:
     def test_missing_file(self, run):
         code, _, err = run("validate", "/nonexistent/tree.json")
         assert code == 2 and "error:" in err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _cli(*argv, prelude=""):
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = prelude + "import sys; from arbcheck.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+class TestHostileInput:
+    def test_non_utf8_file_exit_two(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = _cli("check", str(path))
+        assert code == 2 and "error:" in err
+        assert "Traceback" not in err
+
+    def test_deep_nesting_exit_two(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10**5)
+        code, _, err = _cli("check", str(path))
+        assert code == 2 and "error:" in err
+        assert "Traceback" not in err
+
+
+def test_fraction_backend_matches_in_process(run, tmp_path):
+    """Forcing the fractions.Fraction fallback leaves check --json
+    byte-identical to this process's backend."""
+    tree = random_tree(TreeParams(assets=2, steps=2, max_branching=3), 4)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree_to_json(tree)))
+    _, expected, _ = run("check", str(path), "--json")
+    code, out, err = _cli("check", str(path), "--json",
+                          prelude="import sys; sys.modules['gmpy2'] = None; ")
+    assert code in (0, 1), err
+    assert out == expected.encode()
 
 
 class TestCheck:

@@ -12,6 +12,7 @@ from arbcheck.lp import (
     check_feasible,
     check_ray,
     farkas_row_system,
+    _Simplex,
     make_lp,
     solve_lp,
 )
@@ -80,6 +81,58 @@ class TestWorkedExamples:
         out = solve_lp(lp)
         assert isinstance(out, Unbounded)
         assert check_ray(lp, out.ray)
+
+
+class TestTableauEdgeCases:
+    """Exact outcomes on the paths where an integer tableau can go wrong:
+    sign-flipped rows, slack columns, redundant equalities and negative
+    pivots while artificials are expelled."""
+
+    def test_unbounded_ray_enters_on_a_slack(self, monkeypatch):
+        # max x - 2y  s.t.  -x + y == 0, 2x + y <= -1, both free. The
+        # second row is flipped (rhs < 0) and the ray enters on its slack.
+        lp = make_lp([1, -2], [[-1, 1], [2, 1]], [0, -1],
+                     equalities=[True, False], lower=[None, None])
+        seen = []
+        extract = _Simplex._extract_ray
+
+        def spy(self, enter):
+            seen.append(enter >= self.n_struct)
+            return extract(self, enter)
+
+        monkeypatch.setattr(_Simplex, "_extract_ray", spy)
+        out = solve_lp(lp)
+        assert isinstance(out, Unbounded)
+        assert out.ray == (Q(-1, 3), Q(-1, 3))
+        assert seen == [True]
+
+    def test_redundant_equality_row_is_dropped(self):
+        # the second equality is three times the first
+        lp = make_lp([1, 0], [[Q(1, 3), Q(2, 3)], [1, 2]], [Q(1, 3), 1],
+                     equalities=[True, True], lower=[0, 0])
+        simplex = _Simplex(lp)
+        out = simplex.run()
+        assert simplex.active == [True, False]
+        assert out == Optimal((Q(1), Q(0)), Q(1))
+
+    def test_negative_pivot_when_expelling_artificials(self):
+        # phase 1 ends with the artificial of row 2 basic at zero, and it
+        # is expelled by a pivot on that row's coefficient -2 for y
+        lp = make_lp([2, -1], [[0, -1], [2, -2], [0, -2]], [0, 0, 0],
+                     equalities=[False, True, True], lower=[None, 0])
+        simplex = _Simplex(lp)
+        out = simplex.run()
+        assert all(simplex.active)
+        assert out == Optimal((Q(0), Q(0)), Q(0))
+
+    def test_farkas_certificate_on_sign_flipped_rows(self):
+        # x/2 + y == -1 with x, y >= 0: the equality is flipped
+        lp = make_lp([1, 1], [[Q(1, 2), 1], [1, -2]], [-1, 3],
+                     equalities=[True, False], lower=[0, 0])
+        out = solve_lp(lp)
+        assert isinstance(out, Infeasible)
+        assert out.certificate == (Q(1), Q(0), Q(1, 2), Q(1))
+        assert check_farkas(lp, out.certificate)
 
 
 class TestCertificateChecks:

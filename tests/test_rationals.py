@@ -35,6 +35,7 @@ def test_parse_normalizes():
 @pytest.mark.parametrize("bad", [
     "", "1/0", "0/0", "1.5", "1e3", "a", "1/-2", "+3",
     " 1", "1 ", "2/4/8", "--1", "1/", "/2",
+    "\u0663/\u0664", "3\n", " 3",  # Arabic-Indic digits, trailing newline
 ])
 def test_parse_rejects(bad):
     with pytest.raises(InputError):
