@@ -57,7 +57,6 @@ from .verify import (
     TreeParams,
     equivalence_report,
     find_arbitrage,
-    find_martingale_density,
     random_tree,
     report_to_json,
     scaled_gain_optimum,

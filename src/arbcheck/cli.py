@@ -49,16 +49,6 @@ def _load_tree(path: str) -> ScenarioTree:
     return tree_from_json(text)
 
 
-def _load_valid_tree(path: str) -> ScenarioTree:
-    tree = _load_tree(path)
-    violations = validate(tree)
-    if violations:
-        raise InputError(
-            "tree failed validation: " + "; ".join(str(v) for v in violations)
-        )
-    return tree
-
-
 def _cmd_validate(args) -> int:
     tree = _load_tree(args.file)
     violations = validate(tree)
@@ -82,7 +72,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tree = _load_valid_tree(args.file)
+    tree = _load_tree(args.file)
     started = time.monotonic()
     report = equivalence_report(tree)
     elapsed = time.monotonic() - started
@@ -110,7 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_find_arbitrage(args) -> int:
-    tree = _load_valid_tree(args.file)
+    tree = _load_tree(args.file)
     strategy = find_arbitrage(tree)
     if args.json:
         _print_json(
@@ -127,7 +117,7 @@ def _cmd_find_arbitrage(args) -> int:
 
 
 def _cmd_build_emm(args) -> int:
-    tree = _load_valid_tree(args.file)
+    tree = _load_tree(args.file)
     try:
         construction = build_emm(tree)
     except GeometryError as exc:
@@ -150,7 +140,7 @@ def _cmd_build_emm(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    tree = _load_valid_tree(args.file)
+    tree = _load_tree(args.file)
     try:
         value = scaled_gain_optimum(tree)
     except GeometryError as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GeometryError, InputError, InternalError
-from .geometry import InRi, NotInRi, check_ri_certificate, max_norm_normalize, ri_conv_contains_origin
+from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
 from .linalg import in_span, span_basis
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot, vec_sub
@@ -30,15 +30,13 @@ from .tree import (
     conditional_mean,
     conditional_support,
     density_process,
-    leaf_probabilities,
+    ensure_valid,
 )
 
 
 def expected_negative_part(support: ConditionalSupport, h: Vector) -> Rational:
     """Expected one-step loss of direction h at the node:
     sum_i q_i * max(-(h, x_i), 0). Convex and positively homogeneous."""
-    if len(h) != support.d:
-        raise InputError(f"direction has dimension {len(h)}, atoms {support.d}")
     total = ZERO
     for x, q in support.atoms:
         v = dot(h, x)
@@ -55,8 +53,6 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     the atoms' hull; an unbounded program therefore signals a violated
     precondition and raises GeometryError for the owning node.
     """
-    if len(a) != support.d:
-        raise InputError(f"query vector has dimension {len(a)}, atoms {support.d}")
     values = support.values()
     if not in_span(a, values):
         raise InputError("query vector outside the span of the atoms")
@@ -130,7 +126,10 @@ class OneStepDensity:
 def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     """Min-max selection: the feasible density with the smallest largest
     component, so the reported global bound is the tightest this
-    construction yields."""
+    construction yields. A node without the origin in the relative
+    interior of its support never gets here (``one_step_scale`` raises
+    GeometryError first), so an infeasible program is an internal error.
+    """
     f = one_step_scale(support)
     n = len(support.atoms)
     d = support.d
@@ -158,12 +157,7 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     lower = [f] * nvars
     outcome = solve_lp(make_lp(objective, rows, rhs, eqs, lower))
     if isinstance(outcome, Infeasible):
-        cert = ri_conv_contains_origin(support.values())
-        if isinstance(cert, InRi):
-            raise InternalError(
-                "one-step density infeasible although the origin is interior"
-            )
-        raise GeometryError(support.node, cert)
+        raise InternalError("one-step density infeasible although the origin is interior")
     if isinstance(outcome, Unbounded):
         raise InternalError("one-step density program is bounded below by the floor")
     assert isinstance(outcome, Optimal)
@@ -205,6 +199,7 @@ def build_emm(tree: ScenarioTree) -> MartingaleConstruction:
     The leaf density is the path product of the normalized one-step
     densities; its largest value is reported as the bound.
     """
+    ensure_valid(tree)
     steps: dict[int, dict[Vector, Rational]] = {}
     per_node = []
     for nid in tree.non_leaves():
@@ -228,13 +223,10 @@ def build_emm(tree: ScenarioTree) -> MartingaleConstruction:
             stack.append((c, acc * table[increment]))
 
     density = LeafDensity.from_mapping(z)
-    p = leaf_probabilities(tree)
-    mass = sum((p[leaf] * z[leaf] for leaf in z), ZERO)
-    if mass != 1:
-        raise InternalError(f"pasted density has mass {mass} != 1")
-    if any(v <= 0 for v in z.values()):
-        raise InternalError("pasted density not strictly positive")
-    ok, residuals = verify_martingale(tree, density)
+    try:
+        ok, residuals = verify_martingale(tree, density)
+    except InputError as exc:  # check_density: positive, unit mass, on the leaves
+        raise InternalError(f"pasted density failed its re-check: {exc}") from exc
     if not ok:
         bad = {n: r for n, r in residuals.items() if any(r)}
         raise InternalError(f"constructed measure is not a martingale: {bad}")

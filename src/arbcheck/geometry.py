@@ -119,7 +119,9 @@ def ri_conv_contains_origin(points: Sequence[Vector]) -> RiCertificate:
     The origin is in the relative interior of conv(points) iff it is a
     convex combination with all-positive weights, i.e. iff the LP
     maximize t s.t. lambda_i >= t, sum lambda = 1, sum lambda_i x_i = 0
-    has a positive optimum.
+    has a positive optimum. Its weights are re-checked here; otherwise
+    the separating direction comes from ``arbitrage_direction``, which
+    re-checks it.
     """
     pts = _checked_points(points)
     n = len(pts)
@@ -147,15 +149,14 @@ def ri_conv_contains_origin(points: Sequence[Vector]) -> RiCertificate:
     if isinstance(outcome, Unbounded):
         raise InternalError("interiority program cannot be unbounded")
     if isinstance(outcome, Optimal) and outcome.value > 0:
-        cert: RiCertificate = InRi(tuple(outcome.point[:n]))
-    else:
-        direction = arbitrage_direction(pts)
-        if direction is None:
-            raise InternalError("certificate branches disagree on interiority")
-        cert = NotInRi(direction)
-    if not check_ri_certificate(pts, cert):
-        raise InternalError("interiority certificate failed exact re-check")
-    return cert
+        cert = InRi(tuple(outcome.point[:n]))
+        if not check_ri_certificate(pts, cert):
+            raise InternalError("interiority certificate failed exact re-check")
+        return cert
+    direction = arbitrage_direction(pts)
+    if direction is None:
+        raise InternalError("certificate branches disagree on interiority")
+    return NotInRi(direction)
 
 
 def check_ri_certificate(points: Sequence[Vector], cert: RiCertificate) -> bool:

@@ -47,6 +47,18 @@ class LinearProgram:
     equalities: tuple[bool, ...]
     lower: tuple[Optional[Rational], ...]
 
+    def __post_init__(self) -> None:
+        n, m = len(self.objective), len(self.rows)
+        for i, row in enumerate(self.rows):
+            if len(row) != n:
+                raise InputError(f"row {i} has {len(row)} coefficients, expected {n}")
+        if len(self.rhs) != m:
+            raise InputError(f"{len(self.rhs)} right-hand sides for {m} rows")
+        if len(self.equalities) != m:
+            raise InputError(f"{len(self.equalities)} equality flags for {m} rows")
+        if len(self.lower) != n:
+            raise InputError(f"{len(self.lower)} bounds for {n} variables")
+
     @property
     def n_vars(self) -> int:
         return len(self.objective)
@@ -63,27 +75,17 @@ def make_lp(
     equalities: Optional[Sequence[bool]] = None,
     lower: Optional[Sequence[Optional[RationalLike]]] = None,
 ) -> LinearProgram:
-    """Coerce raw data into a dimension-checked LinearProgram."""
+    """Coerce raw data into a LinearProgram, which checks its shape."""
     obj = tuple(as_rational(c) for c in objective)
-    n = len(obj)
     mat = tuple(tuple(as_rational(a) for a in row) for row in rows)
-    for i, row in enumerate(mat):
-        if len(row) != n:
-            raise InputError(f"row {i} has {len(row)} coefficients, expected {n}")
     b = tuple(as_rational(v) for v in rhs)
-    if len(b) != len(mat):
-        raise InputError(f"{len(b)} right-hand sides for {len(mat)} rows")
     if equalities is None:
         eq = (False,) * len(mat)
     else:
         eq = tuple(bool(e) for e in equalities)
-        if len(eq) != len(mat):
-            raise InputError(f"{len(eq)} equality flags for {len(mat)} rows")
     if lower is None:
-        lo: tuple[Optional[Rational], ...] = (None,) * n
+        lo: tuple[Optional[Rational], ...] = (None,) * len(obj)
     else:
-        if len(lower) != n:
-            raise InputError(f"{len(lower)} bounds for {n} variables")
         lo = tuple(None if v is None else as_rational(v) for v in lower)
     return LinearProgram(obj, mat, b, eq, lo)
 
@@ -461,11 +463,4 @@ class _Simplex:
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; outcome is deterministic for a fixed input."""
-    if len(lp.rhs) != lp.n_rows or len(lp.equalities) != lp.n_rows:
-        raise InputError("row metadata lengths disagree")
-    if len(lp.lower) != lp.n_vars:
-        raise InputError("bound vector length disagrees with objective")
-    for i, row in enumerate(lp.rows):
-        if len(row) != lp.n_vars:
-            raise InputError(f"row {i} has wrong arity")
     return _Simplex(lp).run()

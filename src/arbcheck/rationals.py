@@ -11,7 +11,8 @@ omitted when 1), e.g. "3/4", "-2", "0".
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional, Sequence, Tuple, Union
+import sys
+from typing import Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -36,15 +37,19 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def parse_rational(text: str) -> Rational:
     """Parse the strict "p/q" wire format. Non-canonical inputs like
-    "2/4" are accepted and reduced; anything else is rejected."""
+    "2/4" are accepted and reduced; anything else is rejected, and so is
+    a number longer than the interpreter's int-str digit limit."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator: {text!r}")
-        return Q(int(num), int(den))
-    return Q(int(text))
+    num, _, den = text.partition("/")
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:  # past the regex, only the digit limit is left to fail
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"rational literal over the {limit}-digit limit") from None
+    if q == 0:
+        raise InputError(f"zero denominator: {text!r}")
+    return Q(p, q)
 
 
 def format_rational(value: Rational) -> str:
@@ -68,19 +73,8 @@ def as_rational(value: RationalLike) -> Rational:
         raise InputError(f"cannot interpret {value!r} as a rational") from exc
 
 
-def rational_vector(values: Iterable[RationalLike]) -> Vector:
-    return tuple(as_rational(v) for v in values)
-
-
-def parse_vector(items: Sequence[str], dim: Optional[int] = None) -> Vector:
-    vec = tuple(parse_rational(s) for s in items)
-    if dim is not None and len(vec) != dim:
-        raise InputError(f"expected vector of dimension {dim}, got {len(vec)}")
-    return vec
-
-
-def format_vector(vec: Sequence[Rational]) -> list:
-    return [str(v) for v in vec]
+def parse_vector(items: Sequence[str]) -> Vector:
+    return tuple(parse_rational(s) for s in items)
 
 
 def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
@@ -93,25 +87,11 @@ def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
     return total
 
 
-def vec_add(u: Sequence[Rational], v: Sequence[Rational]) -> Vector:
-    if len(u) != len(v):
-        raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence[Rational], v: Sequence[Rational]) -> Vector:
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c: Rational, u: Sequence[Rational]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def zero_vector(dim: int) -> Vector:
     return (ZERO,) * dim
-
-
-def is_zero_vector(u: Sequence[Rational]) -> bool:
-    return all(not a for a in u)

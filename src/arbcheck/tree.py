@@ -287,12 +287,6 @@ class LeafDensity:
     def as_dict(self) -> dict[int, Rational]:
         return dict(self.values)
 
-    def __getitem__(self, leaf: int) -> Rational:
-        for nid, z in self.values:
-            if nid == leaf:
-                return z
-        raise KeyError(leaf)
-
 
 def path_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
     """Probability of reaching each node (not only leaves)."""
@@ -375,21 +369,28 @@ def tree_to_json(tree: ScenarioTree) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass; JSON true/false, floats and strings are not counts or ids
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def tree_from_json(data) -> ScenarioTree:
     """Accepts a dict or a JSON string in the documented schema."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("tree JSON must be an object")
     try:
-        d = int(data["d"])
-        horizon = int(data["N"])
+        d = _json_int(data["d"], "'d'")
+        horizon = _json_int(data["N"], "'N'")
         raw_nodes = data["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"tree JSON missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"tree JSON missing field: {exc}") from exc
     if not isinstance(raw_nodes, list):
         raise InputError("'nodes' must be a list")
     nodes = []
@@ -397,13 +398,13 @@ def tree_from_json(data) -> ScenarioTree:
         if not isinstance(item, dict):
             raise InputError("each node must be an object")
         try:
-            nid = int(item["id"])
+            nid = _json_int(item["id"], "node id")
             parent = item["parent"]
             price = item["price"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"node missing or malformed field: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"node missing field: {exc}") from exc
         if parent is not None:
-            parent = int(parent)
+            parent = _json_int(parent, f"node {nid}: parent")
         prob_raw = item.get("prob")
         if prob_raw is None:
             if parent is not None:

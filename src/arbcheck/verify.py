@@ -1,11 +1,13 @@
-"""Independent no-arbitrage oracles, a seeded model generator, and the
-three-way equivalence harness.
+"""The strategy-space arbitrage search, the scaled-gain optimum, a
+seeded model generator, and the three-way equivalence harness.
 
 The three routes are deliberately separate computations sharing only
 the exact LP core: a strategy-space program that searches for an
 arbitrage directly, a per-node geometric test, and the constructive
 martingale route from the emm module. On every input all three must
-agree; the harness reports rather than assumes this.
+agree; the harness reports rather than assumes this. Each route
+re-checks its own certificates, so the harness only compares verdicts.
+Every tree entry point rejects an invalid tree with InputError.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .emm import MartingaleConstruction, build_emm, one_step_scale, verify_martingale
+from .emm import MartingaleConstruction, build_emm, one_step_scale
 from .errors import GeometryError, InputError, InternalError
-from .geometry import InRi, NotInRi, RiCertificate, check_ri_certificate, ri_conv_contains_origin
+from .geometry import InRi, NotInRi, RiCertificate, ri_conv_contains_origin
 from .linalg import span_basis
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import (
@@ -36,10 +38,9 @@ from .tree import (
     Strategy,
     conditional_mean,
     conditional_support,
+    ensure_valid,
     gains,
-    leaf_probabilities,
     path_probabilities,
-    validate,
 )
 
 
@@ -52,6 +53,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     re-check); optimum zero means none exists, since any arbitrage
     scales into the feasible box without losing its sign pattern.
     """
+    ensure_valid(tree)
     non_leaves = tree.non_leaves()
     col: dict[tuple[int, int], int] = {}
     for nid in non_leaves:
@@ -112,81 +114,6 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     return strategy
 
 
-def _leaves_under(tree: ScenarioTree) -> dict[int, tuple[int, ...]]:
-    out: dict[int, tuple[int, ...]] = {}
-    for nid in sorted((n.id for n in tree.nodes), key=lambda i: -tree.depth(i)):
-        kids = tree.children(nid)
-        if not kids:
-            out[nid] = (nid,)
-        else:
-            acc: list[int] = []
-            for c in kids:
-                acc.extend(out[c])
-            out[nid] = tuple(acc)
-    return out
-
-
-def find_martingale_density(tree: ScenarioTree) -> Optional[LeafDensity]:
-    """Independent martingale-measure oracle, one LP over leaf densities:
-    maximize the smallest density value subject to total mass 1 and the
-    per-node martingale equations. A positive optimum is an equivalent
-    martingale density; otherwise there is none."""
-    leaves = tree.leaves()
-    n = len(leaves)
-    idx = {leaf: i for i, leaf in enumerate(leaves)}
-    t = n  # index of the auxiliary floor variable
-    p = leaf_probabilities(tree)
-    under = _leaves_under(tree)
-
-    rows = []
-    rhs = []
-    eqs = []
-    for leaf in leaves:
-        row = [ZERO] * (n + 1)
-        row[t] = ONE
-        row[idx[leaf]] = Q(-1)
-        rows.append(row)  # t <= z_l
-        rhs.append(ZERO)
-        eqs.append(False)
-    norm = [p[leaf] for leaf in leaves] + [ZERO]
-    rows.append(norm)
-    rhs.append(ONE)
-    eqs.append(True)
-    for nid in tree.non_leaves():
-        base = tree.node(nid).price
-        for j in range(tree.d):
-            row = [ZERO] * (n + 1)
-            touched = False
-            for c in tree.children(nid):
-                diff = tree.node(c).price[j] - base[j]
-                if not diff:
-                    continue
-                touched = True
-                for leaf in under[c]:
-                    row[idx[leaf]] += p[leaf] * diff
-            if touched:
-                rows.append(row)
-                rhs.append(ZERO)
-                eqs.append(True)
-
-    objective = [ZERO] * n + [ONE]
-    outcome = solve_lp(make_lp(objective, rows, rhs, eqs))
-    if isinstance(outcome, Infeasible):
-        return None  # no signed normalized solution at all, let alone positive
-    if isinstance(outcome, Unbounded):
-        raise InternalError("density search is bounded (the floor is at most 1)")
-    assert isinstance(outcome, Optimal)
-    if outcome.value <= 0:
-        return None
-    density = LeafDensity.from_mapping(
-        {leaf: outcome.point[idx[leaf]] for leaf in leaves}
-    )
-    ok, residuals = verify_martingale(tree, density)
-    if not ok:
-        raise InternalError(f"density witness failed the martingale re-check: {residuals}")
-    return density
-
-
 def scaled_gain_optimum(tree: ScenarioTree) -> Rational:
     """Exact optimum of the budgeted scaled-gain program.
 
@@ -196,6 +123,7 @@ def scaled_gain_optimum(tree: ScenarioTree) -> Rational:
     reach-weighted expected loss at 1. The optimum never exceeds 1 when
     every node passes the interiority test (which defines the floors).
     """
+    ensure_valid(tree)
     reach = path_probabilities(tree)
     blocks = []  # (node, support, basis, floor)
     for nid in tree.non_leaves():
@@ -409,12 +337,7 @@ def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> Equiva
     witness so an inconsistency (which must never happen) stays
     diagnosable. Callers treat consistent=False as an alarm.
     """
-    violations = validate(tree)
-    if violations:
-        raise InputError(
-            "tree failed validation: " + "; ".join(str(v) for v in violations)
-        )
-
+    ensure_valid(tree)
     arbitrage = find_arbitrage(tree)
 
     certificates: dict[int, RiCertificate] = {}
@@ -422,8 +345,6 @@ def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> Equiva
     for nid in tree.non_leaves():
         support = conditional_support(tree, nid)
         cert = ri_conv_contains_origin(support.values())
-        if not check_ri_certificate(support.values(), cert):
-            raise InternalError(f"certificate at node {nid} failed re-verification")
         certificates[nid] = cert
         if isinstance(cert, NotInRi):
             all_interior = False

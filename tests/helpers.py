@@ -5,10 +5,15 @@ from arbcheck.rationals import as_rational
 from arbcheck.tree import Node
 
 
+def vec(values):
+    """Exact rational tuple from ints, "p/q" strings or rationals."""
+    return tuple(as_rational(v) for v in values)
+
+
 def _price(value):
     if not isinstance(value, (list, tuple)):
         value = (value,)
-    return tuple(as_rational(v) for v in value)
+    return vec(value)
 
 
 def build(d, spec):

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arbcheck import Q, build_emm, equivalence_report, tree_from_json, tree_to_json
 from arbcheck.cli import main
-from arbcheck.verify import TreeParams, construction_to_json, random_tree, report_to_json
+from arbcheck.verify import MODES, TreeParams, construction_to_json, random_tree, report_to_json
 from helpers import skewed_coin, sure_win
 
 # exit code contract: 0 holds / artifact produced, 1 fails expectedly,
@@ -93,6 +98,70 @@ class TestHostileInput:
         code, _, err = _cli("check", str(path))
         assert code == 2 and "error:" in err
         assert "Traceback" not in err
+
+    def test_overlong_price_exit_two(self, tmp_path):
+        data = tree_to_json(skewed_coin())
+        data["nodes"][1]["price"] = ["1" * 5001]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        code, _, err = _cli("check", str(path))
+        assert code == 2 and "error:" in err and "digit limit" in err
+        assert "Traceback" not in err
+
+
+FILE_COMMANDS = ("validate", "check", "find-arbitrage", "build-emm", "beta")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "-1", "1/2", "3/4", "1/0", "2/4"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def mutated_trees(draw):
+    """A valid small tree (d <= 2, N <= 2) with up to three fields
+    replaced or dropped, serialized; sometimes with one byte overwritten."""
+    params = TreeParams(assets=draw(st.integers(1, 2)), steps=draw(st.integers(1, 2)),
+                        max_branching=draw(st.integers(1, 3)), mode=draw(st.sampled_from(MODES)))
+    data = tree_to_json(random_tree(params, draw(st.integers(0, 2**16))))
+    nodes = list(data["nodes"])
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from(nodes))
+        targets = [data, node] + [v for v in node.values() if isinstance(v, list) and v]
+        target = draw(st.sampled_from(targets))
+        if isinstance(target, dict):
+            key = draw(st.sampled_from(sorted(target) + ["extra"]))
+            if draw(st.booleans()):
+                target.pop(key, None)
+                continue
+        else:
+            key = draw(st.integers(0, len(target) - 1))
+        target[key] = draw(json_values)
+    raw = bytearray(json.dumps(data).encode())
+    if draw(st.booleans()):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return bytes(raw)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(FILE_COMMANDS), as_json=st.booleans(),
+       payload=st.binary(max_size=64) | mutated_trees())
+def test_main_is_total_on_fuzzed_input(command, as_json, payload):
+    """Every byte string gets an exit code of the contract, never an
+    escaped exception or the alarm."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.json")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, path] + (["--json"] if as_json else []))
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_fraction_backend_matches_in_process(run, tmp_path):

@@ -14,13 +14,14 @@ from arbcheck.geometry import (
     separation_optimum,
 )
 from arbcheck.linalg import in_span
-from arbcheck.rationals import dot, rational_vector
+from arbcheck.rationals import dot
+from helpers import vec
 
 ZERO = Q(0)
 
 
 def pts(*rows):
-    return [rational_vector(r) for r in rows]
+    return [vec(r) for r in rows]
 
 
 class TestNormalize:

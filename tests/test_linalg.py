@@ -1,15 +1,15 @@
 import random
 
 from arbcheck import Q, in_span, rank, span_basis
-from arbcheck.rationals import rational_vector
+from helpers import vec
 
 
 def V(*rows):
-    return [rational_vector(r) for r in rows]
+    return [vec(r) for r in rows]
 
 
 def test_span_basis_examples():
-    assert span_basis(V((1, 2), (2, 4))) == (rational_vector((1, 2)),)
+    assert span_basis(V((1, 2), (2, 4))) == (vec((1, 2)),)
     assert span_basis(V((0, 0))) == ()
     assert span_basis([]) == ()
     basis = span_basis(V((1, 1, 0), (0, 1, 1), (1, 0, -1)))
@@ -25,10 +25,10 @@ def test_rank():
 
 def test_in_span():
     vecs = V((1, 1, 0), (0, 1, 1))
-    assert in_span(rational_vector((1, 2, 1)), vecs)
-    assert in_span(rational_vector((0, 0, 0)), vecs)
-    assert not in_span(rational_vector((1, 0, 0)), vecs)
-    assert in_span(rational_vector((0, 0)), [])
+    assert in_span(vec((1, 2, 1)), vecs)
+    assert in_span(vec((0, 0, 0)), vecs)
+    assert not in_span(vec((1, 0, 0)), vecs)
+    assert in_span(vec((0, 0)), [])
 
 
 def test_basis_is_canonical_under_presentation():

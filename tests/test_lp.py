@@ -6,6 +6,7 @@ from arbcheck import Q
 from arbcheck.errors import InputError
 from arbcheck.lp import (
     Infeasible,
+    LinearProgram,
     Optimal,
     Unbounded,
     check_farkas,
@@ -172,6 +173,8 @@ class TestInputValidation:
             make_lp([1], [[1]], [0], equalities=[True, False])
         with pytest.raises(InputError):
             make_lp([1], [[1]], [0], lower=[0, 0])
+        with pytest.raises(InputError):  # built directly, without make_lp
+            LinearProgram((Q(1),), ((Q(1), Q(1)),), (Q(0),), (False,), (None,))
 
     def test_floats_rejected(self):
         with pytest.raises(InputError):

@@ -4,17 +4,8 @@ from hypothesis import strategies as st
 
 from arbcheck import Q, as_rational, format_rational, parse_rational
 from arbcheck.errors import InputError
-from arbcheck.rationals import (
-    dot,
-    format_vector,
-    is_zero_vector,
-    parse_vector,
-    rational_vector,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
-)
+from arbcheck.rationals import dot, parse_vector, vec_sub, zero_vector
+from helpers import vec
 
 
 def test_parse_basic():
@@ -36,6 +27,9 @@ def test_parse_normalizes():
     "", "1/0", "0/0", "1.5", "1e3", "a", "1/-2", "+3",
     " 1", "1 ", "2/4/8", "--1", "1/", "/2",
     "\u0663/\u0664", "3\n", " 3",  # Arabic-Indic digits, trailing newline
+    # past the int-str digit limit
+    pytest.param("1" * 5001, id="5001-digit-integer"),
+    pytest.param("1/" + "1" * 5001, id="5001-digit-denominator"),
 ])
 def test_parse_rejects(bad):
     with pytest.raises(InputError):
@@ -59,27 +53,12 @@ def test_format_parse_roundtrip(num, den):
 
 
 def test_vector_ops():
-    u = rational_vector([1, "1/2", -3])
-    v = rational_vector(["1/3", 2, 0])
-    assert vec_add(u, v) == rational_vector(["4/3", "5/2", -3])
-    assert vec_sub(u, v) == rational_vector(["2/3", "-3/2", -3])
-    assert vec_scale(Q(-2), u) == rational_vector([-2, -1, 6])
+    u = vec([1, "1/2", -3])
+    v = vec(["1/3", 2, 0])
+    assert vec_sub(u, v) == vec(["2/3", "-3/2", -3])
     assert dot(u, v) == Q(4, 3)
     assert zero_vector(3) == (Q(0),) * 3
-    assert is_zero_vector(zero_vector(4))
-    assert not is_zero_vector(u)
 
 
 def test_parse_vector():
     assert parse_vector(["1/2", "-3"]) == (Q(1, 2), Q(-3))
-    assert format_vector((Q(1, 2), Q(-3))) == ["1/2", "-3"]
-    with pytest.raises(InputError):
-        parse_vector(["1", "2"], dim=3)
-
-
-@given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=5))
-def test_scale_distributes_over_add(vals):
-    u = rational_vector([Q(v.numerator, v.denominator) for v in vals])
-    v = vec_scale(Q(3), u)
-    assert vec_add(u, vec_add(u, u)) == v
-    assert vec_sub(v, u) == vec_scale(Q(2), u)

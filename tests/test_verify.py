@@ -7,9 +7,7 @@ from arbcheck import (
     build_emm,
     equivalence_report,
     find_arbitrage,
-    find_martingale_density,
     gains,
-    leaf_probabilities,
     scaled_gain_optimum,
     tree_to_json,
     validate,
@@ -27,9 +25,11 @@ from arbcheck.verify import (
     report_to_json,
     strategy_to_json,
 )
+from density_oracle import find_martingale_density
 from helpers import (
     binomial,
     localized_arbitrage,
+    one_step,
     single_chain,
     skewed_coin,
     skewed_coin_two_period,
@@ -99,6 +99,15 @@ class TestEquivalenceReport:
                                   Node(1, 0, Q(1), (Q(1),))])
         with pytest.raises(InputError):
             equivalence_report(bad)
+
+
+@pytest.mark.parametrize("entry", [
+    equivalence_report, find_arbitrage, build_emm, scaled_gain_optimum,
+])
+def test_entry_points_reject_invalid_tree(entry):
+    halved = one_step([1, -1], ["1/4", "1/4"])  # child probabilities sum to 1/2
+    with pytest.raises(InputError, match="prob_sum"):
+        entry(halved)
 
 
 class TestScaledGainOptimum:
