@@ -3,7 +3,7 @@ models, by three independent routes with machine-checkable certificates."""
 
 from .errors import GeometryError, InputError, InternalError
 from .rationals import Q, Rational, as_rational, format_rational, parse_rational
-from .linalg import in_span, rank, span_basis
+from .linalg import in_span, span_basis
 from .lp import (
     Infeasible,
     LinearProgram,
@@ -46,7 +46,6 @@ from .emm import (
     MartingaleConstruction,
     OneStepDensity,
     build_emm,
-    expected_negative_part,
     one_step_density,
     one_step_scale,
     support_function,

@@ -22,7 +22,7 @@ from .errors import GeometryError, InputError, InternalError
 from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
 from .linalg import in_span, span_basis
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
-from .rationals import ONE, Q, Rational, Vector, ZERO, dot, vec_sub
+from .rationals import ONE, Q, Rational, Vector, ZERO, dot
 from .tree import (
     ConditionalSupport,
     LeafDensity,
@@ -32,17 +32,6 @@ from .tree import (
     density_process,
     ensure_valid,
 )
-
-
-def expected_negative_part(support: ConditionalSupport, h: Vector) -> Rational:
-    """Expected one-step loss of direction h at the node:
-    sum_i q_i * max(-(h, x_i), 0). Convex and positively homogeneous."""
-    total = ZERO
-    for x, q in support.atoms:
-        v = dot(h, x)
-        if v < 0:
-            total -= q * v
-    return total
 
 
 def support_function(support: ConditionalSupport, a: Vector) -> Rational:
@@ -118,9 +107,6 @@ class OneStepDensity:
     scale: Rational  # the floor f
     raw: tuple[Rational, ...]  # g, with g_i >= scale and E[g * x] = 0
     normalized: tuple[Rational, ...]  # g / E[g], a conditional probability change
-
-    def atom_map(self, support: ConditionalSupport) -> dict[Vector, Rational]:
-        return {x: gh for (x, _), gh in zip(support.atoms, self.normalized)}
 
 
 def one_step_density(support: ConditionalSupport) -> OneStepDensity:
@@ -206,21 +192,12 @@ def build_emm(tree: ScenarioTree) -> MartingaleConstruction:
         support = conditional_support(tree, nid)
         ds = one_step_density(support)
         per_node.append(ds)
-        steps[nid] = ds.atom_map(support)
+        steps[nid] = {x: gh for (x, _), gh in zip(support.atoms, ds.normalized)}
 
-    z: dict[int, Rational] = {}
-    stack: list[tuple[int, Rational]] = [(tree.root, ONE)]
-    while stack:
-        nid, acc = stack.pop()
-        kids = tree.children(nid)
-        if not kids:
-            z[nid] = acc
-            continue
-        base = tree.node(nid).price
-        table = steps[nid]
-        for c in kids:
-            increment = vec_sub(tree.node(c).price, base)
-            stack.append((c, acc * table[increment]))
+    path = {tree.root: ONE}
+    for nd in tree.order[1:]:
+        path[nd.id] = path[nd.parent] * steps[nd.parent][tree.increment(nd.id)]
+    z = {leaf: path[leaf] for leaf in tree.leaves()}
 
     density = LeafDensity.from_mapping(z)
     try:
@@ -246,13 +223,10 @@ def verify_martingale(
     residuals: dict[int, Vector] = {}
     ok = True
     for nid in tree.non_leaves():
-        base = tree.node(nid).price
         acc = [ZERO] * tree.d
         for c in tree.children(nid):
-            child = tree.node(c)
-            w = child.prob * zproc[c] / zproc[nid]
-            for j in range(tree.d):
-                diff = child.price[j] - base[j]
+            w = tree.node(c).prob * zproc[c] / zproc[nid]
+            for j, diff in enumerate(tree.increment(c)):
                 if diff:
                     acc[j] += w * diff
         vec = tuple(acc)

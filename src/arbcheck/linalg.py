@@ -69,7 +69,3 @@ def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> boo
     rows = [(next(j for j in range(len(b)) if b[j]), list(b)) for b in basis]
     residue = _reduce(list(v), rows)
     return all(not c for c in residue)
-
-
-def rank(points: Sequence[Sequence[Rational]]) -> int:
-    return len(span_basis(points))

@@ -4,8 +4,9 @@ The scalar type is gmpy2's mpq when available (the optional ``fast``
 extra), with fractions.Fraction as a drop-in fallback. The simplex
 pivots on plain ints, so the scalar type does not set the cost of a
 pivot. Both keep values canonical: lowest terms, positive denominator.
-str() on either already yields the "p/q" wire format (denominator
-omitted when 1), e.g. "3/4", "-2", "0".
+str() on either yields the "p/q" wire format (denominator omitted when
+1), e.g. "3/4", "-2", "0"; parse_rational and format_rational hold
+both backends to the interpreter's int-str digit limit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ ZERO = Q(0)
 ONE = Q(1)
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# no digit limit other than 0 (none) can be set below this
+_SHORTEST_LIMIT = sys.int_info.str_digits_check_threshold
 
 
 def parse_rational(text: str) -> Rational:
@@ -53,7 +56,18 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    return str(value)
+    """The "p/q" wire format. A numerator or denominator longer than the
+    int-str digit limit, which parse_rational would refuse to read back,
+    is an InputError on either backend (mpq's str() has no limit)."""
+    try:
+        text = str(value)
+    except ValueError:  # Fraction: int.__str__ past the limit
+        text = None
+    if text is None or len(text) > _SHORTEST_LIMIT:
+        limit = sys.get_int_max_str_digits()
+        if text is None or (limit and max(map(len, text.lstrip("-").split("/"))) > limit):
+            raise InputError(f"rational result over the {limit}-digit limit")
+    return text
 
 
 def as_rational(value: RationalLike) -> Rational:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputError
 from .rationals import (
@@ -47,15 +47,33 @@ class Violation:
         return f"{where}: {self.rule}: {self.detail}"
 
 
+def _check_int(value, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 class ScenarioTree:
     """Immutable rooted tree. Construction performs only the structural
-    checks without which no operation makes sense (unique ids, a single
-    root, parents resolve, no cycles); the semantic invariants are the
-    business of validate()."""
+    checks without which no operation makes sense (integer counts and
+    ids, unique ids, a single root, parents resolve, no cycles); the
+    semantic invariants are the business of validate().
+
+    ``order`` holds the nodes breadth-first from the root, each after its
+    parent: a top-down pass over the tree is one loop over it, a
+    bottom-up pass one loop over its reverse."""
 
     def __init__(self, d: int, horizon: int, nodes: Iterable[Node]):
-        self.d = int(d)
-        self.horizon = int(horizon)
+        nodes = tuple(nodes)
+        # before any sort or hash: bool is an int subclass, and floats,
+        # strings and lists are not counts or ids
+        _check_int(d, "asset count")
+        _check_int(horizon, "horizon")
+        for nd in nodes:
+            _check_int(nd.id, "node id")
+            if nd.parent is not None:
+                _check_int(nd.parent, f"node {nd.id}: parent")
+        self.d = d
+        self.horizon = horizon
         self.nodes = tuple(sorted(nodes, key=lambda nd: nd.id))
         if self.d < 1:
             raise InputError(f"asset count must be >= 1, got {d}")
@@ -71,10 +89,10 @@ class ScenarioTree:
             by_id[nd.id] = nd
         self._by_id = by_id
 
-        roots = [nd.id for nd in self.nodes if nd.parent is None]
+        roots = [nd for nd in self.nodes if nd.parent is None]
         if len(roots) != 1:
             raise InputError(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0]
+        self.root = roots[0].id
 
         children: dict[int, list[int]] = {nd.id: [] for nd in self.nodes}
         for nd in self.nodes:
@@ -85,18 +103,17 @@ class ScenarioTree:
             children[nd.parent].append(nd.id)
         self._children = {k: tuple(sorted(v)) for k, v in children.items()}
 
+        # breadth-first from the root: each node comes after its parent
+        order = [roots[0]]
         depth: dict[int, int] = {self.root: 0}
-        frontier = [self.root]
-        while frontier:
-            nxt: list[int] = []
-            for nid in frontier:
-                for c in self._children[nid]:
-                    depth[c] = depth[nid] + 1
-                    nxt.append(c)
-            frontier = nxt
-        if len(depth) != len(self.nodes):
+        for nd in order:
+            for c in self._children[nd.id]:
+                depth[c] = depth[nd.id] + 1
+                order.append(by_id[c])
+        if len(order) != len(self.nodes):
             orphans = sorted(set(by_id) - set(depth))
             raise InputError(f"nodes unreachable from the root (cycle?): {orphans}")
+        self.order = tuple(order)
         self._depth = depth
 
     # --- structure queries ----------------------------------------------
@@ -117,6 +134,13 @@ class ScenarioTree:
     def depth(self, node_id: int) -> int:
         self.node(node_id)
         return self._depth[node_id]
+
+    def increment(self, node_id: int) -> Vector:
+        """Price change on the edge into a non-root node."""
+        nd = self.node(node_id)
+        if nd.parent is None:
+            raise InputError(f"node {node_id} is the root; no edge leads into it")
+        return vec_sub(nd.price, self._by_id[nd.parent].price)
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes if not self._children[nd.id])
@@ -145,7 +169,11 @@ def validate(tree: ScenarioTree) -> list[Violation]:
     root = tree.node(tree.root)
     if root.prob != 1:
         out.append(
-            Violation(root.id, "root_prob", f"root probability {root.prob} != 1")
+            Violation(
+                root.id,
+                "root_prob",
+                f"root probability {format_rational(root.prob)} != 1",
+            )
         )
     for nd in tree.nodes:
         if len(nd.price) != tree.d:
@@ -161,7 +189,7 @@ def validate(tree: ScenarioTree) -> list[Violation]:
                 Violation(
                     nd.id,
                     "prob_positive",
-                    f"non-positive transition probability {nd.prob}",
+                    f"non-positive transition probability {format_rational(nd.prob)}",
                 )
             )
     for nid in tree.non_leaves():
@@ -171,7 +199,7 @@ def validate(tree: ScenarioTree) -> list[Violation]:
                 Violation(
                     nid,
                     "prob_sum",
-                    f"child probabilities sum to {total} != 1",
+                    f"child probabilities sum to {format_rational(total)} != 1",
                 )
             )
     for leaf in tree.leaves():
@@ -218,16 +246,15 @@ class ConditionalSupport:
 def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
     if tree.is_leaf(node_id):
         raise InputError(f"node {node_id} is a leaf; no one-step distribution there")
-    base = tree.node(node_id).price
     order: list[Vector] = []
     weight: dict[Vector, Rational] = {}
     for c in tree.children(node_id):
-        child = tree.node(c)
-        delta = vec_sub(child.price, base)
+        delta = tree.increment(c)
+        prob = tree.node(c).prob
         if delta in weight:
-            weight[delta] += child.prob
+            weight[delta] += prob
         else:
-            weight[delta] = child.prob
+            weight[delta] = prob
             order.append(delta)
     return ConditionalSupport(node_id, tuple((x, weight[x]) for x in order))
 
@@ -254,20 +281,10 @@ def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
             raise InputError(f"strategy missing at non-leaf node {nid}")
         if len(strategy[nid]) != tree.d:
             raise InputError(f"strategy at node {nid} has wrong dimension")
-    out: dict[int, Rational] = {}
-    stack: list[tuple[int, Rational]] = [(tree.root, ZERO)]
-    while stack:
-        nid, acc = stack.pop()
-        kids = tree.children(nid)
-        if not kids:
-            out[nid] = acc
-            continue
-        gamma = strategy[nid]
-        base = tree.node(nid).price
-        for c in kids:
-            step = dot(gamma, vec_sub(tree.node(c).price, base))
-            stack.append((c, acc + step))
-    return out
+    gain = {tree.root: ZERO}
+    for nd in tree.order[1:]:
+        gain[nd.id] = gain[nd.parent] + dot(strategy[nd.parent], tree.increment(nd.id))
+    return {leaf: gain[leaf] for leaf in tree.leaves()}
 
 
 # --- leaf densities and reweighting ----------------------------------------
@@ -290,13 +307,9 @@ class LeafDensity:
 
 def path_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
     """Probability of reaching each node (not only leaves)."""
-    prob: dict[int, Rational] = {tree.root: tree.node(tree.root).prob}
-    stack = [tree.root]
-    while stack:
-        nid = stack.pop()
-        for c in tree.children(nid):
-            prob[c] = prob[nid] * tree.node(c).prob
-            stack.append(c)
+    prob = {tree.root: tree.node(tree.root).prob}
+    for nd in tree.order[1:]:
+        prob[nd.id] = prob[nd.parent] * nd.prob
     return prob
 
 
@@ -325,13 +338,9 @@ def density_process(tree: ScenarioTree, density: LeafDensity) -> dict[int, Ratio
     """Per-node conditional expectation of the leaf density: z itself on
     leaves, probability-weighted child averages going up."""
     check_density(tree, density)
-    vals = density.as_dict()
-    z: dict[int, Rational] = {}
-    for nid in sorted((n.id for n in tree.nodes), key=lambda i: -tree.depth(i)):
-        if tree.is_leaf(nid):
-            z[nid] = vals[nid]
-        else:
-            z[nid] = sum((tree.node(c).prob * z[c] for c in tree.children(nid)), ZERO)
+    z = density.as_dict()
+    for nd in reversed(tree.order[1:]):  # every node before its parent
+        z[nd.parent] = z.get(nd.parent, ZERO) + nd.prob * z[nd.id]
     return z
 
 
@@ -369,13 +378,6 @@ def tree_to_json(tree: ScenarioTree) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    # bool is an int subclass; JSON true/false, floats and strings are not counts or ids
-    if type(value) is not int:
-        raise InputError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
 def tree_from_json(data) -> ScenarioTree:
     """Accepts a dict or a JSON string in the documented schema."""
     if isinstance(data, str):
@@ -386,8 +388,8 @@ def tree_from_json(data) -> ScenarioTree:
     if not isinstance(data, dict):
         raise InputError("tree JSON must be an object")
     try:
-        d = _json_int(data["d"], "'d'")
-        horizon = _json_int(data["N"], "'N'")
+        d = data["d"]
+        horizon = data["N"]
         raw_nodes = data["nodes"]
     except KeyError as exc:
         raise InputError(f"tree JSON missing field: {exc}") from exc
@@ -398,13 +400,11 @@ def tree_from_json(data) -> ScenarioTree:
         if not isinstance(item, dict):
             raise InputError("each node must be an object")
         try:
-            nid = _json_int(item["id"], "node id")
+            nid = item["id"]
             parent = item["parent"]
             price = item["price"]
         except KeyError as exc:
             raise InputError(f"node missing field: {exc}") from exc
-        if parent is not None:
-            parent = _json_int(parent, f"node {nid}: parent")
         prob_raw = item.get("prob")
         if prob_raw is None:
             if parent is not None:

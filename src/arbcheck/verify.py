@@ -29,7 +29,6 @@ from .rationals import (
     ZERO,
     dot,
     format_rational,
-    vec_sub,
 )
 from .tree import (
     LeafDensity,
@@ -64,15 +63,18 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
         return None  # horizon-zero tree: no strategies at all
     reach = path_probabilities(tree)
 
+    # one pass from the root: the expected gain, and each node's gain
+    # coefficients negated
     objective = [ZERO] * nvars
-    for nid in non_leaves:
-        base = tree.node(nid).price
-        for c in tree.children(nid):
-            pc = reach[c]
-            delta = vec_sub(tree.node(c).price, base)
-            for j in range(tree.d):
-                if delta[j]:
-                    objective[col[(nid, j)]] += pc * delta[j]
+    loss = {tree.root: [ZERO] * nvars}
+    for nd in tree.order[1:]:
+        row = loss[nd.parent][:]
+        for j, diff in enumerate(tree.increment(nd.id)):
+            if diff:
+                k = col[(nd.parent, j)]
+                objective[k] += reach[nd.id] * diff
+                row[k] = -diff
+        loss[nd.id] = row
 
     rows = []
     rhs = []
@@ -82,19 +84,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
         rows.append(row)  # gamma <= 1 (the floor -1 is a variable bound)
         rhs.append(ONE)
     for leaf in tree.leaves():
-        row = [ZERO] * nvars
-        nid = leaf
-        while True:
-            nd = tree.node(nid)
-            if nd.parent is None:
-                break
-            base = tree.node(nd.parent).price
-            for j in range(tree.d):
-                diff = nd.price[j] - base[j]
-                if diff:
-                    row[col[(nd.parent, j)]] -= diff
-            nid = nd.parent
-        rows.append(row)  # terminal gain >= 0
+        rows.append(loss[leaf])  # terminal gain >= 0
         rhs.append(ZERO)
 
     outcome = solve_lp(make_lp(objective, rows, rhs, lower=[Q(-1)] * nvars))
@@ -254,15 +244,13 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
     lo, hi = params.value_range
 
     parent: list[Optional[int]] = [None]
-    depth = [0]
     frontier = [0]
-    for level in range(params.steps):
+    for _ in range(params.steps):
         nxt = []
         for nid in frontier:
             k = rng.randint(1, params.max_branching)
             for _ in range(k):
                 parent.append(nid)
-                depth.append(level + 1)
                 nxt.append(len(parent) - 1)
         frontier = nxt
     count = len(parent)
@@ -294,7 +282,7 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
                     _draw_rational(rng, lo, hi, params.max_denominator)
                     for _ in range(params.assets)
                 )
-        for nid in sorted(range(count), key=lambda i: -depth[i]):
+        for nid in reversed(range(count)):  # ids are breadth-first: children first
             if children[nid]:
                 acc = [ZERO] * params.assets
                 for c, q in zip(children[nid], reference[nid]):
@@ -337,8 +325,7 @@ def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> Equiva
     witness so an inconsistency (which must never happen) stays
     diagnosable. Callers treat consistent=False as an alarm.
     """
-    ensure_valid(tree)
-    arbitrage = find_arbitrage(tree)
+    arbitrage = find_arbitrage(tree)  # validates the tree first
 
     certificates: dict[int, RiCertificate] = {}
     all_interior = True

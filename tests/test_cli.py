@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from arbcheck import Q, build_emm, equivalence_report, tree_from_json, tree_to_json
 from arbcheck.cli import main
 from arbcheck.verify import MODES, TreeParams, construction_to_json, random_tree, report_to_json
-from helpers import skewed_coin, sure_win
+from helpers import build, one_step, skewed_coin, sure_win
 
 # exit code contract: 0 holds / artifact produced, 1 fails expectedly,
 # 2 bad input, 3 internal inconsistency
@@ -84,6 +84,9 @@ def _cli(*argv, prelude=""):
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
+FILE_COMMANDS = ("validate", "check", "find-arbitrage", "build-emm", "beta")
+
+
 class TestHostileInput:
     def test_non_utf8_file_exit_two(self, tmp_path):
         path = tmp_path / "bytes.json"
@@ -108,8 +111,27 @@ class TestHostileInput:
         assert code == 2 and "error:" in err and "digit limit" in err
         assert "Traceback" not in err
 
-
-FILE_COMMANDS = ("validate", "check", "find-arbitrage", "build-emm", "beta")
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    @pytest.mark.parametrize("shape", ["sum", "density"])
+    def test_derived_number_past_digit_limit(self, tmp_path, command, shape):
+        """Each literal is under the int-str digit limit, but a derived
+        rational is not: under "sum" the child probabilities add up to an
+        8,000-digit denominator (validate's prob_sum detail), under
+        "density" the two-period leaf density has 8,000-digit terms."""
+        big = 10**4000
+        if shape == "sum":
+            data = tree_to_json(one_step([1, -1], [f"1/{big + 1}", f"1/{big + 3}"]))
+        else:
+            lo, hi = f"1/{big + 1}", f"{big}/{big + 1}"
+            up = (1, [(lo, (2, [])), (hi, (0, []))])
+            down = (-1, [(lo, (0, [])), (hi, (-2, []))])
+            data = tree_to_json(build(1, (0, [(lo, up), (hi, down)])))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        code, _, err = _cli(command, str(path))
+        assert "Traceback" not in err
+        if shape == "sum" or command in ("check", "build-emm"):
+            assert code == 2 and "digit limit" in err
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

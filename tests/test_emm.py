@@ -10,7 +10,6 @@ from arbcheck import (
     verify_martingale,
 )
 from arbcheck.emm import (
-    expected_negative_part,
     one_step_density,
     one_step_scale,
     support_function,
@@ -33,19 +32,6 @@ ZERO = Q(0)
 
 def coin_support():
     return conditional_support(skewed_coin(), 0)
-
-
-class TestNegativePart:
-    def test_worked_values(self):
-        cs = coin_support()
-        assert expected_negative_part(cs, (Q(1),)) == Q(1, 4)
-        assert expected_negative_part(cs, (Q(2),)) == Q(1, 2)
-        assert expected_negative_part(cs, (Q(-1),)) == Q(3, 4)
-        assert expected_negative_part(cs, (ZERO,)) == ZERO
-
-    def test_positive_homogeneous(self):
-        cs = coin_support()
-        assert expected_negative_part(cs, (Q(7),)) == 7 * Q(1, 4)
 
 
 class TestSupportFunction:

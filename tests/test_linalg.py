@@ -1,6 +1,6 @@
 import random
 
-from arbcheck import Q, in_span, rank, span_basis
+from arbcheck import Q, in_span, span_basis
 from helpers import vec
 
 
@@ -17,10 +17,10 @@ def test_span_basis_examples():
 
 
 def test_rank():
-    assert rank(V((1, 2), (2, 4))) == 1
-    assert rank(V((1, 0), (0, 1))) == 2
-    assert rank(V((0, 0), (0, 0))) == 0
-    assert rank([]) == 0
+    assert len(span_basis(V((1, 2), (2, 4)))) == 1
+    assert len(span_basis(V((1, 0), (0, 1)))) == 2
+    assert len(span_basis(V((0, 0), (0, 0)))) == 0
+    assert len(span_basis([])) == 0
 
 
 def test_in_span():
@@ -56,4 +56,3 @@ def test_basis_is_canonical_under_presentation():
             assert in_span(b, vecs)
         for v in vecs:
             assert in_span(v, basis)
-        assert rank(vecs) == len(basis)

@@ -36,6 +36,22 @@ def test_parse_rejects(bad):
         parse_rational(bad)
 
 
+class _UnlimitedStr:
+    """Stands in for gmpy2's mpq, whose str() ignores the digit limit."""
+
+    def __str__(self):
+        return "1/" + "3" * 5000
+
+
+def test_format_rejects_past_digit_limit():
+    # each part may use the whole limit (4300 digits by default)
+    edge = Q(-(10**4300 - 1), 10**4299)
+    assert parse_rational(format_rational(edge)) == edge
+    for value in (Q(10**4300), Q(1, 10**4300 + 1), _UnlimitedStr()):
+        with pytest.raises(InputError, match="digit limit"):
+            format_rational(value)
+
+
 def test_as_rational():
     assert as_rational(5) == Q(5)
     assert as_rational("5/3") == Q(5, 3)

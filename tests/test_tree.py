@@ -72,6 +72,30 @@ class TestConstruction:
         assert t == skewed_coin_two_period()
         assert t != skewed_coin()
 
+    def test_order_and_increment(self):
+        t = skewed_coin_two_period()
+        assert [nd.id for nd in t.order] == [0, 1, 2, 3, 4, 5, 6]
+        for nd in t.order[1:]:
+            parent = t.node(nd.parent)
+            assert t.order.index(parent) < t.order.index(nd)
+            assert t.increment(nd.id) == tuple(
+                a - b for a, b in zip(nd.price, parent.price))
+        with pytest.raises(InputError, match="root"):
+            t.increment(0)
+
+    @pytest.mark.parametrize("d, horizon, child", [
+        (1.7, 1, Node(1, 0, R1, (Q(1),))),
+        (True, 1, Node(1, 0, R1, (Q(1),))),
+        (1, True, Node(1, 0, R1, (Q(1),))),
+        (1, "1", Node(1, 0, R1, (Q(1),))),
+        (1, 1, Node(1.0, 0, R1, (Q(1),))),
+        (1, 1, Node(1, [0], R1, (Q(1),))),
+        (1, 1, Node(1, False, R1, (Q(1),))),
+    ])
+    def test_non_integer_fields_rejected(self, d, horizon, child):
+        with pytest.raises(InputError, match="must be an integer"):
+            ScenarioTree(d, horizon, [Node(0, None, R1, (Q(0),)), child])
+
 
 class TestValidation:
     def test_valid_trees(self):

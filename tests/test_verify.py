@@ -5,10 +5,13 @@ import pytest
 from arbcheck import (
     Q,
     build_emm,
+    conditional_mean,
+    conditional_support,
     equivalence_report,
     find_arbitrage,
     gains,
     scaled_gain_optimum,
+    support_function,
     tree_to_json,
     validate,
     verify_martingale,
@@ -138,6 +141,14 @@ class TestScaledGainOptimum:
             hits += 1
             beta = scaled_gain_optimum(t)
             assert ZERO <= beta <= Q(1)
+            # the one-period reduction: the single budget row lets the
+            # best node take it all, so beta = max over nodes of s/(1+s)
+            best = ZERO
+            for nid in t.non_leaves():
+                cs = conditional_support(t, nid)
+                s = support_function(cs, conditional_mean(cs))
+                best = max(best, s / (1 + s))
+            assert beta == best
         assert hits > 10
 
 
