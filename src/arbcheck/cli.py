@@ -79,20 +79,24 @@ def _cmd_check(args) -> int:
     if args.json:
         _print_json(report_to_json(report))
     elif not args.quiet:
+        # every line is formatted before any is printed, so a value past
+        # the digit limit leaves stdout empty
         yn = {True: "yes", False: "no"}
-        print(
+        lines = [
             "no-arbitrage verdicts: "
             f"strategy-LP={yn[report.verdict_na_strategy]} "
             f"geometry={yn[report.verdict_geometry]} "
             f"martingale-construction={yn[report.verdict_emm]}"
-        )
+        ]
         if report.arbitrage is not None:
             for nid, vec in sorted(report.arbitrage.items()):
                 coeffs = ", ".join(format_rational(c) for c in vec)
-                print(f"arbitrage strategy at node {nid}: ({coeffs})")
+                lines.append(f"arbitrage strategy at node {nid}: ({coeffs})")
         if report.construction is not None:
-            print(f"martingale density bound: {format_rational(report.construction.bound)}")
-        print(f"consistent: {yn[report.consistent]}  ({elapsed:.3f}s)")
+            bound = format_rational(report.construction.bound)
+            lines.append(f"martingale density bound: {bound}")
+        lines.append(f"consistent: {yn[report.consistent]}  ({elapsed:.3f}s)")
+        print("\n".join(lines))
     if not report.consistent:
         print("ALARM: the three routes disagree", file=sys.stderr)
         return EXIT_ALARM
@@ -133,9 +137,11 @@ def _cmd_build_emm(args) -> int:
     if args.json:
         _print_json(construction_to_json(construction))
     elif not args.quiet:
-        for leaf, z in construction.density.values:
-            print(f"leaf {leaf}: {format_rational(z)}")
-        print(f"bound: {format_rational(construction.bound)}")
+        # formatted in full first, as in _cmd_check
+        lines = [f"leaf {leaf}: {format_rational(z)}"
+                 for leaf, z in construction.density.values]
+        lines.append(f"bound: {format_rational(construction.bound)}")
+        print("\n".join(lines))
     return EXIT_OK
 
 

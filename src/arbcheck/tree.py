@@ -166,52 +166,34 @@ class ScenarioTree:
 def validate(tree: ScenarioTree) -> list[Violation]:
     """Check the semantic invariants; violations are data, not failures."""
     out: list[Violation] = []
+
+    def flag(node: int, rule: str, detail: str, *values: Rational) -> None:
+        # each {} in detail shows one value; one past the digit limit is
+        # an InputError that names the node and the rule
+        try:
+            shown = [format_rational(v) for v in values]
+        except InputError as exc:
+            raise InputError(f"node {node} {rule}: {exc}") from exc
+        out.append(Violation(node, rule, detail.format(*shown)))
+
     root = tree.node(tree.root)
     if root.prob != 1:
-        out.append(
-            Violation(
-                root.id,
-                "root_prob",
-                f"root probability {format_rational(root.prob)} != 1",
-            )
-        )
+        flag(root.id, "root_prob", "root probability {} != 1", root.prob)
     for nd in tree.nodes:
         if len(nd.price) != tree.d:
-            out.append(
-                Violation(
-                    nd.id,
-                    "price_dim",
-                    f"price has {len(nd.price)} components, expected {tree.d}",
-                )
-            )
+            flag(nd.id, "price_dim",
+                 f"price has {len(nd.price)} components, expected {tree.d}")
         if nd.parent is not None and nd.prob <= 0:
-            out.append(
-                Violation(
-                    nd.id,
-                    "prob_positive",
-                    f"non-positive transition probability {format_rational(nd.prob)}",
-                )
-            )
+            flag(nd.id, "prob_positive", "non-positive transition probability {}",
+                 nd.prob)
     for nid in tree.non_leaves():
         total = sum((tree.node(c).prob for c in tree.children(nid)), ZERO)
         if total != 1:
-            out.append(
-                Violation(
-                    nid,
-                    "prob_sum",
-                    f"child probabilities sum to {format_rational(total)} != 1",
-                )
-            )
+            flag(nid, "prob_sum", "child probabilities sum to {} != 1", total)
     for leaf in tree.leaves():
         dep = tree.depth(leaf)
         if dep != tree.horizon:
-            out.append(
-                Violation(
-                    leaf,
-                    "leaf_depth",
-                    f"leaf at depth {dep}, horizon is {tree.horizon}",
-                )
-            )
+            flag(leaf, "leaf_depth", f"leaf at depth {dep}, horizon is {tree.horizon}")
     return out
 
 

@@ -18,7 +18,13 @@ from typing import Optional
 
 from .emm import MartingaleConstruction, build_emm, one_step_scale
 from .errors import GeometryError, InputError, InternalError
-from .geometry import InRi, NotInRi, RiCertificate, ri_conv_contains_origin
+from .geometry import (
+    InRi,
+    NotInRi,
+    RiCertificate,
+    max_norm_normalize,
+    ri_conv_contains_origin,
+)
 from .linalg import span_basis
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import (
@@ -45,12 +51,14 @@ from .tree import (
 
 def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     """Strategy-space search: maximize the expected terminal gain over
-    predictable strategies with componentwise |gamma| <= 1 and
-    nonnegative terminal gain on every leaf.
+    free predictable strategies with nonnegative terminal gain on every
+    leaf, under the single budget E[gain] <= 1.
 
-    A positive optimum is an arbitrage (returned after an exact gains
-    re-check); optimum zero means none exists, since any arbitrage
-    scales into the feasible box without losing its sign pattern.
+    Every leaf has positive probability, so an arbitrage has a positive
+    expected gain and scales onto the budget: the optimum is exactly 1
+    when an arbitrage exists and 0 when none does. The zero strategy is
+    the starting vertex, so the solve needs no phase 1. The optimizer,
+    divided by its max-norm, is returned after an exact gains re-check.
     """
     ensure_valid(tree)
     non_leaves = tree.non_leaves()
@@ -76,26 +84,17 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
                 row[k] = -diff
         loss[nd.id] = row
 
-    rows = []
-    rhs = []
-    for idx in range(nvars):
-        row = [ZERO] * nvars
-        row[idx] = ONE
-        rows.append(row)  # gamma <= 1 (the floor -1 is a variable bound)
-        rhs.append(ONE)
-    for leaf in tree.leaves():
-        rows.append(loss[leaf])  # terminal gain >= 0
-        rhs.append(ZERO)
-
-    outcome = solve_lp(make_lp(objective, rows, rhs, lower=[Q(-1)] * nvars))
-    if not isinstance(outcome, Optimal):
-        raise InternalError("arbitrage search must be feasible and bounded")
-    if outcome.value < 0:
-        raise InternalError("arbitrage search undercut the zero strategy")
+    rows = [loss[leaf] for leaf in tree.leaves()]  # terminal gain >= 0
+    rows.append(objective)  # the budget E[gain] <= 1
+    rhs = [ZERO] * (len(rows) - 1) + [ONE]
+    outcome = solve_lp(make_lp(objective, rows, rhs))
+    if not isinstance(outcome, Optimal) or outcome.value not in (0, 1):
+        raise InternalError("arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
         return None
+    point = max_norm_normalize(outcome.point)
     strategy = {
-        nid: tuple(outcome.point[col[(nid, j)]] for j in range(tree.d))
+        nid: tuple(point[col[(nid, j)]] for j in range(tree.d))
         for nid in non_leaves
     }
     g = gains(tree, strategy)

@@ -45,7 +45,10 @@ SWEEP_SIZE = 1000
 SWEEP_BUDGET_SECONDS = 300.0
 # sha256 of the sweep's report_to_json lines; pins every verdict, witness
 # and certificate the routes return, pivot for pivot
-SWEEP_REPORTS_SHA256 = "b28c7e419498b81a4f1d4408c2b54a8770b412aa3c7f4dcc0a919fa3f12a08b3"
+SWEEP_REPORTS_SHA256 = "e2e3b9a3eb02fb7f23055a8aa711ec4d1db2de2525efedf4a0fd410b66ef25db"
+# the same lines with each arbitrage witness reduced to whether it is
+# present; pins everything but the strategy route's choice of witness
+SWEEP_VERDICTS_SHA256 = "8f5a1f0973f914431e153ff2a4aad08ba3ab8b3434a5aa636edb3b62e63c6ed6"
 
 
 def _sweep_params(seed):
@@ -88,13 +91,26 @@ def test_criterion_1_three_route_agreement(sweep):
     assert elapsed <= SWEEP_BUDGET_SECONDS
 
 
-def test_sweep_reports_are_pinned(sweep):
-    records, _ = sweep
+def _sweep_digest(records, arbitrage_witness):
     digest = hashlib.sha256()
     for _, _, rep in records:
-        digest.update(json.dumps(report_to_json(rep), sort_keys=True).encode())
+        line = report_to_json(rep)
+        if not arbitrage_witness:
+            witnesses = line["witnesses"]
+            witnesses["arbitrage"] = witnesses["arbitrage"] is not None
+        digest.update(json.dumps(line, sort_keys=True).encode())
         digest.update(b"\n")
-    assert digest.hexdigest() == SWEEP_REPORTS_SHA256
+    return digest.hexdigest()
+
+
+def test_sweep_reports_are_pinned(sweep):
+    records, _ = sweep
+    assert _sweep_digest(records, arbitrage_witness=True) == SWEEP_REPORTS_SHA256
+
+
+def test_sweep_verdicts_are_pinned(sweep):
+    records, _ = sweep
+    assert _sweep_digest(records, arbitrage_witness=False) == SWEEP_VERDICTS_SHA256
 
 
 def test_criterion_2_martingale_construction_exactness(sweep):
@@ -182,8 +198,9 @@ def test_criterion_5_witness_soundness(sweep):
         if rep.arbitrage is not None:
             strategies += 1
             g = gains(tree, rep.arbitrage)
+            norm = max(abs(c) for vec in rep.arbitrage.values() for c in vec)
             if not (all(v >= 0 for v in g.values())
-                    and any(v > 0 for v in g.values())):
+                    and any(v > 0 for v in g.values()) and norm == ONE):
                 unsound.append(("strategy", seed))
         if rep.construction is not None:
             densities += 1

@@ -111,27 +111,50 @@ class TestHostileInput:
         assert code == 2 and "error:" in err and "digit limit" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", FILE_COMMANDS)
-    @pytest.mark.parametrize("shape", ["sum", "density"])
-    def test_derived_number_past_digit_limit(self, tmp_path, command, shape):
+    @staticmethod
+    def _digit_limit_file(tmp_path, shape):
         """Each literal is under the int-str digit limit, but a derived
         rational is not: under "sum" the child probabilities add up to an
         8,000-digit denominator (validate's prob_sum detail), under
-        "density" the two-period leaf density has 8,000-digit terms."""
+        "density" the two-period leaf density has 8,000-digit terms, and
+        under "mixed" only the leaves of the root's second child do."""
         big = 10**4000
+        lo, hi = f"1/{big + 1}", f"{big}/{big + 1}"
+
+        def walk(price, depth, probs):
+            kids = [(q, walk(price + step, depth - 1, probs))
+                    for q, step in zip(probs, (1, -1))] if depth else []
+            return (price, kids)
+
         if shape == "sum":
             data = tree_to_json(one_step([1, -1], [f"1/{big + 1}", f"1/{big + 3}"]))
+        elif shape == "density":
+            data = tree_to_json(build(1, walk(0, 2, (lo, hi))))
         else:
-            lo, hi = f"1/{big + 1}", f"{big}/{big + 1}"
-            up = (1, [(lo, (2, [])), (hi, (0, []))])
-            down = (-1, [(lo, (0, [])), (hi, (-2, []))])
-            data = tree_to_json(build(1, (0, [(lo, up), (hi, down)])))
+            fair, skewed = walk(1, 2, ("1/2", "1/2")), walk(-1, 2, (lo, hi))
+            data = tree_to_json(build(1, (0, [("1/2", fair), ("1/2", skewed)])))
         path = tmp_path / "big.json"
         path.write_text(json.dumps(data))
-        code, _, err = _cli(command, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    @pytest.mark.parametrize("shape", ["sum", "density"])
+    def test_derived_number_past_digit_limit(self, tmp_path, command, shape):
+        code, _, err = _cli(command, self._digit_limit_file(tmp_path, shape))
         assert "Traceback" not in err
         if shape == "sum" or command in ("check", "build-emm"):
             assert code == 2 and "digit limit" in err
+        if shape == "sum":
+            assert "node 0 prob_sum" in err
+
+    @pytest.mark.parametrize("command, shape", [("check", "density"),
+                                                ("build-emm", "mixed")])
+    def test_text_past_digit_limit_prints_nothing(self, tmp_path, command, shape):
+        """No line (check's verdicts, build-emm's first leaves) is
+        printed ahead of a value that cannot be formatted."""
+        code, out, err = _cli(command, self._digit_limit_file(tmp_path, shape))
+        assert code == 2 and out == b""
+        assert "Traceback" not in err
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -31,6 +31,7 @@ from arbcheck.verify import (
 from density_oracle import find_martingale_density
 from helpers import (
     binomial,
+    build,
     localized_arbitrage,
     one_step,
     single_chain,
@@ -56,6 +57,20 @@ class TestFindArbitrage:
         assert strat == {0: (ZERO,), 1: (Q(1),), 2: (ZERO,)}
         assert gains(localized_arbitrage(), strat) == \
             {3: Q(1), 4: Q(2), 5: ZERO, 6: ZERO}
+
+    def test_witness_over_several_nodes_has_max_norm_one(self):
+        # only node 2 (increments +2 and +3) is a one-step arbitrage, but
+        # the witness also trades at the root and at node 1; the max-norm
+        # is taken over all of them
+        t = build(1, (0, [
+            ("1/2", (1, [("1/2", (0, [])), ("1/2", (3, []))])),
+            ("1/2", (-1, [("1/2", (1, [])), ("1/2", (2, []))])),
+        ]))
+        strat = find_arbitrage(t)
+        assert sum(1 for vec in strat.values() if any(vec)) > 1
+        assert max(abs(c) for vec in strat.values() for c in vec) == 1
+        g = gains(t, strat)
+        assert all(v >= 0 for v in g.values()) and any(v > 0 for v in g.values())
 
     def test_horizon_zero(self):
         assert find_arbitrage(single_chain(0)) is None
