@@ -4,11 +4,15 @@ Problems are maximizations subject to rows ``A x <= b`` (equality rows
 flagged) and per-variable bounds: each variable is either free or
 bounded below. The solver is a two-phase primal simplex with Bland's
 anti-cycling rule and exact pivots, so it terminates on every input and
-its certificates are bit-exact. Its tableau keeps each row as Python
-ints over one positive row denominator (fraction-free pivoting: an
-integer multiply-and-subtract and one gcd per touched row), so pivots
-never touch the rational scalar type; values become rationals again
-only when an outcome is read off.
+its certificates are bit-exact. Every variable has one tableau column;
+a free one enters with either sign of reduced cost and, once basic,
+never leaves. The tableau keeps each row as Python ints over one
+positive row denominator (fraction-free pivoting: an integer
+multiply-and-subtract and one gcd per touched row), so pivots never
+touch the rational scalar type; values become rationals again only
+when an outcome is read off. No pivot budget cuts a solve short: a
+basis revisited between two moves of the objective, which Bland's rule
+rules out, raises InternalError instead.
 
 Every outcome is re-verified before it leaves ``solve_lp``:
 
@@ -199,36 +203,37 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
     return new, den
 
 
+def _check_new_basis(seen: set[frozenset[int]], basis: Sequence[int]) -> None:
+    """Record a basis reached since the objective last moved. Bland's
+    rule never returns to one, so a repeat is a solver bug and raises
+    rather than cycling."""
+    key = frozenset(basis)
+    if key in seen:
+        raise InternalError("simplex revisited a basis; anti-cycling rule violated")
+    seen.add(key)
+
+
 class _Simplex:
-    """Dense exact tableau of integer rows. Columns: structural (one per
-    free-variable half or shifted bounded variable), then one slack per
-    inequality row, then artificials; each row also carries its
-    right-hand side in the last slot. Row i stands for ``T[i] / den[i]``:
-    Python ints over one positive denominator, kept in lowest terms, so
-    a pivot is integer multiply-and-subtract plus one gcd per touched
-    row. The reduced-cost row ``obj / obj_den`` has the same form."""
+    """Dense exact tableau of integer rows. Columns: one structural
+    column per variable, then one slack per inequality row, then
+    artificials; each row also carries its right-hand side in the last
+    slot. Structural column j holds y_j with x_j = sign[j] * y_j +
+    shift[j]: shift is the lower bound, or 0 for a free variable, and
+    a free column that enters with negative reduced cost is negated
+    first and its sign flipped. A free basic variable is never a leaving
+    candidate. Row i stands for ``T[i] / den[i]``: Python ints over one
+    positive denominator, kept in lowest terms, so a pivot is integer
+    multiply-and-subtract plus one gcd per touched row. The
+    reduced-cost row ``obj / obj_den`` has the same form."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n, m = lp.n_vars, lp.n_rows
 
-        # x_j = y[plus_col] - y[minus_col] + shift   (minus_col None when bounded)
-        self.plus_col: list[int] = []
-        self.minus_col: list[Optional[int]] = []
-        self.shift: list[Rational] = []
-        ncols = 0
-        for j in range(n):
-            lo = lp.lower[j]
-            self.plus_col.append(ncols)
-            ncols += 1
-            if lo is None:
-                self.minus_col.append(ncols)
-                ncols += 1
-                self.shift.append(ZERO)
-            else:
-                self.minus_col.append(None)
-                self.shift.append(lo)
-        self.n_struct = ncols
+        self.sign = [1] * n
+        self.shift = [ZERO if lo is None else lo for lo in lp.lower]
+        self.free_cols = [j for j, lo in enumerate(lp.lower) if lo is None]
+        self.n_struct = ncols = n
 
         shifted = [(j, lo) for j, lo in enumerate(self.shift) if lo]
         rhs = [b - sum((row[j] * lo for j, lo in shifted if row[j]), ZERO)
@@ -252,6 +257,7 @@ class _Simplex:
                 ncols += 1
         self.n_cols = ncols
         self.n_art = sum(1 for c in self.art_col if c is not None)
+        self.free = [lo is None for lo in lp.lower] + [False] * (ncols - n)
 
         self.T: list[list[int]] = []
         self.den: list[int] = []
@@ -260,14 +266,9 @@ class _Simplex:
         for k in range(m):
             nums, den = _int_row((*lp.rows[k], rhs[k]))
             s = self.sigma[k]
-            full = [0] * (ncols + 1)
-            for j, a in enumerate(nums[:-1]):
-                if a:
-                    full[self.plus_col[j]] = s * a
-                    mc = self.minus_col[j]
-                    if mc is not None:
-                        full[mc] = -s * a
-            full[-1] = s * nums[-1]
+            if s < 0:
+                nums = [-a for a in nums]
+            full = nums[:-1] + [0] * (ncols - n) + nums[-1:]
             sc = self.slack_col[k]
             if sc is not None:
                 full[sc] = s * den
@@ -281,9 +282,6 @@ class _Simplex:
         self.art_start = ncols - self.n_art if self.n_art else ncols
         self.obj: list[int] = [0] * (ncols + 1)
         self.obj_den = 1
-        # generous cap; Bland's rule guarantees no cycling long before this
-        self.max_pivots = 2000 + 50 * (m + 1) * (ncols + 1)
-        self.pivots = 0
 
     # --- pivoting -------------------------------------------------------
 
@@ -315,36 +313,52 @@ class _Simplex:
         if self.obj[enter]:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, enter)
         self.basis[i] = enter
-        self.pivots += 1
-        if self.pivots > self.max_pivots:
-            raise InternalError("pivot budget exhausted; anti-cycling rule violated")
 
     def _optimize(self, ncols: int):
         """Bland's rule over the first ``ncols`` columns: entering =
-        smallest column with positive reduced cost; leaving = smallest
-        ratio rhs/a over a > 0 (row denominators cancel, so ratios are
-        compared by cross-multiplying), ties by smallest basis column.
+        smallest column with positive reduced cost, or smallest free
+        column with a nonzero one, negated first if that is negative;
+        leaving = smallest ratio rhs/a over a > 0 among rows whose basic
+        variable is bounded (a free basic variable never leaves, so at
+        most one entry per free column adds to Bland's finite count; row
+        denominators cancel, so ratios are compared by
+        cross-multiplying), ties by smallest basis column.
         Returns ('optimal', None) or ('unbounded', enter)."""
-        T = self.T
+        T, free, basis, active = self.T, self.free, self.basis, self.active
+        seen: set[frozenset[int]] = set()
+        _check_new_basis(seen, basis)
         while True:
             obj = self.obj
-            enter = next((j for j in range(ncols) if obj[j] > 0), -1)
-            if enter < 0:
+            enter = next((j for j in range(ncols) if obj[j] > 0), ncols)
+            for j in self.free_cols:
+                if j >= enter:
+                    break
+                if obj[j]:  # negative, as every positive one is >= enter
+                    for row in T:
+                        row[j] = -row[j]
+                    obj[j] = -obj[j]
+                    self.sign[j] = -self.sign[j]
+                    enter = j
+                    break
+            if enter == ncols:
                 return "optimal", None
             leave = -1
             best_b = best_a = 0
             for i, row in enumerate(T):
                 a = row[enter]
-                if a > 0 and self.active[i]:
+                if a > 0 and active[i] and not free[basis[i]]:
                     b = row[-1]
                     if leave < 0 or b * best_a < best_b * a or (
-                        b * best_a == best_b * a and self.basis[i] < self.basis[leave]
+                        b * best_a == best_b * a and basis[i] < basis[leave]
                     ):
                         best_b, best_a = b, a
                         leave = i
             if leave < 0:
                 return "unbounded", enter
             self._pivot(leave, enter)
+            if T[leave][-1]:  # the objective moved
+                seen.clear()
+            _check_new_basis(seen, basis)
 
     # --- phases ---------------------------------------------------------
 
@@ -368,13 +382,8 @@ class _Simplex:
             for row in self.T:
                 del row[self.art_start:self.n_cols]
 
-        cost_q = [ZERO] * (self.art_start + 1)
-        for j, c in enumerate(lp.objective):
-            if c:
-                cost_q[self.plus_col[j]] = c
-                mc = self.minus_col[j]
-                if mc is not None:
-                    cost_q[mc] = -c
+        cost_q = [-c if s < 0 else c for s, c in zip(self.sign, lp.objective)]
+        cost_q += [ZERO] * (self.art_start + 1 - lp.n_vars)
         self._price(*_int_row(cost_q))
         status, enter = self._optimize(self.art_start)
         if status == "unbounded":
@@ -405,14 +414,7 @@ class _Simplex:
         for i, bi in enumerate(self.basis):
             if self.active[i]:
                 y[bi] = Q(self.T[i][-1], self.den[i])
-        point = []
-        for j in range(self.lp.n_vars):
-            v = y[self.plus_col[j]]
-            mc = self.minus_col[j]
-            if mc is not None:
-                v = v - y[mc]
-            point.append(v + self.shift[j])
-        x = tuple(point)
+        x = tuple((v if s > 0 else -v) + lo for s, v, lo in zip(self.sign, y, self.shift))
         if not check_feasible(self.lp, x):
             raise InternalError("optimal point failed exact feasibility re-check")
         return Optimal(x, dot(self.lp.objective, x))
@@ -423,14 +425,7 @@ class _Simplex:
         for i, bi in enumerate(self.basis):
             if self.active[i]:
                 y[bi] = Q(-self.T[i][enter], self.den[i])
-        ray = []
-        for j in range(self.lp.n_vars):
-            v = y[self.plus_col[j]]
-            mc = self.minus_col[j]
-            if mc is not None:
-                v = v - y[mc]
-            ray.append(v)
-        r = tuple(ray)
+        r = tuple(v if s > 0 else -v for s, v in zip(self.sign, y))
         if not check_ray(self.lp, r):
             raise InternalError("unbounded ray failed exact re-check")
         return Unbounded(r)

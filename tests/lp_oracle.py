@@ -5,7 +5,10 @@ extended row system (declared rows plus lower-bound rows); candidate
 extreme rays come from nullspaces of (n-1)-row subsystems.  This is
 sound only when every variable has a finite lower bound: the feasible
 region then contains no line, so if no enumerated ray improves the
-objective the maximum is attained at an enumerated vertex.
+objective the maximum is attained at an enumerated vertex.  Free
+variables are therefore split into x+ - x- (both >= 0) inside the
+oracle only; the split program has the same outcome kind and optimum,
+and the solver's certificates are checked against the original LP.
 """
 
 from itertools import combinations
@@ -97,9 +100,21 @@ def _recedes(rows, eqs, ray):
     return True
 
 
+def _split_free(lp):
+    """The same program with each free variable x_j replaced by
+    x_j+ - x_j-, both bounded below by 0, so that it is pointed."""
+    cols = [[(j, 1)] if lo is not None else [(j, 1), (j, -1)]
+            for j, lo in enumerate(lp.lower)]
+    cols = [c for group in cols for c in group]
+    lower = [ZERO if lp.lower[j] is None else lp.lower[j] for j, _ in cols]
+    return make_lp([s * lp.objective[j] for j, s in cols],
+                   [[s * row[j] for j, s in cols] for row in lp.rows],
+                   lp.rhs, lp.equalities, lower)
+
+
 def enumerate_lp(lp):
     """Return ("infeasible", None), ("unbounded", None) or ("optimal", value)."""
-    assert all(lo is not None for lo in lp.lower), "oracle needs pointed LPs"
+    lp = _split_free(lp)
     rows, rhs, eqs = farkas_row_system(lp)
     n = lp.n_vars
     m = len(rows)
@@ -125,16 +140,17 @@ def enumerate_lp(lp):
     return ("optimal", best)
 
 
-def random_lp(rng):
-    """Small random LP with every variable bounded below."""
-    n = rng.randint(1, 4)
+def random_lp(rng, free=0.0, max_vars=4):
+    """Small random LP; each variable is free with probability ``free``
+    and otherwise bounded below."""
+    n = rng.randint(1, max_vars)
     m = rng.randint(1, 6)
     coef = lambda: Q(rng.randint(-3, 3))
     rows = [[coef() for _ in range(n)] for _ in range(m)]
     rhs = [Q(rng.randint(-4, 4)) for _ in range(m)]
     eqs = [rng.random() < 0.25 for _ in range(m)]
     obj = [coef() for _ in range(n)]
-    lower = [Q(rng.randint(-3, 0)) for _ in range(n)]
+    lower = [None if free and rng.random() < free else Q(rng.randint(-3, 0)) for _ in range(n)]
     return make_lp(obj, rows, rhs, eqs, lower)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from arbcheck import Q
-from arbcheck.errors import InputError
+from arbcheck.errors import InputError, InternalError
 from arbcheck.lp import (
     Infeasible,
     LinearProgram,
@@ -14,6 +14,7 @@ from arbcheck.lp import (
     check_ray,
     farkas_row_system,
     _Simplex,
+    _check_new_basis,
     make_lp,
     solve_lp,
 )
@@ -60,6 +61,29 @@ class TestWorkedExamples:
         out = solve_lp(lp)
         assert isinstance(out, Optimal)
         assert out.value == Q(1, 20)
+
+    def test_klee_minty_cube_reaches_its_optimum(self):
+        """Bland's rule takes 57,313 pivots on the n=22 Klee-Minty cube;
+        no pivot budget may cut a valid, bounded program short."""
+        n = 22
+        lp = make_lp(
+            [2 ** (n - j) for j in range(1, n + 1)],
+            [[2 ** (i - j + 1) if j < i else int(j == i) for j in range(1, n + 1)]
+             for i in range(1, n + 1)],
+            [5 ** i for i in range(1, n + 1)],
+            lower=[0] * n,
+        )
+        out = solve_lp(lp)
+        assert isinstance(out, Optimal)
+        assert out.value == 5 ** n
+        assert out.point == (0,) * (n - 1) + (5 ** n,)
+
+    def test_repeated_basis_is_an_alarm(self):
+        seen = set()
+        for basis in ([3, 4], [0, 4], [0, 1], [4, 1]):
+            _check_new_basis(seen, basis)
+        with pytest.raises(InternalError, match="revisited a basis"):
+            _check_new_basis(seen, [4, 0])  # {0, 4} again, rows permuted
 
     def test_equality_rows(self):
         # max t  s.t.  l1+l2 == 1, l1-l2 == 0, t <= l1, t <= l2
@@ -126,6 +150,25 @@ class TestTableauEdgeCases:
         assert all(simplex.active)
         assert out == Optimal((Q(0), Q(0)), Q(0))
 
+    def test_free_column_enters_with_negative_reduced_cost(self):
+        # max -x + y  s.t.  -x <= 2, y <= 1, x free: x enters first and
+        # must move down, so its column is negated before the pivot
+        lp = make_lp([-1, 1], [[-1, 0], [0, 1]], [2, 1], lower=[None, 0])
+        assert solve_lp(lp) == Optimal((Q(-2), Q(1)), Q(3))
+
+    def test_ratio_test_skips_a_negative_free_basic(self):
+        # max x + 2y + 3z  s.t.  x + y + z <= 0, y <= 3, z <= 2, x free:
+        # x turns basic at 0, then y and z each have coefficient +1 in
+        # its row (rhs 0, then -3); that row must never be chosen
+        lp = make_lp([1, 2, 3], [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [0, 3, 2],
+                     lower=[None, 0, 0])
+        assert solve_lp(lp) == Optimal((Q(-5), Q(3), Q(2)), Q(7))
+
+    def test_unbounded_ray_along_a_negated_free_column(self):
+        # max -x + y  s.t.  y <= 1, x + y <= 4, x free: x decreases forever
+        lp = make_lp([-1, 1], [[0, 1], [1, 1]], [1, 4], lower=[None, 0])
+        assert solve_lp(lp) == Unbounded((Q(-1), Q(0)))
+
     def test_farkas_certificate_on_sign_flipped_rows(self):
         # x/2 + y == -1 with x, y >= 0: the equality is flipped
         lp = make_lp([1, 1], [[Q(1, 2), 1], [1, -2]], [-1, 3],
@@ -181,17 +224,26 @@ class TestInputValidation:
             make_lp([0.5], [[1]], [0])
 
 
-def test_oracle_agreement_batch():
-    """Exhaustive vertex/ray enumeration agrees with the simplex on a
-    batch of small random LPs, including every returned certificate."""
-    rng = random.Random(20240)
+def _agree_with_oracle(rng, **kinds):
     seen = set()
     for i in range(150):
-        lp = random_lp(rng)
+        lp = random_lp(rng, **kinds)
         ok, got, oracle = oracle_check(lp)
         assert ok, f"case {i}: solver {got!r} vs oracle {oracle!r}"
         seen.add(oracle[0])
     assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_oracle_agreement_batch():
+    """Exhaustive vertex/ray enumeration agrees with the simplex on a
+    batch of small random LPs, including every returned certificate."""
+    _agree_with_oracle(random.Random(20240))
+
+
+def test_oracle_agreement_batch_with_free_variables():
+    """The same when about half the variables are free; the oracle
+    enumerates the split program x = x+ - x-."""
+    _agree_with_oracle(random.Random(61), free=0.5, max_vars=3)
 
 
 def test_deterministic_resolve():
