@@ -141,6 +141,8 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
         eqs.append(True)
     objective = [ZERO] * n + [Q(-1)]  # minimize u
     lower = [f] * nvars
+    # solve_lp re-checks the optimal point against the floors and the
+    # martingale rows; build_emm re-checks the pasted density
     outcome = solve_lp(make_lp(objective, rows, rhs, eqs, lower))
     if isinstance(outcome, Infeasible):
         raise InternalError("one-step density infeasible although the origin is interior")
@@ -151,24 +153,7 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     mass = sum((q * gi for (_, q), gi in zip(support.atoms, g)), ZERO)
     if mass <= 0:
         raise InternalError("one-step density has non-positive conditional mass")
-    g_hat = tuple(gi / mass for gi in g)
-    result = OneStepDensity(support.node, f, g, g_hat)
-    _check_one_step(support, result)
-    return result
-
-
-def _check_one_step(support: ConditionalSupport, ds: OneStepDensity) -> None:
-    if ds.scale <= 0 or ds.scale > 1:
-        raise InternalError(f"scale {ds.scale} outside (0, 1]")
-    if any(gi < ds.scale for gi in ds.raw):
-        raise InternalError("raw one-step density dips below its floor")
-    for j in range(support.d):
-        total = sum((q * gi * x[j] for (x, q), gi in zip(support.atoms, ds.raw)), ZERO)
-        if total != 0:
-            raise InternalError("one-step martingale equation violated")
-    mass = sum((q * gh for (_, q), gh in zip(support.atoms, ds.normalized)), ZERO)
-    if mass != 1:
-        raise InternalError("normalized one-step density mass != 1")
+    return OneStepDensity(support.node, f, g, tuple(gi / mass for gi in g))
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,13 @@ from .geometry import (
     max_norm_normalize,
     ri_conv_contains_origin,
 )
-from .linalg import span_basis
-from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
+from .lp import Optimal, make_lp, solve_lp
 from .rationals import (
     ONE,
     Q,
     Rational,
     Vector,
     ZERO,
-    dot,
     format_rational,
 )
 from .tree import (
@@ -41,7 +39,6 @@ from .tree import (
     Node,
     ScenarioTree,
     Strategy,
-    conditional_mean,
     conditional_support,
     ensure_valid,
     gains,
@@ -106,70 +103,26 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
 def scaled_gain_optimum(tree: ScenarioTree) -> Rational:
     """Exact optimum of the budgeted scaled-gain program.
 
-    Variables are a direction in the span of each node's support atoms
-    plus per-atom loss lifts; the objective is the reach-weighted,
-    floor-scaled expected one-step gain, and a single budget caps the
-    reach-weighted expected loss at 1. The optimum never exceeds 1 when
-    every node passes the interiority test (which defines the floors).
+    Variables are a direction h_nu in the span of each node's support
+    atoms; the objective is the reach-weighted, floor-scaled expected
+    one-step gain, sum of p_nu * f_nu * (h_nu, mean_nu), and a single
+    budget caps the reach-weighted expected one-step loss,
+    sum of p_nu * E[(h_nu, x)^-], at 1. The nodes share only that
+    budget, and node nu turns a budget share t into at most
+    f_nu * s_nu * t, where s_nu = s(mean_nu | T_nu) is its support
+    function, so the best node takes the whole budget. The optimum is
+    therefore the largest f * s = s / (1 + s) = 1 - f over the
+    non-leaves, and 0 for a horizon-zero tree. It lies in [0, 1) when
+    every node passes the interiority test; otherwise the first failing
+    node's GeometryError propagates. ``tests/scaled_gain_oracle.py``
+    solves the program itself as one LP.
     """
     ensure_valid(tree)
-    reach = path_probabilities(tree)
-    blocks = []  # (node, support, basis, floor)
-    for nid in tree.non_leaves():
-        support = conditional_support(tree, nid)
-        basis = span_basis(support.values())
-        if not basis:
-            # a deterministic zero step contributes nothing anywhere
-            one_step_scale(support)  # still enforce the precondition
-            continue
-        blocks.append((nid, support, basis, one_step_scale(support)))
-
-    nvars = 0
-    ycol = {}
-    wcol = {}
-    for nid, support, basis, _ in blocks:
-        ycol[nid] = nvars
-        nvars += len(basis)
-        wcol[nid] = nvars
-        nvars += len(support.atoms)
-    if nvars == 0:
-        return ZERO
-
-    rows = []
-    rhs = []
-    lower: list[Optional[Rational]] = [None] * nvars
-    budget = [ZERO] * nvars
-    objective = [ZERO] * nvars
-    for nid, support, basis, floor in blocks:
-        y0, w0 = ycol[nid], wcol[nid]
-        r = len(basis)
-        mean = conditional_mean(support)
-        pnu = reach[nid]
-        for k in range(r):
-            objective[y0 + k] = pnu * floor * dot(basis[k], mean)
-        for i, (x, q) in enumerate(support.atoms):
-            lower[w0 + i] = ZERO
-            budget[w0 + i] = pnu * q
-            row = [ZERO] * nvars
-            for k in range(r):
-                c = dot(basis[k], x)
-                if c:
-                    row[y0 + k] = -c
-            row[w0 + i] = Q(-1)
-            rows.append(row)  # w_i >= -(direction, x_i)
-            rhs.append(ZERO)
-    rows.append(budget)
-    rhs.append(ONE)
-
-    outcome = solve_lp(make_lp(objective, rows, rhs, lower=lower))
-    if isinstance(outcome, Unbounded):
-        raise InternalError("scaled-gain program unbounded: the floor bound failed")
-    if isinstance(outcome, Infeasible):
-        raise InternalError("scaled-gain program rejects the zero point")
-    assert isinstance(outcome, Optimal)
-    if outcome.value < 0:
-        raise InternalError("scaled-gain optimum undercut the zero point")
-    return outcome.value
+    return max(
+        (ONE - one_step_scale(conditional_support(tree, nid))
+         for nid in tree.non_leaves()),
+        default=ZERO,
+    )
 
 
 # --- random model generator -------------------------------------------------

@@ -25,6 +25,7 @@ from arbcheck import (
     verify_martingale,
 )
 from arbcheck.emm import one_step_density, one_step_scale
+from arbcheck.errors import GeometryError
 from arbcheck.geometry import (
     InRi,
     NotInRi,
@@ -37,6 +38,7 @@ from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
 from helpers import binomial, skewed_coin
 from lp_oracle import oracle_check, random_lp
+from scaled_gain_oracle import scaled_gain_lp
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -139,22 +141,38 @@ def test_criterion_2_martingale_construction_exactness(sweep):
     assert failures == []
 
 
+def _outcome(beta, tree):
+    """The value, or the failing node and certificate of a GeometryError."""
+    try:
+        return beta(tree)
+    except GeometryError as exc:
+        return exc.node, exc.certificate
+
+
 def test_criterion_3_scaled_gain_bound(sweep):
     records, _ = sweep
     over = []
+    mismatched = []
     checked = 0
     for seed, tree, rep in records:
-        if not rep.verdict_emm:
-            continue
-        checked += 1
-        if not ZERO <= scaled_gain_optimum(tree) <= ONE:
-            over.append(seed)
+        # the closed form and the one-LP oracle give the same value on
+        # an arbitrage-free tree and the same GeometryError on any other
+        closed = _outcome(scaled_gain_optimum, tree)
+        if (closed != _outcome(scaled_gain_lp, tree)
+                or rep.verdict_emm == isinstance(closed, tuple)):
+            mismatched.append(seed)
+        elif rep.verdict_emm:
+            checked += 1
+            if not ZERO <= closed <= ONE:
+                over.append(seed)
     worked = scaled_gain_optimum(skewed_coin())
-    ok = checked > 0 and not over and worked == Q(2, 3)
+    ok = checked > 0 and not over and not mismatched and worked == Q(2, 3)
     _emit(3, ok, f"{checked} instances within [0,1], violations={over[:5]}, "
+                 f"oracle mismatches={mismatched[:5]}, "
                  f"worked instance beta={worked}")
     assert checked > 0
     assert over == []
+    assert mismatched == []
     assert worked == Q(2, 3)
 
 

@@ -5,13 +5,10 @@ import pytest
 from arbcheck import (
     Q,
     build_emm,
-    conditional_mean,
-    conditional_support,
     equivalence_report,
     find_arbitrage,
     gains,
     scaled_gain_optimum,
-    support_function,
     tree_to_json,
     validate,
     verify_martingale,
@@ -29,6 +26,7 @@ from arbcheck.verify import (
     strategy_to_json,
 )
 from density_oracle import find_martingale_density
+from scaled_gain_oracle import scaled_gain_lp
 from helpers import (
     binomial,
     build,
@@ -140,6 +138,7 @@ class TestScaledGainOptimum:
 
     def test_zero_for_deterministic(self):
         assert scaled_gain_optimum(single_chain(2)) == ZERO
+        assert scaled_gain_optimum(single_chain(0)) == ZERO  # no non-leaf
 
     def test_rejects_arbitrage(self):
         with pytest.raises(GeometryError):
@@ -156,14 +155,8 @@ class TestScaledGainOptimum:
             hits += 1
             beta = scaled_gain_optimum(t)
             assert ZERO <= beta <= Q(1)
-            # the one-period reduction: the single budget row lets the
-            # best node take it all, so beta = max over nodes of s/(1+s)
-            best = ZERO
-            for nid in t.non_leaves():
-                cs = conditional_support(t, nid)
-                s = support_function(cs, conditional_mean(cs))
-                best = max(best, s / (1 + s))
-            assert beta == best
+            # the closed form against the budgeted program solved as one LP
+            assert beta == scaled_gain_lp(t)
         assert hits > 10
 
 
