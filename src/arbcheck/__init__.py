@@ -29,7 +29,6 @@ from .tree import (
     gains,
     leaf_probabilities,
     path_probabilities,
-    reweight,
     tree_from_json,
     tree_to_json,
     validate,

@@ -36,10 +36,6 @@ EXIT_INPUT = 2
 EXIT_ALARM = 3
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
 def _load_tree(path: str) -> ScenarioTree:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -49,117 +45,87 @@ def _load_tree(path: str) -> ScenarioTree:
     return tree_from_json(text)
 
 
-def _cmd_validate(args) -> int:
-    tree = _load_tree(args.file)
+# Each file command maps a tree to (exit code, --json payload, text lines).
+# The text is rendered from the payload's strings, so a number past the
+# digit limit fails before anything is printed, whatever the output mode.
+
+
+def _vector(coords: list) -> str:
+    return f"({', '.join(coords)})"
+
+
+def _cmd_validate(tree: ScenarioTree):
     violations = validate(tree)
-    if args.json:
-        _print_json(
-            {
-                "valid": not violations,
-                "violations": [
-                    {"node": v.node, "rule": v.rule, "detail": v.detail}
-                    for v in violations
-                ],
-            }
-        )
-    elif not args.quiet:
-        if violations:
-            for v in violations:
-                print(str(v))
-        else:
-            print("valid")
-    return EXIT_PROPERTY_FALSE if violations else EXIT_OK
+    payload = {
+        "valid": not violations,
+        "violations": [
+            {"node": v.node, "rule": v.rule, "detail": v.detail} for v in violations
+        ],
+    }
+    lines = [str(v) for v in violations] or ["valid"]
+    return (EXIT_PROPERTY_FALSE if violations else EXIT_OK), payload, lines
 
 
-def _cmd_check(args) -> int:
-    tree = _load_tree(args.file)
+def _cmd_check(tree: ScenarioTree):
     started = time.monotonic()
     report = equivalence_report(tree)
     elapsed = time.monotonic() - started
-    if args.json:
-        _print_json(report_to_json(report))
-    elif not args.quiet:
-        # every line is formatted before any is printed, so a value past
-        # the digit limit leaves stdout empty
-        yn = {True: "yes", False: "no"}
-        lines = [
-            "no-arbitrage verdicts: "
-            f"strategy-LP={yn[report.verdict_na_strategy]} "
-            f"geometry={yn[report.verdict_geometry]} "
-            f"martingale-construction={yn[report.verdict_emm]}"
-        ]
-        if report.arbitrage is not None:
-            for nid, vec in sorted(report.arbitrage.items()):
-                coeffs = ", ".join(format_rational(c) for c in vec)
-                lines.append(f"arbitrage strategy at node {nid}: ({coeffs})")
-        if report.construction is not None:
-            bound = format_rational(report.construction.bound)
-            lines.append(f"martingale density bound: {bound}")
-        lines.append(f"consistent: {yn[report.consistent]}  ({elapsed:.3f}s)")
-        print("\n".join(lines))
+    payload = report_to_json(report)
+    witnesses = payload["witnesses"]
+    yn = {True: "yes", False: "no"}
+    lines = [
+        "no-arbitrage verdicts: "
+        f"strategy-LP={yn[payload['verdict_na_strategy']]} "
+        f"geometry={yn[payload['verdict_geometry']]} "
+        f"martingale-construction={yn[payload['verdict_emm']]}"
+    ]
+    for nid, coords in (witnesses["arbitrage"] or {}).items():
+        lines.append(f"arbitrage strategy at node {nid}: {_vector(coords)}")
+    if witnesses["bound"] is not None:
+        lines.append(f"martingale density bound: {witnesses['bound']}")
+    lines.append(f"consistent: {yn[payload['consistent']]}  ({elapsed:.3f}s)")
     if not report.consistent:
-        print("ALARM: the three routes disagree", file=sys.stderr)
-        return EXIT_ALARM
-    return EXIT_OK if report.verdict_na_strategy else EXIT_PROPERTY_FALSE
+        code = EXIT_ALARM
+    else:
+        code = EXIT_OK if report.verdict_na_strategy else EXIT_PROPERTY_FALSE
+    return code, payload, lines
 
 
-def _cmd_find_arbitrage(args) -> int:
-    tree = _load_tree(args.file)
+def _cmd_find_arbitrage(tree: ScenarioTree):
     strategy = find_arbitrage(tree)
-    if args.json:
-        _print_json(
-            {"arbitrage": None if strategy is None else strategy_to_json(strategy)}
-        )
-    elif not args.quiet:
-        if strategy is None:
-            print("no arbitrage")
-        else:
-            for nid, vec in sorted(strategy.items()):
-                coeffs = ", ".join(format_rational(c) for c in vec)
-                print(f"node {nid}: ({coeffs})")
-    return EXIT_OK if strategy is not None else EXIT_PROPERTY_FALSE
+    if strategy is None:
+        return EXIT_PROPERTY_FALSE, {"arbitrage": None}, ["no arbitrage"]
+    payload = {"arbitrage": strategy_to_json(strategy)}
+    lines = [f"node {nid}: {_vector(coords)}"
+             for nid, coords in payload["arbitrage"].items()]
+    return EXIT_OK, payload, lines
 
 
-def _cmd_build_emm(args) -> int:
-    tree = _load_tree(args.file)
+def _cmd_build_emm(tree: ScenarioTree):
     try:
         construction = build_emm(tree)
     except GeometryError as exc:
-        if args.json:
-            _print_json(certificate_to_json(exc.node, exc.certificate))
-        elif not args.quiet:
-            direction = ", ".join(
-                format_rational(c) for c in exc.certificate.direction
-            )
-            print(f"node {exc.node}: origin not in relative interior; "
-                  f"separating direction ({direction})")
-        return EXIT_PROPERTY_FALSE
-    if args.json:
-        _print_json(construction_to_json(construction))
-    elif not args.quiet:
-        # formatted in full first, as in _cmd_check
-        lines = [f"leaf {leaf}: {format_rational(z)}"
-                 for leaf, z in construction.density.values]
-        lines.append(f"bound: {format_rational(construction.bound)}")
-        print("\n".join(lines))
-    return EXIT_OK
+        payload = certificate_to_json(exc.node, exc.certificate)
+        return EXIT_PROPERTY_FALSE, payload, [
+            f"node {payload['node']}: origin not in relative interior; "
+            f"separating direction {_vector(payload['direction'])}"
+        ]
+    payload = construction_to_json(construction)
+    lines = [f"leaf {leaf}: {z}" for leaf, z in payload["leaf_density"].items()]
+    lines.append(f"bound: {payload['bound']}")
+    return EXIT_OK, payload, lines
 
 
-def _cmd_beta(args) -> int:
-    tree = _load_tree(args.file)
+def _cmd_beta(tree: ScenarioTree):
     try:
         value = scaled_gain_optimum(tree)
     except GeometryError as exc:
-        if args.json:
-            _print_json(certificate_to_json(exc.node, exc.certificate))
-        elif not args.quiet:
-            print(f"undefined: origin not in relative interior at node {exc.node}")
-        return EXIT_PROPERTY_FALSE
-    if args.json:
-        _print_json({"beta": format_rational(value)})
-    elif not args.quiet:
-        print(f"beta = {format_rational(value)}")
-    return EXIT_OK
+        payload = certificate_to_json(exc.node, exc.certificate)
+        return EXIT_PROPERTY_FALSE, payload, [
+            f"undefined: origin not in relative interior at node {payload['node']}"
+        ]
+    payload = {"beta": format_rational(value)}
+    return EXIT_OK, payload, [f"beta = {payload['beta']}"]
 
 
 def _cmd_gen(args) -> int:
@@ -182,7 +148,7 @@ def _cmd_gen(args) -> int:
         if not args.json and not args.quiet:
             print(f"wrote {args.out}")
     elif args.json:
-        _print_json(payload)
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -245,7 +211,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        code, payload, lines = args.handler(_load_tree(args.file))
+        if args.json:
+            print(json.dumps(payload, sort_keys=True))
+        elif not args.quiet:
+            print("\n".join(lines))
+        if code == EXIT_ALARM:  # check's routes disagree; failed re-checks raise
+            print("ALARM: the three routes disagree", file=sys.stderr)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

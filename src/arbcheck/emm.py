@@ -204,6 +204,7 @@ def verify_martingale(
     residual at a node is the reweighted conditional expectation of the
     one-step price increment.
     """
+    ensure_valid(tree)
     zproc = density_process(tree, density)
     residuals: dict[int, Vector] = {}
     ok = True

@@ -269,7 +269,7 @@ def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
     return {leaf: gain[leaf] for leaf in tree.leaves()}
 
 
-# --- leaf densities and reweighting ----------------------------------------
+# --- leaf densities ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -324,21 +324,6 @@ def density_process(tree: ScenarioTree, density: LeafDensity) -> dict[int, Ratio
     for nd in reversed(tree.order[1:]):  # every node before its parent
         z[nd.parent] = z.get(nd.parent, ZERO) + nd.prob * z[nd.id]
     return z
-
-
-def reweight(tree: ScenarioTree, density: LeafDensity) -> ScenarioTree:
-    """The tree with the same shape and prices under the reweighted
-    measure: each transition probability becomes
-    q' = q * Z_child / Z_parent, Z the density process."""
-    z = density_process(tree, density)
-    nodes = []
-    for nd in tree.nodes:
-        if nd.parent is None:
-            nodes.append(nd)
-        else:
-            q = nd.prob * z[nd.id] / z[nd.parent]
-            nodes.append(Node(nd.id, nd.parent, q, nd.price))
-    return ScenarioTree(tree.d, tree.horizon, nodes)
 
 
 # --- JSON ----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from arbcheck import Q, ScenarioTree
 from arbcheck.rationals import as_rational
-from arbcheck.tree import Node
+from arbcheck.tree import Node, density_process
 
 
 def vec(values):
@@ -105,3 +105,18 @@ def single_chain(steps, price=5):
     for _ in range(steps):
         spec = (price, [(Q(1), spec)])
     return build(1, spec)
+
+
+def reweight(tree, density):
+    """The tree with the same shape and prices under the reweighted
+    measure: each transition probability becomes
+    q' = q * Z_child / Z_parent, Z the density process."""
+    z = density_process(tree, density)
+    nodes = []
+    for nd in tree.nodes:
+        if nd.parent is None:
+            nodes.append(nd)
+        else:
+            q = nd.prob * z[nd.id] / z[nd.parent]
+            nodes.append(Node(nd.id, nd.parent, q, nd.price))
+    return ScenarioTree(tree.d, tree.horizon, nodes)

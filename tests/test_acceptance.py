@@ -20,7 +20,6 @@ from arbcheck import (
     equivalence_report,
     gains,
     leaf_probabilities,
-    reweight,
     scaled_gain_optimum,
     verify_martingale,
 )
@@ -36,7 +35,7 @@ from arbcheck.geometry import (
 )
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
-from helpers import binomial, skewed_coin
+from helpers import binomial, reweight, skewed_coin
 from lp_oracle import oracle_check, random_lp
 from scaled_gain_oracle import scaled_gain_lp
 

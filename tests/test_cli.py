@@ -116,8 +116,10 @@ class TestHostileInput:
         """Each literal is under the int-str digit limit, but a derived
         rational is not: under "sum" the child probabilities add up to an
         8,000-digit denominator (validate's prob_sum detail), under
-        "density" the two-period leaf density has 8,000-digit terms, and
-        under "mixed" only the leaves of the root's second child do."""
+        "density" the two-period leaf density has 8,000-digit terms,
+        under "mixed" only the leaves of the root's second child do, and
+        under "witness" the arbitrage strategy at node 1 has terms of
+        about 6,000 digits while the one at the root is (0, 0)."""
         big = 10**4000
         lo, hi = f"1/{big + 1}", f"{big}/{big + 1}"
 
@@ -130,6 +132,13 @@ class TestHostileInput:
             data = tree_to_json(one_step([1, -1], [f"1/{big + 1}", f"1/{big + 3}"]))
         elif shape == "density":
             data = tree_to_json(build(1, walk(0, 2, (lo, hi))))
+        elif shape == "witness":
+            b, a, c, d = 10**3000 + 1, 3, 10**3000 + 3, 10**3000 + 7
+            up = (1 + Q(a, b), Q(-c, d))
+            down = (1 - Q(c + 4, d + 6), Q(a + 8, b + 2))
+            node1 = ((1, 0), [("1/2", (up, [])), ("1/2", (down, []))])
+            stay = [(p, [("1", (p, []))]) for p in ((-1, 0), (0, 1), (0, -1))]
+            data = tree_to_json(build(2, ((0, 0), [("1/4", sub) for sub in [node1] + stay])))
         else:
             fair, skewed = walk(1, 2, ("1/2", "1/2")), walk(-1, 2, (lo, hi))
             data = tree_to_json(build(1, (0, [("1/2", fair), ("1/2", skewed)])))
@@ -148,13 +157,26 @@ class TestHostileInput:
             assert "node 0 prob_sum" in err
 
     @pytest.mark.parametrize("command, shape", [("check", "density"),
-                                                ("build-emm", "mixed")])
+                                                ("build-emm", "mixed"),
+                                                ("find-arbitrage", "witness")])
     def test_text_past_digit_limit_prints_nothing(self, tmp_path, command, shape):
-        """No line (check's verdicts, build-emm's first leaves) is
-        printed ahead of a value that cannot be formatted."""
+        """No line (check's verdicts, build-emm's first leaves,
+        find-arbitrage's root strategy) is printed ahead of a value that
+        cannot be formatted."""
         code, out, err = _cli(command, self._digit_limit_file(tmp_path, shape))
         assert code == 2 and out == b""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    @pytest.mark.parametrize("shape", ["sum", "density", "mixed", "witness"])
+    def test_exit_code_independent_of_output_mode(self, run, tmp_path, command, shape):
+        """Text, --json and --quiet format the same numbers, so they exit
+        alike, and an input error leaves stdout empty in every mode."""
+        path = self._digit_limit_file(tmp_path, shape)
+        results = [run(command, path, *flag) for flag in ((), ("--json",), ("--quiet",))]
+        assert len({code for code, _, _ in results}) == 1, results
+        for code, out, err in results:
+            assert code != 2 or (out == "" and "digit limit" in err)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -6,7 +6,6 @@ from arbcheck import (
     conditional_mean,
     conditional_support,
     leaf_probabilities,
-    reweight,
     verify_martingale,
 )
 from arbcheck.emm import (
@@ -21,6 +20,7 @@ from helpers import (
     binomial,
     localized_arbitrage,
     one_step,
+    reweight,
     single_chain,
     skewed_coin,
     skewed_coin_two_period,

@@ -10,7 +10,6 @@ from arbcheck import (
     gains,
     leaf_probabilities,
     path_probabilities,
-    reweight,
     tree_from_json,
     tree_to_json,
     validate,
@@ -28,6 +27,7 @@ from helpers import (
     build,
     localized_arbitrage,
     one_step,
+    reweight,
     single_chain,
     skewed_coin,
     skewed_coin_two_period,

@@ -15,6 +15,7 @@ from arbcheck import (
 )
 from arbcheck.errors import GeometryError, InputError
 from arbcheck.geometry import InRi, NotInRi
+from arbcheck.tree import LeafDensity
 from arbcheck.verify import (
     MODES,
     TreeParams,
@@ -117,8 +118,13 @@ class TestEquivalenceReport:
             equivalence_report(bad)
 
 
+def _verify_doubled_density(tree):
+    return verify_martingale(tree, LeafDensity.from_mapping({1: Q(2), 2: Q(2)}))
+
+
 @pytest.mark.parametrize("entry", [
     equivalence_report, find_arbitrage, build_emm, scaled_gain_optimum,
+    _verify_doubled_density,  # unit mass under the halved probabilities
 ])
 def test_entry_points_reject_invalid_tree(entry):
     halved = one_step([1, -1], ["1/4", "1/4"])  # child probabilities sum to 1/2
