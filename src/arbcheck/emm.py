@@ -16,9 +16,7 @@ separating certificate otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import GeometryError, InputError, InternalError
+from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
 from .linalg import in_span, span_basis
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
@@ -97,16 +95,23 @@ def one_step_scale(support: ConditionalSupport) -> Rational:
     return 1 / (1 + s)
 
 
-@dataclass(frozen=True)
-class OneStepDensity:
+class OneStepDensity(Record):
     """One-step change of measure at a node, aligned with the atoms of
     its ConditionalSupport (children sharing an increment share a
     value)."""
+
+    __slots__ = ("node", "scale", "raw", "normalized")
 
     node: int
     scale: Rational  # the floor f
     raw: tuple[Rational, ...]  # g, with g_i >= scale and E[g * x] = 0
     normalized: tuple[Rational, ...]  # g / E[g], a conditional probability change
+
+    def __init__(self, node, scale, raw, normalized) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "normalized", normalized)
 
 
 def one_step_density(support: ConditionalSupport) -> OneStepDensity:
@@ -156,11 +161,17 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     return OneStepDensity(support.node, f, g, tuple(gi / mass for gi in g))
 
 
-@dataclass(frozen=True)
-class MartingaleConstruction:
+class MartingaleConstruction(Record):
+    __slots__ = ("density", "per_node", "bound")
+
     density: LeafDensity
     per_node: tuple[OneStepDensity, ...]  # node-id order over non-leaves
     bound: Rational  # max leaf density
+
+    def __init__(self, density, per_node, bound) -> None:
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "per_node", per_node)
+        object.__setattr__(self, "bound", bound)
 
 
 def build_emm(tree: ScenarioTree) -> MartingaleConstruction:

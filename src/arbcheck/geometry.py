@@ -13,29 +13,36 @@ no square roots; every property used downstream is scale-invariant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, Record
 from .linalg import in_span, span_basis
 from .lp import Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot, zero_vector
 
 
-@dataclass(frozen=True)
-class InRi:
+class InRi(Record):
     """Origin in the relative interior: all-positive convex weights with
     zero barycenter."""
 
+    __slots__ = ("weights",)
+
     weights: tuple[Rational, ...]
 
+    def __init__(self, weights) -> None:
+        object.__setattr__(self, "weights", weights)
 
-@dataclass(frozen=True)
-class NotInRi:
+
+class NotInRi(Record):
     """Separating direction: in the span, nonnegative against every
     atom, positive against some, max-norm 1."""
 
+    __slots__ = ("direction",)
+
     direction: Vector
+
+    def __init__(self, direction) -> None:
+        object.__setattr__(self, "direction", direction)
 
 
 RiCertificate = Union[InRi, NotInRi]

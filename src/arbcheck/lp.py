@@ -32,18 +32,18 @@ never bad input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, Record
 from .rationals import ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """maximize objective . x  s.t.  rows[i] . x (<= or ==) rhs[i],
     x_j >= lower[j] where lower[j] is not None."""
+
+    __slots__ = ("objective", "rows", "rhs", "equalities", "lower")
 
     objective: Vector
     rows: tuple[Vector, ...]
@@ -51,17 +51,22 @@ class LinearProgram:
     equalities: tuple[bool, ...]
     lower: tuple[Optional[Rational], ...]
 
-    def __post_init__(self) -> None:
-        n, m = len(self.objective), len(self.rows)
-        for i, row in enumerate(self.rows):
+    def __init__(self, objective, rows, rhs, equalities, lower) -> None:
+        n, m = len(objective), len(rows)
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise InputError(f"row {i} has {len(row)} coefficients, expected {n}")
-        if len(self.rhs) != m:
-            raise InputError(f"{len(self.rhs)} right-hand sides for {m} rows")
-        if len(self.equalities) != m:
-            raise InputError(f"{len(self.equalities)} equality flags for {m} rows")
-        if len(self.lower) != n:
-            raise InputError(f"{len(self.lower)} bounds for {n} variables")
+        if len(rhs) != m:
+            raise InputError(f"{len(rhs)} right-hand sides for {m} rows")
+        if len(equalities) != m:
+            raise InputError(f"{len(equalities)} equality flags for {m} rows")
+        if len(lower) != n:
+            raise InputError(f"{len(lower)} bounds for {n} variables")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n_vars(self) -> int:
@@ -94,20 +99,33 @@ def make_lp(
     return LinearProgram(obj, mat, b, eq, lo)
 
 
-@dataclass(frozen=True)
-class Optimal:
+class Optimal(Record):
+    __slots__ = ("point", "value")
+
     point: Vector
     value: Rational
 
+    def __init__(self, point, value) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Infeasible:
+
+class Infeasible(Record):
+    __slots__ = ("certificate",)
+
     certificate: Vector  # multipliers over farkas_row_system(lp)
 
+    def __init__(self, certificate) -> None:
+        object.__setattr__(self, "certificate", certificate)
 
-@dataclass(frozen=True)
-class Unbounded:
+
+class Unbounded(Record):
+    __slots__ = ("ray",)
+
     ray: Vector
+
+    def __init__(self, ray) -> None:
+        object.__setattr__(self, "ray", ray)
 
 
 LpOutcome = Union[Optimal, Infeasible, Unbounded]

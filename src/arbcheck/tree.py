@@ -10,10 +10,9 @@ and no "almost surely" qualifiers are needed anywhere downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError
+from .errors import InputError, Record
 from .rationals import (
     ONE,
     Rational,
@@ -28,19 +27,32 @@ from .rationals import (
 )
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
+    __slots__ = ("id", "parent", "prob", "price")
+
     id: int
     parent: Optional[int]  # None at the root
     prob: Rational  # transition probability from the parent; 1 at the root
     price: Vector
 
+    def __init__(self, id, parent, prob, price) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "prob", prob)
+        object.__setattr__(self, "price", price)
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(Record):
+    __slots__ = ("node", "rule", "detail")
+
     node: Optional[int]
     rule: str
     detail: str
+
+    def __init__(self, node, rule, detail) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         where = f"node {self.node}" if self.node is not None else "tree"
@@ -208,14 +220,19 @@ def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
 # --- conditional one-step structure ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionalSupport:
+class ConditionalSupport(Record):
     """Atoms (x, q) of the one-step conditional increment distribution at
     a non-leaf node: distinct increment values with their summed
     transition probabilities."""
 
+    __slots__ = ("node", "atoms")
+
     node: int
     atoms: tuple[tuple[Vector, Rational], ...]
+
+    def __init__(self, node, atoms) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def d(self) -> int:
@@ -272,12 +289,16 @@ def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
 # --- leaf densities ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafDensity:
+class LeafDensity(Record):
     """Strictly positive per-leaf density with total mass one under the
     tree's leaf probabilities."""
 
+    __slots__ = ("values",)
+
     values: tuple[tuple[int, Rational], ...]  # (leaf id, z) sorted by leaf id
+
+    def __init__(self, values) -> None:
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, Rational]) -> "LeafDensity":

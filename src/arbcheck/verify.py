@@ -12,12 +12,10 @@ Every tree entry point rejects an invalid tree with InputError.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .emm import MartingaleConstruction, build_emm, one_step_scale
-from .errors import GeometryError, InputError, InternalError
+from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import (
     InRi,
     NotInRi,
@@ -39,11 +37,15 @@ from .tree import (
     Node,
     ScenarioTree,
     Strategy,
+    _check_int,
     conditional_support,
     ensure_valid,
     gains,
     path_probabilities,
 )
+
+if TYPE_CHECKING:
+    import random
 
 
 def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
@@ -130,35 +132,40 @@ def scaled_gain_optimum(tree: ScenarioTree) -> Rational:
 MODES = ("generic", "martingale_perturbed")
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TreeParams(Record):
     """Ranges are deliberately small: exact pivots stay fast on
     single-digit numerators and denominators up to 16."""
 
-    assets: int = 1
-    steps: int = 1
-    max_branching: int = 2
-    value_range: tuple[int, int] = (-8, 8)
-    max_denominator: int = 16
-    mode: str = "generic"
+    __slots__ = ("assets", "steps", "max_branching", "value_range", "max_denominator", "mode")
+
+    assets: int
+    steps: int
+    max_branching: int
+    value_range: tuple[int, int]
+    max_denominator: int
+    mode: str
+
+    def __init__(self, assets=1, steps=1, max_branching=2, value_range=(-8, 8),
+                 max_denominator=16, mode="generic") -> None:
+        object.__setattr__(self, "assets", assets)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "max_branching", max_branching)
+        object.__setattr__(self, "value_range", value_range)
+        object.__setattr__(self, "max_denominator", max_denominator)
+        object.__setattr__(self, "mode", mode)
 
 
 def _check_params(params: TreeParams) -> None:
-    if not 1 <= params.assets <= 4:
-        raise InputError(f"assets must be in 1..4, got {params.assets}")
-    if not 1 <= params.steps <= 5:
-        raise InputError(f"steps must be in 1..5, got {params.steps}")
-    if not 1 <= params.max_branching <= 5:
-        raise InputError(f"max_branching must be in 1..5, got {params.max_branching}")
+    for name, hi in (("assets", 4), ("steps", 5), ("max_branching", 5), ("max_denominator", 16)):
+        value = getattr(params, name)
+        _check_int(value, name)
+        if not 1 <= value <= hi:
+            raise InputError(f"{name} must be in 1..{hi}, got {value}")
     if params.mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {params.mode!r}")
     lo, hi = params.value_range
     if not (isinstance(lo, int) and isinstance(hi, int) and lo < hi):
         raise InputError(f"value_range must be integers lo < hi, got {params.value_range}")
-    if not 1 <= params.max_denominator <= 16:
-        raise InputError(
-            f"max_denominator must be in 1..16, got {params.max_denominator}"
-        )
 
 
 def _draw_rational(rng: random.Random, lo: int, hi: int, max_den: int) -> Rational:
@@ -191,6 +198,8 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
     averages bottom-up (so a martingale measure exists by construction),
     then fresh actual probabilities per non-leaf.
     """
+    import random  # only the generator needs it; the CLI's check path does not
+
     _check_params(params)
     rng = random.Random(seed)
     lo, hi = params.value_range
@@ -258,8 +267,10 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
 # --- three-way equivalence harness ------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
+    __slots__ = ("verdict_na_strategy", "verdict_geometry", "verdict_emm", "arbitrage",
+                 "construction", "certificates", "consistent", "seed")
+
     verdict_na_strategy: bool  # no arbitrage found by the strategy-space LP
     verdict_geometry: bool  # origin interior at every node
     verdict_emm: bool  # martingale construction succeeded and verified
@@ -267,7 +278,18 @@ class EquivalenceReport:
     construction: Optional[MartingaleConstruction]
     certificates: dict[int, RiCertificate]
     consistent: bool
-    seed: Optional[int] = None
+    seed: Optional[int]
+
+    def __init__(self, verdict_na_strategy, verdict_geometry, verdict_emm, arbitrage,
+                 construction, certificates, consistent, seed=None) -> None:
+        object.__setattr__(self, "verdict_na_strategy", verdict_na_strategy)
+        object.__setattr__(self, "verdict_geometry", verdict_geometry)
+        object.__setattr__(self, "verdict_emm", verdict_emm)
+        object.__setattr__(self, "arbitrage", arbitrage)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "seed", seed)
 
 
 def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> EquivalenceReport:

@@ -84,6 +84,20 @@ def _cli(*argv, prelude=""):
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
 
+def test_import_loads_no_dataclasses():
+    """Start-up stays light: importing the CLI in a fresh interpreter
+    loads neither dataclasses nor inspect, which dataclasses imports.
+    Modules the interpreter loaded before the import do not count."""
+    code = ("import sys; before = set(sys.modules); import arbcheck.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "arbcheck.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 FILE_COMMANDS = ("validate", "check", "find-arbitrage", "build-emm", "beta")
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -15,7 +17,8 @@ from arbcheck import (
 )
 from arbcheck.errors import GeometryError, InputError
 from arbcheck.geometry import InRi, NotInRi
-from arbcheck.tree import LeafDensity
+from arbcheck.lp import Infeasible, Unbounded
+from arbcheck.tree import LeafDensity, Node, Violation
 from arbcheck.verify import (
     MODES,
     TreeParams,
@@ -210,10 +213,53 @@ class TestGenerator:
         {"value_range": (3, 3)}, {"value_range": (5, -5)},
         {"max_denominator": 0}, {"max_denominator": 17},
         {"mode": "surprise"},
+        {"assets": 1.5}, {"max_branching": "2"}, {"max_denominator": 2.0},
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(InputError):
             random_tree(TreeParams(**kwargs), 0)
+
+
+class TestRecords:
+    """The package's value classes compare by kind and fields, hash by
+    their fields, and cannot be changed after construction."""
+
+    def test_kinds_with_equal_fields_differ(self):
+        v = (Q(1), Q(-1))
+        assert Unbounded(v) != Infeasible(v)
+        assert InRi(v) != NotInRi(v)
+        assert Unbounded(v) == Unbounded((Q(1), Q(-1)))
+
+    def test_fields_are_read_only(self):
+        ray = Unbounded((Q(1),))
+        with pytest.raises(AttributeError):
+            ray.ray = (Q(2),)
+        with pytest.raises(AttributeError):
+            ray.extra = 1
+        with pytest.raises(AttributeError):
+            del ray.ray
+        with pytest.raises(AttributeError):
+            TreeParams().assets = 2
+        assert ray == Unbounded((Q(1),))
+
+    def test_equal_nodes_hash_equal(self):
+        a = Node(1, 0, Q(1, 2), (Q(3),))
+        b = Node(1, 0, Q(1, 2), (Q(3),))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Node(1, 0, Q(1, 2), (Q(4),))
+
+    def test_tree_params_defaults(self):
+        assert TreeParams() == TreeParams(assets=1, steps=1, max_branching=2,
+                                          value_range=(-8, 8), max_denominator=16,
+                                          mode="generic")
+
+    def test_repr_copy_and_pickle(self):
+        v = Violation(None, "prob_sum", "sums to 1/2")
+        assert repr(v) == "Violation(node=None, rule='prob_sum', detail='sums to 1/2')"
+        node = Node(1, 0, Q(1, 2), (Q(3),))
+        assert copy.copy(node) == node
+        assert pickle.loads(pickle.dumps(node)) == node
 
 
 class TestJsonEncoders:
