@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
-from .linalg import in_span, span_basis
+from .linalg import in_span
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot
 from .tree import (
@@ -38,12 +38,12 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
 
     T is compact exactly when the origin is in the relative interior of
     the atoms' hull; an unbounded program therefore signals a violated
-    precondition and raises GeometryError for the owning node.
+    precondition and raises GeometryError for the owning node. The
+    directions are combinations of the support's span basis.
     """
-    values = support.values()
-    if not in_span(a, values):
+    basis = support.basis
+    if not in_span(a, basis):
         raise InputError("query vector outside the span of the atoms")
-    basis = span_basis(values)
     r = len(basis)
     if r == 0:
         return ZERO  # span {0}: T = {0}
@@ -78,7 +78,7 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
             sum((y[k] * basis[k][j] for k in range(r)), ZERO) for j in range(d)
         )
         cert = NotInRi(max_norm_normalize(h))
-        if not check_ri_certificate(values, cert):
+        if not check_ri_certificate(support.values(), cert):
             raise InternalError("unbounded support program gave a bad certificate")
         raise GeometryError(support.node, cert)
     if isinstance(outcome, Infeasible):

@@ -1,18 +1,25 @@
-"""Rational linear algebra: span bases and membership tests.
+"""Exact linear algebra: span bases and membership tests.
 
-Row reduction uses the leftmost-pivot rule and normalizes to reduced
-row-echelon form, so the basis returned for a set of vectors is
-canonical for the subspace they span (independent of input order).
+Rows are reduced as Python ints, as in the simplex tableau: a vector is
+scaled by the lcm of its denominators, and each elimination is an
+integer multiply-and-subtract plus one gcd (fraction-free elimination,
+Bareiss 1968). A span is scale-invariant, so rows carry no denominator.
+The leftmost-pivot rule with back-elimination gives an integer reduced
+row-echelon form; dividing each row by its pivot yields a basis that is
+canonical for the subspace spanned (independent of input order).
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 from .errors import InputError
-from .rationals import Rational, Vector
+from .rationals import Q, Rational, Vector, ZERO, int_row
 
-_Row = list
+# (pivot column, integer row): the pivot entry is positive and the only
+# nonzero entry of its column among the rows of one echelon form
+_Echelon = list
 
 
 def _common_dim(vectors: Sequence[Sequence[Rational]]) -> int:
@@ -22,15 +29,42 @@ def _common_dim(vectors: Sequence[Sequence[Rational]]) -> int:
     return dims.pop() if dims else 0
 
 
-def _reduce(v: _Row, rows: list) -> _Row:
-    # rows: list of (pivot_col, unit-leading row), sorted by pivot_col
-    for piv, row in rows:
-        c = v[piv]
-        if c:
-            for j in range(piv, len(v)):
-                if row[j]:
-                    v[j] -= c * row[j]
-    return v
+def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
+    """``row * p - row[col] * prow`` for the pivot ``p = prow[col] > 0``,
+    in lowest terms: column ``col`` cleared, and the scale of ``row``
+    multiplied by a positive factor."""
+    p, f = prow[col], row[col]
+    new = [a * p - f * b for a, b in zip(row, prow)]
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
+def _reduce(row: list[int], rows: _Echelon) -> list[int]:
+    for piv, prow in rows:
+        if row[piv]:
+            row = _eliminate(row, prow, piv)
+    return row
+
+
+def _echelon(vectors: Sequence[Sequence[Rational]]) -> _Echelon:
+    """Reduced integer echelon rows of the span, sorted by pivot column."""
+    rows: _Echelon = []
+    for v in vectors:
+        row = _reduce(int_row(v)[0], rows)
+        piv = next((j for j, a in enumerate(row) if a), None)
+        if piv is None:
+            continue
+        if row[piv] < 0:
+            row = [-a for a in row]
+        g = gcd(*row)
+        if g > 1:
+            row = [a // g for a in row]
+        for k, (q, other) in enumerate(rows):
+            if other[piv]:
+                rows[k] = (q, _eliminate(other, row, piv))
+        rows.append((piv, row))
+        rows.sort(key=lambda item: item[0])
+    return rows
 
 
 def span_basis(points: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
@@ -39,33 +73,14 @@ def span_basis(points: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
     Zero vectors contribute nothing; an empty input (or all-zero input)
     yields the empty basis.
     """
-    dim = _common_dim(points)
-    rows: list = []
-    for p in points:
-        v = _reduce(list(p), rows)
-        piv = next((j for j in range(dim) if v[j]), None)
-        if piv is None:
-            continue
-        lead = v[piv]
-        if lead != 1:
-            inv = 1 / lead
-            v = [c * inv for c in v]
-        for _, row in rows:
-            c = row[piv]
-            if c:
-                for j in range(piv, dim):
-                    if v[j]:
-                        row[j] -= c * v[j]
-        rows.append((piv, v))
-        rows.sort(key=lambda item: item[0])
-    return tuple(tuple(row) for _, row in rows)
+    _common_dim(points)
+    return tuple(
+        tuple(Q(a, row[piv]) if a else ZERO for a in row) for piv, row in _echelon(points)
+    )
 
 
 def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> bool:
     """True iff v is an exact rational combination of the given vectors."""
     if vectors and len(v) != _common_dim(vectors):
         raise InputError(f"dimension mismatch: {len(v)} vs {_common_dim(vectors)}")
-    basis = span_basis(vectors) if vectors else ()
-    rows = [(next(j for j in range(len(b)) if b[j]), list(b)) for b in basis]
-    residue = _reduce(list(v), rows)
-    return all(not c for c in residue)
+    return not any(_reduce(int_row(v)[0], _echelon(vectors)))

@@ -32,11 +32,11 @@ never bad input.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
-from .rationals import ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot
+from .rationals import ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot, int_row
 
 
 class LinearProgram(Record):
@@ -201,12 +201,6 @@ def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
     return dot(certificate, rhs) < 0
 
 
-def _int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """Numerators of ``values`` over the lcm of their denominators."""
-    den = lcm(*(int(v.denominator) for v in values if v))
-    return [int(v.numerator) * (den // int(v.denominator)) if v else 0 for v in values], den
-
-
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
     """Subtract the multiple of ``prow / p`` (pivot ``p > 0`` in column
     ``col``) that clears ``row / den`` in that column; returns the new
@@ -282,7 +276,7 @@ class _Simplex:
         self.basis: list[int] = []
         self.active: list[bool] = [True] * m
         for k in range(m):
-            nums, den = _int_row((*lp.rows[k], rhs[k]))
+            nums, den = int_row((*lp.rows[k], rhs[k]))
             s = self.sigma[k]
             if s < 0:
                 nums = [-a for a in nums]
@@ -402,7 +396,7 @@ class _Simplex:
 
         cost_q = [-c if s < 0 else c for s, c in zip(self.sign, lp.objective)]
         cost_q += [ZERO] * (self.art_start + 1 - lp.n_vars)
-        self._price(*_int_row(cost_q))
+        self._price(*int_row(cost_q))
         status, enter = self._optimize(self.art_start)
         if status == "unbounded":
             return self._extract_ray(enter)  # type: ignore[arg-type]

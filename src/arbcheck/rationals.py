@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
+from math import lcm
 from typing import Sequence, Tuple, Union
 
 from .errors import InputError
@@ -109,3 +110,11 @@ def vec_sub(u: Sequence[Rational], v: Sequence[Rational]) -> Vector:
 
 def zero_vector(dim: int) -> Vector:
     return (ZERO,) * dim
+
+
+def int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over the lcm of their denominators, as
+    Python ints (``int()`` also converts mpq's mpz parts)."""
+    dens = [int(v.denominator) for v in values]
+    den = lcm(*dens)
+    return [int(v.numerator) * (den // q) for v, q in zip(values, dens)], den

@@ -13,6 +13,7 @@ import json
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, Record
+from .linalg import span_basis
 from .rationals import (
     ONE,
     Rational,
@@ -72,7 +73,13 @@ class ScenarioTree:
 
     ``order`` holds the nodes breadth-first from the root, each after its
     parent: a top-down pass over the tree is one loop over it, a
-    bottom-up pass one loop over its reverse."""
+    bottom-up pass one loop over its reverse.
+
+    Data derived from the nodes alone is computed once per tree, on
+    first use, and kept: each edge increment, each node's
+    ConditionalSupport, and a passing ``ensure_valid``. Nothing a route
+    computes from that data (an LP outcome, a certificate, a verdict)
+    is kept."""
 
     def __init__(self, d: int, horizon: int, nodes: Iterable[Node]):
         nodes = tuple(nodes)
@@ -127,6 +134,9 @@ class ScenarioTree:
             raise InputError(f"nodes unreachable from the root (cycle?): {orphans}")
         self.order = tuple(order)
         self._depth = depth
+        self._increments: dict[int, Vector] = {}
+        self._supports: dict[int, ConditionalSupport] = {}
+        self._valid = False
 
     # --- structure queries ----------------------------------------------
 
@@ -149,10 +159,14 @@ class ScenarioTree:
 
     def increment(self, node_id: int) -> Vector:
         """Price change on the edge into a non-root node."""
-        nd = self.node(node_id)
-        if nd.parent is None:
-            raise InputError(f"node {node_id} is the root; no edge leads into it")
-        return vec_sub(nd.price, self._by_id[nd.parent].price)
+        delta = self._increments.get(node_id)
+        if delta is None:
+            nd = self.node(node_id)
+            if nd.parent is None:
+                raise InputError(f"node {node_id} is the root; no edge leads into it")
+            delta = vec_sub(nd.price, self._by_id[nd.parent].price)
+            self._increments[node_id] = delta
+        return delta
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes if not self._children[nd.id])
@@ -210,10 +224,16 @@ def validate(tree: ScenarioTree) -> list[Violation]:
 
 
 def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
+    """The tree, or InputError listing its violations. A pass is
+    recorded on the tree, so later calls do not validate it again; a
+    failure is not, and raises on every call."""
+    if tree._valid:
+        return tree
     violations = validate(tree)
     if violations:
         listing = "; ".join(str(v) for v in violations)
         raise InputError(f"invalid tree: {listing}")
+    tree._valid = True
     return tree
 
 
@@ -223,16 +243,23 @@ def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
 class ConditionalSupport(Record):
     """Atoms (x, q) of the one-step conditional increment distribution at
     a non-leaf node: distinct increment values with their summed
-    transition probabilities."""
+    transition probabilities, and the reduced row-echelon basis of the
+    linear span of the values, which is built with the support. A basis
+    passed in (copy and pickle pass the stored one) must be that one."""
 
-    __slots__ = ("node", "atoms")
+    __slots__ = ("node", "atoms", "basis")
 
     node: int
     atoms: tuple[tuple[Vector, Rational], ...]
+    basis: tuple[Vector, ...]
 
-    def __init__(self, node, atoms) -> None:
+    def __init__(self, node, atoms, basis=None) -> None:
+        spanned = span_basis(tuple(x for x, _ in atoms))
+        if basis is not None and tuple(basis) != spanned:
+            raise InputError(f"node {node}: basis is not the atoms' reduced row-echelon basis")
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "basis", spanned)
 
     @property
     def d(self) -> int:
@@ -243,6 +270,11 @@ class ConditionalSupport(Record):
 
 
 def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
+    """The support at a non-leaf node, built on the first call for the
+    tree and the same object on every later one."""
+    support = tree._supports.get(node_id)
+    if support is not None:
+        return support
     if tree.is_leaf(node_id):
         raise InputError(f"node {node_id} is a leaf; no one-step distribution there")
     order: list[Vector] = []
@@ -255,7 +287,9 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
         else:
             weight[delta] = prob
             order.append(delta)
-    return ConditionalSupport(node_id, tuple((x, weight[x]) for x in order))
+    support = ConditionalSupport(node_id, tuple((x, weight[x]) for x in order))
+    tree._supports[node_id] = support
+    return support
 
 
 def conditional_mean(support: ConditionalSupport) -> Vector:

@@ -163,9 +163,14 @@ def _check_params(params: TreeParams) -> None:
             raise InputError(f"{name} must be in 1..{hi}, got {value}")
     if params.mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {params.mode!r}")
-    lo, hi = params.value_range
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo < hi):
-        raise InputError(f"value_range must be integers lo < hi, got {params.value_range}")
+    bounds = params.value_range
+    if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2):
+        raise InputError(f"value_range must be a pair (lo, hi), got {bounds!r}")
+    lo, hi = bounds
+    _check_int(lo, "value_range lo")
+    _check_int(hi, "value_range hi")
+    if lo >= hi:
+        raise InputError(f"value_range must have lo < hi, got {bounds!r}")
 
 
 def _draw_rational(rng: random.Random, lo: int, hi: int, max_den: int) -> Rational:

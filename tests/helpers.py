@@ -107,6 +107,15 @@ def single_chain(steps, price=5):
     return build(1, spec)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the arguments of
+    each call in the returned list."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def reweight(tree, density):
     """The tree with the same shape and prices under the reweighted
     measure: each transition probability becomes

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import arbcheck.tree
 from arbcheck import Q, build_emm, equivalence_report, tree_from_json, tree_to_json
 from arbcheck.cli import main
 from arbcheck.verify import MODES, TreeParams, construction_to_json, random_tree, report_to_json
-from helpers import build, one_step, skewed_coin, sure_win
+from helpers import build, count_calls, one_step, skewed_coin, sure_win
 
 # exit code contract: 0 holds / artifact produced, 1 fails expectedly,
 # 2 bad input, 3 internal inconsistency
@@ -283,6 +284,15 @@ class TestCheck:
     def test_invalid_tree_exit_two(self, run, invalid_file):
         code, _, err = run("check", invalid_file)
         assert code == 2 and "prob_sum" in err
+
+    @pytest.mark.parametrize("fixture, exit_code", [("na_file", 0), ("arb_file", 1)])
+    def test_validates_once(self, run, request, monkeypatch, fixture, exit_code):
+        """The strategy and martingale routes and the martingale re-check
+        all require a valid tree; the first pass is recorded on it."""
+        calls = count_calls(monkeypatch, arbcheck.tree, "validate")
+        code, _, _ = run("check", request.getfixturevalue(fixture), "--json")
+        assert code == exit_code
+        assert len(calls) == 1
 
 
 class TestFindArbitrage:

@@ -1,7 +1,11 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from arbcheck import Q, in_span, span_basis
 from helpers import vec
+from linalg_oracle import rref_basis, rref_in_span
 
 
 def V(*rows):
@@ -56,3 +60,35 @@ def test_basis_is_canonical_under_presentation():
             assert in_span(b, vecs)
         for v in vecs:
             assert in_span(v, basis)
+
+
+# entries: zero often, small and large numerators of either sign, small
+# and large denominators
+_numerators = st.just(0) | st.integers(-9, 9) | st.integers(-10**30, 10**30)
+_denominators = st.integers(1, 16) | st.integers(1, 10**30)
+_entries = st.builds(Q, _numerators, _denominators)
+
+
+@st.composite
+def _points_and_queries(draw):
+    """0-6 points in dimension 1-4 drawn from a small pool that holds the
+    zero vector, so zero and repeated points are common; and two
+    queries, a free vector and a combination of the points."""
+    d = draw(st.integers(1, 4))
+    vector = st.tuples(*[_entries] * d)
+    pool = draw(st.lists(vector, min_size=1, max_size=3)) + [(Q(0),) * d]
+    points = draw(st.lists(st.sampled_from(pool) | vector, max_size=6))
+    combination = tuple(Q(0) for _ in range(d))
+    for p in points:
+        c = draw(_entries)
+        combination = tuple(a + c * b for a, b in zip(combination, p))
+    return points, draw(vector), combination
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_points_and_queries())
+def test_integer_kernel_matches_rational_oracle(case):
+    points, free, combination = case
+    assert span_basis(points) == rref_basis(points)
+    assert in_span(free, points) == rref_in_span(free, points)
+    assert in_span(combination, points) and rref_in_span(combination, points)

@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+import arbcheck.tree
 from arbcheck import (
     Q,
     ScenarioTree,
@@ -16,6 +19,7 @@ from arbcheck import (
 )
 from arbcheck.errors import InputError
 from arbcheck.tree import (
+    ConditionalSupport,
     LeafDensity,
     Node,
     check_density,
@@ -25,6 +29,7 @@ from arbcheck.tree import (
 from helpers import (
     binomial,
     build,
+    count_calls,
     localized_arbitrage,
     one_step,
     reweight,
@@ -82,6 +87,13 @@ class TestConstruction:
                 a - b for a, b in zip(nd.price, parent.price))
         with pytest.raises(InputError, match="root"):
             t.increment(0)
+
+    def test_increment_computed_once(self):
+        t = skewed_coin_two_period()
+        assert t.increment(3) is t.increment(3)
+        for _ in range(2):
+            with pytest.raises(InputError, match="root"):
+                t.increment(0)
 
     @pytest.mark.parametrize("d, horizon, child", [
         (1.7, 1, Node(1, 0, R1, (Q(1),))),
@@ -142,6 +154,17 @@ class TestValidation:
         with pytest.raises(InputError):
             ensure_valid(t)
 
+    def test_ensure_valid_records_only_a_pass(self, monkeypatch):
+        calls = count_calls(monkeypatch, arbcheck.tree, "validate")
+        good = skewed_coin()
+        assert ensure_valid(good) is good and ensure_valid(good) is good
+        assert len(calls) == 1
+        bad = one_step([1, -1], ["1/4", "1/4"])
+        for _ in range(2):
+            with pytest.raises(InputError, match="prob_sum"):
+                ensure_valid(bad)
+        assert len(calls) == 3
+
 
 class TestJson:
     def test_golden_encoding(self):
@@ -198,8 +221,34 @@ class TestSupports:
         assert cs.atoms == (((Q(1),), Q(1, 2)), ((Q(-1),), Q(1, 2)))
 
     def test_leaf_has_no_support(self):
-        with pytest.raises(InputError):
-            conditional_support(skewed_coin(), 1)
+        t = skewed_coin()
+        for _ in range(2):
+            with pytest.raises(InputError, match="leaf"):
+                conditional_support(t, 1)
+
+    def test_built_once_per_tree(self):
+        t = skewed_coin_two_period()
+        for nid in t.non_leaves():
+            assert conditional_support(t, nid) is conditional_support(t, nid)
+        assert conditional_support(t, 0) is not conditional_support(skewed_coin_two_period(), 0)
+        assert conditional_support(t, 0) == conditional_support(skewed_coin_two_period(), 0)
+
+    def test_basis(self):
+        t = one_step([(1, 2, 0), (2, 4, 0), (-1, -2, 0)], ["1/3", "1/3", "1/3"])
+        assert conditional_support(t, 0).basis == ((Q(1), Q(2), Q(0)),)
+        flat = one_step([(0, 0), (0, 0)], ["1/2", "1/2"])
+        assert conditional_support(flat, 0).basis == ()
+
+    def test_copy_and_pickle_keep_the_basis(self):
+        cs = conditional_support(one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"]), 0)
+        for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
+            assert twin == cs and twin.basis == cs.basis == ((Q(1), Q(0)), (Q(0), Q(1)))
+
+    def test_basis_must_match_the_atoms(self):
+        atoms = (((Q(1), Q(0)), Q(1, 2)), ((Q(-1), Q(0)), Q(1, 2)))
+        assert ConditionalSupport(0, atoms, ((Q(1), Q(0)),)).basis == ((Q(1), Q(0)),)
+        with pytest.raises(InputError, match="basis"):
+            ConditionalSupport(0, atoms, ((Q(2), Q(0)),))
 
     def test_two_assets(self):
         t = one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"])

@@ -214,6 +214,7 @@ class TestGenerator:
         {"max_denominator": 0}, {"max_denominator": 17},
         {"mode": "surprise"},
         {"assets": 1.5}, {"max_branching": "2"}, {"max_denominator": 2.0},
+        {"value_range": 5}, {"value_range": (1, 2, 3)}, {"value_range": (False, True)},
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(InputError):
