@@ -107,12 +107,6 @@ class OneStepDensity(Record):
     raw: tuple[Rational, ...]  # g, with g_i >= scale and E[g * x] = 0
     normalized: tuple[Rational, ...]  # g / E[g], a conditional probability change
 
-    def __init__(self, node, scale, raw, normalized) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "normalized", normalized)
-
 
 def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     """Min-max selection: the feasible density with the smallest largest
@@ -167,11 +161,6 @@ class MartingaleConstruction(Record):
     density: LeafDensity
     per_node: tuple[OneStepDensity, ...]  # node-id order over non-leaves
     bound: Rational  # max leaf density
-
-    def __init__(self, density, per_node, bound) -> None:
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "per_node", per_node)
-        object.__setattr__(self, "bound", bound)
 
 
 def build_emm(tree: ScenarioTree) -> MartingaleConstruction:

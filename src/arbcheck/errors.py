@@ -4,29 +4,52 @@ from __future__ import annotations
 
 
 class Record:
-    """Immutable value object whose fields are its ``__slots__``.
+    """Immutable value object.
 
-    A subclass lists its fields in ``__slots__`` in constructor order and
-    sets them in its own ``__init__`` through ``object.__setattr__``.
-    Records are equal only to records of the same type with equal fields,
-    so two outcome kinds that carry the same vector never compare equal.
-    """
+    The one constructor takes a value for each of ``__slots__``,
+    positionally or by name; a subclass with checks or defaults ends its
+    ``__init__`` with ``super().__init__(...)``. Records of one type
+    compare, hash and pickle by their ``_fields``: all slots unless the
+    subclass names fewer, from which its ``__init__`` derives the rest.
+    Two outcome kinds that carry the same vector never compare equal."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a slot's descriptor sets it without going through __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._setters):
+            args = self._bind(args, kwargs)
+        for set_slot, value in zip(self._setters, args):
+            set_slot(self, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """One value per slot from positional and keyword arguments."""
+        names = self.__slots__
+        rest = names[len(args):]
+        if len(args) > len(names) or set(kwargs) != set(rest):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}; "
+                            f"got {len(args)} positional and keywords {sorted(kwargs)}")
+        return args + tuple(kwargs[name] for name in rest)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -37,7 +60,7 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not through setattr
-        return type(self), self._fields()
+        return type(self), self._values()
 
 
 class InputError(ValueError):

@@ -29,9 +29,6 @@ class InRi(Record):
 
     weights: tuple[Rational, ...]
 
-    def __init__(self, weights) -> None:
-        object.__setattr__(self, "weights", weights)
-
 
 class NotInRi(Record):
     """Separating direction: in the span, nonnegative against every
@@ -40,9 +37,6 @@ class NotInRi(Record):
     __slots__ = ("direction",)
 
     direction: Vector
-
-    def __init__(self, direction) -> None:
-        object.__setattr__(self, "direction", direction)
 
 
 RiCertificate = Union[InRi, NotInRi]
@@ -98,7 +92,7 @@ def separation_optimum(points: Sequence[Vector]) -> tuple[Rational, Vector]:
 
 
 def max_norm_normalize(h: Vector) -> Vector:
-    m = max(abs(c) for c in h)
+    m = max((abs(c) for c in h), default=ZERO)
     if not m:
         raise InputError("cannot normalize the zero vector")
     return tuple(c / m for c in h)
@@ -186,7 +180,7 @@ def check_ri_certificate(points: Sequence[Vector], cert: RiCertificate) -> bool:
         h = cert.direction
         if len(h) != d:
             return False
-        if max(abs(c) for c in h) != 1:
+        if max((abs(c) for c in h), default=ZERO) != 1:
             return False
         if not in_span(h, pts):
             return False

@@ -62,11 +62,7 @@ class LinearProgram(Record):
             raise InputError(f"{len(equalities)} equality flags for {m} rows")
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "equalities", equalities)
-        object.__setattr__(self, "lower", lower)
+        super().__init__(objective, rows, rhs, equalities, lower)
 
     @property
     def n_vars(self) -> int:
@@ -105,27 +101,17 @@ class Optimal(Record):
     point: Vector
     value: Rational
 
-    def __init__(self, point, value) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "value", value)
-
 
 class Infeasible(Record):
     __slots__ = ("certificate",)
 
     certificate: Vector  # multipliers over farkas_row_system(lp)
 
-    def __init__(self, certificate) -> None:
-        object.__setattr__(self, "certificate", certificate)
-
 
 class Unbounded(Record):
     __slots__ = ("ray",)
 
     ray: Vector
-
-    def __init__(self, ray) -> None:
-        object.__setattr__(self, "ray", ray)
 
 
 LpOutcome = Union[Optimal, Infeasible, Unbounded]

@@ -36,12 +36,6 @@ class Node(Record):
     prob: Rational  # transition probability from the parent; 1 at the root
     price: Vector
 
-    def __init__(self, id, parent, prob, price) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "price", price)
-
 
 class Violation(Record):
     __slots__ = ("node", "rule", "detail")
@@ -50,14 +44,23 @@ class Violation(Record):
     rule: str
     detail: str
 
-    def __init__(self, node, rule, detail) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "detail", detail)
-
     def __str__(self) -> str:
         where = f"node {self.node}" if self.node is not None else "tree"
         return f"{where}: {self.rule}: {self.detail}"
+
+
+def _check_node(nd) -> None:
+    # before any sort or hash: ids are ints but not bools, and
+    # probabilities and prices are exact
+    if not isinstance(nd, Node):
+        raise InputError(f"tree nodes must be Node records, got {nd!r}")
+    _check_int(nd.id, "node id")
+    if nd.parent is not None:
+        _check_int(nd.parent, f"node {nd.id}: parent")
+    if not isinstance(nd.prob, Rational):
+        raise InputError(f"node {nd.id}: probability must be a Rational, got {nd.prob!r}")
+    if type(nd.price) is not tuple or not all(isinstance(v, Rational) for v in nd.price):
+        raise InputError(f"node {nd.id}: price must be a tuple of Rationals, got {nd.price!r}")
 
 
 def _check_int(value, what: str) -> None:
@@ -65,78 +68,75 @@ def _check_int(value, what: str) -> None:
         raise InputError(f"{what} must be an integer, got {value!r}")
 
 
-class ScenarioTree:
-    """Immutable rooted tree. Construction performs only the structural
-    checks without which no operation makes sense (integer counts and
-    ids, unique ids, a single root, parents resolve, no cycles); the
-    semantic invariants are the business of validate().
+class ScenarioTree(Record):
+    """Immutable rooted tree: a Record with the fields ``d``, ``horizon``
+    and ``nodes`` (sorted by id). Construction performs only the
+    structural checks without which no operation makes sense (Node
+    records with integer ids and exact values, integer counts, unique
+    ids, one root, parents resolve, no cycles); the semantic invariants
+    are the business of validate().
 
     ``order`` holds the nodes breadth-first from the root, each after its
     parent: a top-down pass over the tree is one loop over it, a
     bottom-up pass one loop over its reverse.
 
     Data derived from the nodes alone is computed once per tree, on
-    first use, and kept: each edge increment, each node's
-    ConditionalSupport, and a passing ``ensure_valid``. Nothing a route
-    computes from that data (an LP outcome, a certificate, a verdict)
-    is kept."""
+    first use, and kept in containers the constructor makes: each edge
+    increment, each node's ConditionalSupport, and a passing
+    ``ensure_valid``. No attribute can be assigned or deleted, so none
+    of it goes stale; copy and pickle rebuild the tree with them empty.
+    Nothing a route computes from that data (an LP outcome, a
+    certificate, a verdict) is kept."""
+
+    __slots__ = ("d", "horizon", "nodes", "root", "order", "_by_id", "_children",
+                 "_depth", "_increments", "_supports", "_passed")
+    _fields = ("d", "horizon", "nodes")
 
     def __init__(self, d: int, horizon: int, nodes: Iterable[Node]):
         nodes = tuple(nodes)
-        # before any sort or hash: bool is an int subclass, and floats,
-        # strings and lists are not counts or ids
         _check_int(d, "asset count")
         _check_int(horizon, "horizon")
         for nd in nodes:
-            _check_int(nd.id, "node id")
-            if nd.parent is not None:
-                _check_int(nd.parent, f"node {nd.id}: parent")
-        self.d = d
-        self.horizon = horizon
-        self.nodes = tuple(sorted(nodes, key=lambda nd: nd.id))
-        if self.d < 1:
+            _check_node(nd)
+        nodes = tuple(sorted(nodes, key=lambda nd: nd.id))
+        if d < 1:
             raise InputError(f"asset count must be >= 1, got {d}")
-        if self.horizon < 0:
+        if horizon < 0:
             raise InputError(f"horizon must be >= 0, got {horizon}")
-        if not self.nodes:
+        if not nodes:
             raise InputError("a tree needs at least a root node")
 
         by_id: dict[int, Node] = {}
-        for nd in self.nodes:
+        for nd in nodes:
             if nd.id in by_id:
                 raise InputError(f"duplicate node id {nd.id}")
             by_id[nd.id] = nd
-        self._by_id = by_id
 
-        roots = [nd for nd in self.nodes if nd.parent is None]
+        roots = [nd for nd in nodes if nd.parent is None]
         if len(roots) != 1:
             raise InputError(f"expected exactly one root, found {len(roots)}")
-        self.root = roots[0].id
+        root = roots[0].id
 
-        children: dict[int, list[int]] = {nd.id: [] for nd in self.nodes}
-        for nd in self.nodes:
-            if nd.parent is None:
-                continue
-            if nd.parent not in by_id:
-                raise InputError(f"node {nd.id} references missing parent {nd.parent}")
-            children[nd.parent].append(nd.id)
-        self._children = {k: tuple(sorted(v)) for k, v in children.items()}
+        children: dict[int, list[int]] = {nd.id: [] for nd in nodes}
+        for nd in nodes:  # by id, so each child list comes out sorted
+            if nd.parent is not None:
+                if nd.parent not in by_id:
+                    raise InputError(f"node {nd.id} references missing parent {nd.parent}")
+                children[nd.parent].append(nd.id)
+        kids = {k: tuple(v) for k, v in children.items()}
 
         # breadth-first from the root: each node comes after its parent
         order = [roots[0]]
-        depth: dict[int, int] = {self.root: 0}
+        depth: dict[int, int] = {root: 0}
         for nd in order:
-            for c in self._children[nd.id]:
+            for c in kids[nd.id]:
                 depth[c] = depth[nd.id] + 1
                 order.append(by_id[c])
-        if len(order) != len(self.nodes):
+        if len(order) != len(nodes):
             orphans = sorted(set(by_id) - set(depth))
             raise InputError(f"nodes unreachable from the root (cycle?): {orphans}")
-        self.order = tuple(order)
-        self._depth = depth
-        self._increments: dict[int, Vector] = {}
-        self._supports: dict[int, ConditionalSupport] = {}
-        self._valid = False
+        # the per-tree caches: increments, supports, passed checks
+        super().__init__(d, horizon, nodes, root, tuple(order), by_id, kids, depth, {}, {}, set())
 
     # --- structure queries ----------------------------------------------
 
@@ -173,20 +173,6 @@ class ScenarioTree:
 
     def non_leaves(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes if self._children[nd.id])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScenarioTree)
-            and self.d == other.d
-            and self.horizon == other.horizon
-            and self.nodes == other.nodes
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ScenarioTree(d={self.d}, horizon={self.horizon}, "
-            f"nodes={len(self.nodes)})"
-        )
 
 
 def validate(tree: ScenarioTree) -> list[Violation]:
@@ -227,13 +213,13 @@ def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
     """The tree, or InputError listing its violations. A pass is
     recorded on the tree, so later calls do not validate it again; a
     failure is not, and raises on every call."""
-    if tree._valid:
+    if "validate" in tree._passed:
         return tree
     violations = validate(tree)
     if violations:
         listing = "; ".join(str(v) for v in violations)
         raise InputError(f"invalid tree: {listing}")
-    tree._valid = True
+    tree._passed.add("validate")
     return tree
 
 
@@ -257,9 +243,7 @@ class ConditionalSupport(Record):
         spanned = span_basis(tuple(x for x, _ in atoms))
         if basis is not None and tuple(basis) != spanned:
             raise InputError(f"node {node}: basis is not the atoms' reduced row-echelon basis")
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "basis", spanned)
+        super().__init__(node, atoms, spanned)
 
     @property
     def d(self) -> int:
@@ -330,9 +314,6 @@ class LeafDensity(Record):
     __slots__ = ("values",)
 
     values: tuple[tuple[int, Rational], ...]  # (leaf id, z) sorted by leaf id
-
-    def __init__(self, values) -> None:
-        object.__setattr__(self, "values", values)
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, Rational]) -> "LeafDensity":

@@ -147,12 +147,7 @@ class TreeParams(Record):
 
     def __init__(self, assets=1, steps=1, max_branching=2, value_range=(-8, 8),
                  max_denominator=16, mode="generic") -> None:
-        object.__setattr__(self, "assets", assets)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "max_branching", max_branching)
-        object.__setattr__(self, "value_range", value_range)
-        object.__setattr__(self, "max_denominator", max_denominator)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(assets, steps, max_branching, value_range, max_denominator, mode)
 
 
 def _check_params(params: TreeParams) -> None:
@@ -284,17 +279,6 @@ class EquivalenceReport(Record):
     certificates: dict[int, RiCertificate]
     consistent: bool
     seed: Optional[int]
-
-    def __init__(self, verdict_na_strategy, verdict_geometry, verdict_emm, arbitrage,
-                 construction, certificates, consistent, seed=None) -> None:
-        object.__setattr__(self, "verdict_na_strategy", verdict_na_strategy)
-        object.__setattr__(self, "verdict_geometry", verdict_geometry)
-        object.__setattr__(self, "verdict_emm", verdict_emm)
-        object.__setattr__(self, "arbitrage", arbitrage)
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "seed", seed)
 
 
 def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> EquivalenceReport:

@@ -34,6 +34,10 @@ class TestNormalize:
         with pytest.raises(InputError):
             max_norm_normalize((ZERO, ZERO))
 
+    def test_zero_dimensional_rejected(self):
+        with pytest.raises(InputError, match="zero vector"):
+            max_norm_normalize(())
+
 
 class TestVerdicts:
     def test_two_sided_segment(self):
@@ -136,6 +140,10 @@ class TestCertificateCheck:
         points = pts((1, 0), (2, 0))
         assert not check_ri_certificate(points, NotInRi(direction=(ZERO, Q(1))))
         assert check_ri_certificate(points, NotInRi(direction=(Q(1), ZERO)))
+
+    def test_rejects_zero_dimensional_direction(self):
+        # an empty direction has no component of absolute value 1
+        assert not check_ri_certificate([()], NotInRi(()))
 
 
 def test_dichotomy_sample():

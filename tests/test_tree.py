@@ -108,6 +108,52 @@ class TestConstruction:
         with pytest.raises(InputError, match="must be an integer"):
             ScenarioTree(d, horizon, [Node(0, None, R1, (Q(0),)), child])
 
+    @pytest.mark.parametrize("child, message", [
+        ({"id": 1, "parent": 0}, "Node records"),
+        ((1, 0, R1, (Q(1),)), "Node records"),
+        (Node(1, 0, "1", (Q(1),)), "probability must be a Rational"),
+        (Node(1, 0, 0.5, (Q(1),)), "probability must be a Rational"),
+        (Node(1, 0, None, (Q(1),)), "probability must be a Rational"),
+        (Node(1, 0, R1, ("1",)), "price must be a tuple of Rationals"),
+        (Node(1, 0, R1, (1.5,)), "price must be a tuple of Rationals"),
+        (Node(1, 0, R1, [Q(1)]), "price must be a tuple of Rationals"),
+        (Node(1, 0, R1, "1"), "price must be a tuple of Rationals"),
+    ])
+    def test_non_exact_nodes_rejected(self, child, message):
+        with pytest.raises(InputError, match=message):
+            ScenarioTree(1, 1, [Node(0, None, R1, (Q(0),)), child])
+
+
+class TestImmutable:
+    def test_nodes_cannot_change_after_validation(self):
+        t = skewed_coin()
+        ensure_valid(t)
+        with pytest.raises(AttributeError):
+            t.nodes = one_step([1, 2], ["1/2", "1/2"]).nodes
+        assert t == skewed_coin() and validate(t) == []
+        assert [t.increment(c) for c in t.children(0)] == [(Q(1),), (Q(-1),)]
+
+    def test_no_slot_can_be_assigned_or_deleted(self):
+        t = skewed_coin_two_period()
+        for name in ScenarioTree.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+        for name in ScenarioTree.__slots__:
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        assert t == skewed_coin_two_period()
+
+    def test_copy_and_pickle_rebuild_with_empty_caches(self):
+        t = skewed_coin_two_period()
+        ensure_valid(t)
+        t.increment(3)
+        conditional_support(t, 0)
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin is not t and twin == t and hash(twin) == hash(t)
+            assert twin.order == t.order and twin.children(0) == (1, 2)
+            assert twin._increments == {} and twin._supports == {} and not twin._passed
+            assert conditional_support(twin, 0) == conditional_support(t, 0)
+
 
 class TestValidation:
     def test_valid_trees(self):

@@ -15,7 +15,7 @@ from arbcheck import (
     validate,
     verify_martingale,
 )
-from arbcheck.errors import GeometryError, InputError
+from arbcheck.errors import GeometryError, InputError, Record
 from arbcheck.geometry import InRi, NotInRi
 from arbcheck.lp import Infeasible, Unbounded
 from arbcheck.tree import LeafDensity, Node, Violation
@@ -221,6 +221,10 @@ class TestGenerator:
             random_tree(TreeParams(**kwargs), 0)
 
 
+class Pair(Record):
+    __slots__ = ("first", "second")
+
+
 class TestRecords:
     """The package's value classes compare by kind and fields, hash by
     their fields, and cannot be changed after construction."""
@@ -254,6 +258,35 @@ class TestRecords:
         assert TreeParams() == TreeParams(assets=1, steps=1, max_branching=2,
                                           value_range=(-8, 8), max_denominator=16,
                                           mode="generic")
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Pair(1, 2) == Pair(first=1, second=2) == Pair(1, second=2)
+        assert Pair(second=2, first=1).second == 2
+        node = Node(1, 0, Q(1, 2), (Q(3),))
+        assert node == Node(id=1, parent=0, prob=Q(1, 2), price=(Q(3),))
+        assert node == Node(1, 0, price=(Q(3),), prob=Q(1, 2))
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1,), {}),  # missing
+        ((), {"first": 1}),  # missing
+        ((1, 2, 3), {}),  # extra
+        ((1, 2), {"first": 1}),  # given twice
+        ((1,), {"second": 2, "third": 3}),  # unknown
+        ((1,), {"secnd": 2}),  # unknown and missing
+    ])
+    def test_bad_fields_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError, match="takes the fields first, second"):
+            Pair(*args, **kwargs)
+
+    def test_only_checked_records_define_init(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        with_init = {cls.__name__ for cls in subclasses(Record)
+                     if cls.__module__.startswith("arbcheck.") and "__init__" in vars(cls)}
+        assert with_init == {"LinearProgram", "ConditionalSupport", "TreeParams", "ScenarioTree"}
 
     def test_repr_copy_and_pickle(self):
         v = Violation(None, "prob_sum", "sums to 1/2")
