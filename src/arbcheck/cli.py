@@ -165,31 +165,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check tree invariants")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("check", parents=[common], help="three-route equivalence check")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser(
-        "find-arbitrage", parents=[common], help="search for an arbitrage strategy"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_find_arbitrage)
-
-    p = sub.add_parser(
-        "build-emm", parents=[common], help="construct an equivalent martingale density"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_build_emm)
-
-    p = sub.add_parser(
-        "beta", parents=[common], help="budgeted scaled-gain optimum (at most 1)"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_beta)
+    for name, handler, help_text in (
+        ("validate", _cmd_validate, "check tree invariants"),
+        ("check", _cmd_check, "three-route equivalence check"),
+        ("find-arbitrage", _cmd_find_arbitrage, "search for an arbitrage strategy"),
+        ("build-emm", _cmd_build_emm, "construct an equivalent martingale density"),
+        ("beta", _cmd_beta, "budgeted scaled-gain optimum (at most 1)"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("file")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("gen", parents=[common], help="generate a random tree")
     p.add_argument("--assets", "-d", type=int, default=1)

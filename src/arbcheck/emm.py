@@ -78,7 +78,7 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
             sum((y[k] * basis[k][j] for k in range(r)), ZERO) for j in range(d)
         )
         cert = NotInRi(max_norm_normalize(h))
-        if not check_ri_certificate(support.values(), cert):
+        if not check_ri_certificate(support, cert):
             raise InternalError("unbounded support program gave a bad certificate")
         raise GeometryError(support.node, cert)
     if isinstance(outcome, Infeasible):

@@ -6,19 +6,22 @@ Both branches come with an exact certificate: strictly positive convex
 weights writing the origin, or a separating direction h in the span
 with (h, x) >= 0 on every atom and > 0 on at least one.
 
-The relative interior is always taken within the linear span of the
-atoms. Directions are normalized in the max-norm (exact arithmetic has
-no square roots; every property used downstream is scale-invariant).
+Every function takes the node's ConditionalSupport, whose constructor
+has checked the atoms and reduced their span once. The relative
+interior is always taken within that span. Directions are normalized
+in the max-norm (exact arithmetic has no square roots; every property
+used downstream is scale-invariant).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
-from .linalg import in_span, span_basis
+from .linalg import in_span
 from .lp import Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot, zero_vector
+from .tree import ConditionalSupport
 
 
 class InRi(Record):
@@ -42,28 +45,18 @@ class NotInRi(Record):
 RiCertificate = Union[InRi, NotInRi]
 
 
-def _checked_points(points: Sequence[Vector]) -> tuple[Vector, ...]:
-    pts = tuple(tuple(p) for p in points)
-    if not pts:
-        raise InputError("empty atom list")
-    dims = {len(p) for p in pts}
-    if len(dims) != 1:
-        raise InputError(f"atoms of mixed dimensions: {sorted(dims)}")
-    return pts
-
-
-def separation_optimum(points: Sequence[Vector]) -> tuple[Rational, Vector]:
-    """Maximize sum_i (h, x_i) over directions h in span(points) with
-    (h, x_i) >= 0 and |h_j| <= 1 componentwise.
+def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
+    """Maximize sum_i (h, x_i) over h in the support's span, with
+    (h, x_i) >= 0 on its atoms x_i and |h_j| <= 1 componentwise.
 
     Returns the exact optimum and an optimizer. The optimum is 0 exactly
     when the origin is in the relative interior (and then the optimizer
     is the zero vector); any positive optimum exhibits a separating
     direction.
     """
-    pts = _checked_points(points)
-    d = len(pts[0])
-    basis = span_basis(pts)
+    pts = support.values()
+    d = support.d
+    basis = support.basis
     r = len(basis)
     if r == 0:
         return ZERO, zero_vector(d)
@@ -98,35 +91,34 @@ def max_norm_normalize(h: Vector) -> Vector:
     return tuple(c / m for c in h)
 
 
-def arbitrage_direction(points: Sequence[Vector]) -> Optional[Vector]:
-    """The separating direction when one exists, max-norm normalized;
-    None when the origin is in the relative interior."""
-    pts = _checked_points(points)
-    value, h = separation_optimum(pts)
+def arbitrage_direction(support: ConditionalSupport) -> Optional[Vector]:
+    """The support's separating direction when one exists, max-norm
+    normalized; None when the origin is in the relative interior."""
+    value, h = separation_optimum(support)
     if value == 0:
         if any(h):
             raise InternalError("zero separation value with a nonzero optimizer")
         return None
     direction = max_norm_normalize(h)
     cert = NotInRi(direction)
-    if not check_ri_certificate(pts, cert):
+    if not check_ri_certificate(support, cert):
         raise InternalError("separating direction failed exact re-check")
     return direction
 
 
-def ri_conv_contains_origin(points: Sequence[Vector]) -> RiCertificate:
-    """Exact dichotomy with certificates.
+def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
+    """Exact dichotomy with certificates for the support's atoms x_i.
 
-    The origin is in the relative interior of conv(points) iff it is a
-    convex combination with all-positive weights, i.e. iff the LP
+    The origin is in the relative interior of their convex hull iff it
+    is a convex combination with all-positive weights, i.e. iff the LP
     maximize t s.t. lambda_i >= t, sum lambda = 1, sum lambda_i x_i = 0
     has a positive optimum. Its weights are re-checked here; otherwise
     the separating direction comes from ``arbitrage_direction``, which
     re-checks it.
     """
-    pts = _checked_points(points)
+    pts = support.values()
     n = len(pts)
-    d = len(pts[0])
+    d = support.d
     # variables: lambda_1..lambda_n, then t; all free
     rows = []
     rhs = []
@@ -151,19 +143,20 @@ def ri_conv_contains_origin(points: Sequence[Vector]) -> RiCertificate:
         raise InternalError("interiority program cannot be unbounded")
     if isinstance(outcome, Optimal) and outcome.value > 0:
         cert = InRi(tuple(outcome.point[:n]))
-        if not check_ri_certificate(pts, cert):
+        if not check_ri_certificate(support, cert):
             raise InternalError("interiority certificate failed exact re-check")
         return cert
-    direction = arbitrage_direction(pts)
+    direction = arbitrage_direction(support)
     if direction is None:
         raise InternalError("certificate branches disagree on interiority")
     return NotInRi(direction)
 
 
-def check_ri_certificate(points: Sequence[Vector], cert: RiCertificate) -> bool:
-    """Exact re-verification of either certificate against its invariants."""
-    pts = _checked_points(points)
-    d = len(pts[0])
+def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bool:
+    """Exact re-verification of either certificate against the support's
+    atoms and, for a direction, its span basis."""
+    pts = support.values()
+    d = support.d
     if isinstance(cert, InRi):
         lam = cert.weights
         if len(lam) != len(pts):
@@ -182,7 +175,7 @@ def check_ri_certificate(points: Sequence[Vector], cert: RiCertificate) -> bool:
             return False
         if max((abs(c) for c in h), default=ZERO) != 1:
             return False
-        if not in_span(h, pts):
+        if not in_span(h, support.basis):
             return False
         strict = False
         for x in pts:

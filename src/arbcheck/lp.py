@@ -231,7 +231,7 @@ class _Simplex:
         self.sign = [1] * n
         self.shift = [ZERO if lo is None else lo for lo in lp.lower]
         self.free_cols = [j for j, lo in enumerate(lp.lower) if lo is None]
-        self.n_struct = ncols = n
+        ncols = n
 
         shifted = [(j, lo) for j, lo in enumerate(self.shift) if lo]
         rhs = [b - sum((row[j] * lo for j, lo in shifted if row[j]), ZERO)

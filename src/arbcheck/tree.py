@@ -230,20 +230,22 @@ class ConditionalSupport(Record):
     """Atoms (x, q) of the one-step conditional increment distribution at
     a non-leaf node: distinct increment values with their summed
     transition probabilities, and the reduced row-echelon basis of the
-    linear span of the values, which is built with the support. A basis
-    passed in (copy and pickle pass the stored one) must be that one."""
+    linear span of the values. The constructor takes the node and the
+    atoms, refuses an empty atom list or values of mixed dimensions, and
+    builds the basis; copy and pickle rebuild it from the atoms. The
+    geometry and emm routes read both from here."""
 
     __slots__ = ("node", "atoms", "basis")
+    _fields = ("node", "atoms")
 
     node: int
     atoms: tuple[tuple[Vector, Rational], ...]
     basis: tuple[Vector, ...]
 
-    def __init__(self, node, atoms, basis=None) -> None:
-        spanned = span_basis(tuple(x for x, _ in atoms))
-        if basis is not None and tuple(basis) != spanned:
-            raise InputError(f"node {node}: basis is not the atoms' reduced row-echelon basis")
-        super().__init__(node, atoms, spanned)
+    def __init__(self, node, atoms) -> None:
+        if not atoms:
+            raise InputError(f"node {node}: a support needs at least one atom")
+        super().__init__(node, atoms, span_basis(tuple(x for x, _ in atoms)))
 
     @property
     def d(self) -> int:

@@ -293,8 +293,7 @@ def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> Equiva
     certificates: dict[int, RiCertificate] = {}
     all_interior = True
     for nid in tree.non_leaves():
-        support = conditional_support(tree, nid)
-        cert = ri_conv_contains_origin(support.values())
+        cert = ri_conv_contains_origin(conditional_support(tree, nid))
         certificates[nid] = cert
         if isinstance(cert, NotInRi):
             all_interior = False

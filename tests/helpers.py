@@ -2,7 +2,7 @@
 
 from arbcheck import Q, ScenarioTree
 from arbcheck.rationals import as_rational
-from arbcheck.tree import Node, density_process
+from arbcheck.tree import ConditionalSupport, Node, density_process
 
 
 def vec(values):
@@ -105,6 +105,14 @@ def single_chain(steps, price=5):
     for _ in range(steps):
         spec = (price, [(Q(1), spec)])
     return build(1, spec)
+
+
+def support(points):
+    """The ConditionalSupport at node 0 with one atom per point, in
+    order and of equal weight; duplicate points stay separate atoms, so
+    an InRi certificate has one weight per point."""
+    pts = tuple(tuple(p) for p in points)
+    return ConditionalSupport(0, tuple((x, Q(1, len(pts))) for x in pts))
 
 
 def count_calls(monkeypatch, module, name):

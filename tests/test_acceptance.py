@@ -35,7 +35,7 @@ from arbcheck.geometry import (
 )
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
-from helpers import binomial, reweight, skewed_coin
+from helpers import binomial, reweight, skewed_coin, support
 from lp_oracle import oracle_check, random_lp
 from scaled_gain_oracle import scaled_gain_lp
 
@@ -264,10 +264,11 @@ def test_criterion_7_origin_membership_dichotomy():
         k = rng.randint(1, 6)
         points = [tuple(Q(rng.randint(-6, 6), rng.randint(1, 4))
                         for _ in range(d)) for _ in range(k)]
-        verdict = ri_conv_contains_origin(points)
-        direction = arbitrage_direction(points)
-        value, _ = separation_optimum(points)
-        if not check_ri_certificate(points, verdict):
+        cs = support(points)
+        verdict = ri_conv_contains_origin(cs)
+        direction = arbitrage_direction(cs)
+        value, _ = separation_optimum(cs)
+        if not check_ri_certificate(cs, verdict):
             failures.append(case)
         elif isinstance(verdict, InRi):
             interior += 1
@@ -277,7 +278,7 @@ def test_criterion_7_origin_membership_dichotomy():
             separated += 1
             if direction is None or value <= ZERO:
                 failures.append(case)
-            elif not check_ri_certificate(points, NotInRi(direction=direction)):
+            elif not check_ri_certificate(cs, NotInRi(direction=direction)):
                 failures.append(case)
     ok = interior + separated == 10_000 and interior > 0 and separated > 0 \
         and not failures

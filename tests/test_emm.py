@@ -57,7 +57,7 @@ class TestSupportFunction:
             support_function(cs, conditional_mean(cs))
         cert = exc.value.certificate
         assert isinstance(cert, NotInRi)
-        assert check_ri_certificate(cs.values(), cert)
+        assert check_ri_certificate(cs, cert)
 
 
 class TestOneStepDensity:
@@ -146,7 +146,7 @@ class TestBuildEmm:
         assert exc.value.node == 0
         cert = exc.value.certificate
         cs = conditional_support(sure_win(), 0)
-        assert check_ri_certificate(cs.values(), cert)
+        assert check_ri_certificate(cs, cert)
 
     def test_localized_arbitrage_flags_inner_node(self):
         with pytest.raises(GeometryError) as exc:

@@ -15,7 +15,7 @@ from arbcheck.geometry import (
 )
 from arbcheck.linalg import in_span
 from arbcheck.rationals import dot
-from helpers import vec
+from helpers import support, vec
 
 ZERO = Q(0)
 
@@ -41,30 +41,30 @@ class TestNormalize:
 
 class TestVerdicts:
     def test_two_sided_segment(self):
-        out = ri_conv_contains_origin(pts((1,), (-1,)))
+        out = ri_conv_contains_origin(support(pts((1,), (-1,))))
         assert isinstance(out, InRi)
         assert sum(out.weights, ZERO) == Q(1)
         assert all(w > 0 for w in out.weights)
 
     def test_one_sided_pair(self):
-        out = ri_conv_contains_origin(pts((1,), (2,)))
+        out = ri_conv_contains_origin(support(pts((1,), (2,))))
         assert out == NotInRi(direction=(Q(1),))
 
     def test_single_zero_atom(self):
-        assert ri_conv_contains_origin(pts((0, 0))) == InRi(weights=(Q(1),))
+        assert ri_conv_contains_origin(support(pts((0, 0)))) == InRi(weights=(Q(1),))
 
     def test_single_nonzero_atom(self):
-        out = ri_conv_contains_origin(pts((0, 5)))
+        out = ri_conv_contains_origin(support(pts((0, 5))))
         assert isinstance(out, NotInRi)
         assert out.direction == (ZERO, Q(1))
 
     def test_surrounding_triangle(self):
-        out = ri_conv_contains_origin(pts((1, 0), (0, 1), (-1, -1)))
+        out = ri_conv_contains_origin(support(pts((1, 0), (0, 1), (-1, -1))))
         assert isinstance(out, InRi)
-        assert check_ri_certificate(pts((1, 0), (0, 1), (-1, -1)), out)
+        assert check_ri_certificate(support(pts((1, 0), (0, 1), (-1, -1))), out)
 
     def test_quadrant_pair(self):
-        points = pts((1, 0), (0, 1))
+        points = support(pts((1, 0), (0, 1)))
         out = ri_conv_contains_origin(points)
         assert isinstance(out, NotInRi)
         assert check_ri_certificate(points, out)
@@ -72,47 +72,47 @@ class TestVerdicts:
     def test_origin_on_boundary(self):
         # origin is a vertex of the hull: in conv but not in its
         # relative interior
-        points = pts((0, 0), (1, 0), (0, 1))
+        points = support(pts((0, 0), (1, 0), (0, 1)))
         out = ri_conv_contains_origin(points)
         assert isinstance(out, NotInRi)
 
     def test_lower_dimensional_interior(self):
         # a segment through the origin inside R^3: relative interior
         # is taken within the affine hull, so this is a yes
-        points = pts((1, 1, 0), (-2, -2, 0))
+        points = support(pts((1, 1, 0), (-2, -2, 0)))
         out = ri_conv_contains_origin(points)
         assert isinstance(out, InRi)
 
     def test_input_errors(self):
         with pytest.raises(InputError):
-            ri_conv_contains_origin([])
+            ri_conv_contains_origin(support([]))
         with pytest.raises(InputError):
-            ri_conv_contains_origin(pts((1,), (1, 2)))
+            ri_conv_contains_origin(support(pts((1,), (1, 2))))
 
 
 class TestSeparation:
     def test_zero_when_interior(self):
-        value, h = separation_optimum(pts((1,), (-1,)))
+        value, h = separation_optimum(support(pts((1,), (-1,))))
         assert value == ZERO
         assert h == (ZERO,)
 
     def test_positive_when_separated(self):
-        value, h = separation_optimum(pts((1,), (2,)))
+        value, h = separation_optimum(support(pts((1,), (2,))))
         assert value > 0
         assert all(dot(h, x) >= 0 for x in pts((1,), (2,)))
 
     def test_degenerate_all_zero(self):
-        assert separation_optimum([(ZERO,)]) == (ZERO, (ZERO,))
+        assert separation_optimum(support([(ZERO,)])) == (ZERO, (ZERO,))
 
 
 class TestDirection:
     def test_none_under_interior(self):
-        assert arbitrage_direction(pts((1,), (-1,))) is None
-        assert arbitrage_direction(pts((1, 0), (0, 1), (-1, -1))) is None
+        assert arbitrage_direction(support(pts((1,), (-1,)))) is None
+        assert arbitrage_direction(support(pts((1, 0), (0, 1), (-1, -1)))) is None
 
     def test_direction_invariants(self):
         points = pts((1, 2), (2, 1), (1, 1))
-        h = arbitrage_direction(points)
+        h = arbitrage_direction(support(points))
         assert h is not None
         assert max(abs(c) for c in h) == Q(1)
         assert in_span(h, points)
@@ -122,7 +122,7 @@ class TestDirection:
 
 class TestCertificateCheck:
     def test_rejects_tampered_weights(self):
-        points = pts((1,), (-1,))
+        points = support(pts((1,), (-1,)))
         assert check_ri_certificate(points, InRi(weights=(Q(1, 2), Q(1, 2))))
         assert not check_ri_certificate(points, InRi(weights=(Q(1, 4), Q(1, 4))))
         assert not check_ri_certificate(points, InRi(weights=(Q(3, 4), Q(1, 4))))
@@ -130,20 +130,20 @@ class TestCertificateCheck:
         assert not check_ri_certificate(points, InRi(weights=(Q(1, 2),)))
 
     def test_rejects_tampered_direction(self):
-        points = pts((1,), (2,))
+        points = support(pts((1,), (2,)))
         assert check_ri_certificate(points, NotInRi(direction=(Q(1),)))
         assert not check_ri_certificate(points, NotInRi(direction=(Q(2),)))
         assert not check_ri_certificate(points, NotInRi(direction=(Q(-1),)))
         assert not check_ri_certificate(points, NotInRi(direction=(ZERO,)))
 
     def test_rejects_direction_outside_span(self):
-        points = pts((1, 0), (2, 0))
+        points = support(pts((1, 0), (2, 0)))
         assert not check_ri_certificate(points, NotInRi(direction=(ZERO, Q(1))))
         assert check_ri_certificate(points, NotInRi(direction=(Q(1), ZERO)))
 
     def test_rejects_zero_dimensional_direction(self):
         # an empty direction has no component of absolute value 1
-        assert not check_ri_certificate([()], NotInRi(()))
+        assert not check_ri_certificate(support([()]), NotInRi(()))
 
 
 def test_dichotomy_sample():
@@ -156,13 +156,13 @@ def test_dichotomy_sample():
         k = rng.randint(1, 5)
         points = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3))
                         for _ in range(d)) for _ in range(k)]
-        out = ri_conv_contains_origin(points)
+        out = ri_conv_contains_origin(support(points))
         kinds[type(out)] += 1
-        assert check_ri_certificate(points, out)
-        value, _ = separation_optimum(points)
+        assert check_ri_certificate(support(points), out)
+        value, _ = separation_optimum(support(points))
         if isinstance(out, InRi):
             assert value == ZERO
-            assert arbitrage_direction(points) is None
+            assert arbitrage_direction(support(points)) is None
         else:
             assert value > 0
     assert kinds[InRi] > 0 and kinds[NotInRi] > 0
@@ -177,5 +177,5 @@ def test_scaling_preserves_verdict():
                   for _ in range(k)]
         c = Q(rng.randint(1, 9), rng.randint(1, 9))
         scaled = [tuple(c * x for x in p) for p in points]
-        assert type(ri_conv_contains_origin(points)) \
-            is type(ri_conv_contains_origin(scaled))
+        assert type(ri_conv_contains_origin(support(points))) \
+            is type(ri_conv_contains_origin(support(scaled)))

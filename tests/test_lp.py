@@ -122,7 +122,7 @@ class TestTableauEdgeCases:
         extract = _Simplex._extract_ray
 
         def spy(self, enter):
-            seen.append(enter >= self.n_struct)
+            seen.append(enter >= self.lp.n_vars)
             return extract(self, enter)
 
         monkeypatch.setattr(_Simplex, "_extract_ray", spy)

@@ -290,11 +290,11 @@ class TestSupports:
         for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert twin == cs and twin.basis == cs.basis == ((Q(1), Q(0)), (Q(0), Q(1)))
 
-    def test_basis_must_match_the_atoms(self):
-        atoms = (((Q(1), Q(0)), Q(1, 2)), ((Q(-1), Q(0)), Q(1, 2)))
-        assert ConditionalSupport(0, atoms, ((Q(1), Q(0)),)).basis == ((Q(1), Q(0)),)
-        with pytest.raises(InputError, match="basis"):
-            ConditionalSupport(0, atoms, ((Q(2), Q(0)),))
+    def test_empty_or_mixed_atoms_rejected(self):
+        with pytest.raises(InputError, match="at least one atom"):
+            ConditionalSupport(0, ())
+        with pytest.raises(InputError, match="mixed dimensions"):
+            ConditionalSupport(0, (((Q(1),), Q(1, 2)), ((Q(1), Q(2)), Q(1, 2))))
 
     def test_two_assets(self):
         t = one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"])

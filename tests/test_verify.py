@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import arbcheck.linalg
 from arbcheck import (
     Q,
     build_emm,
+    conditional_support,
     equivalence_report,
     find_arbitrage,
     gains,
@@ -34,6 +36,7 @@ from scaled_gain_oracle import scaled_gain_lp
 from helpers import (
     binomial,
     build,
+    count_calls,
     localized_arbitrage,
     one_step,
     single_chain,
@@ -112,6 +115,23 @@ class TestEquivalenceReport:
         assert rep.certificates == {0: NotInRi(direction=(Q(1),))}
         g = gains(sure_win(), rep.arbitrage)
         assert all(v >= 0 for v in g.values()) and any(v > 0 for v in g.values())
+
+    def test_each_support_is_reduced_once(self, monkeypatch):
+        # span_basis and in_span look _echelon up at call time; a call
+        # on a node's basis is not one on its atoms, which all differ
+        # from their basis ((1,),)
+        calls = count_calls(monkeypatch, arbcheck.linalg, "_echelon")
+        tree = build(1, (0, [
+            ("1/2", (2, [("1/2", (3, [])), ("1/2", (5, []))])),
+            ("1/2", (-1, [("1/2", (0, [])), ("1/2", (-3, []))])),
+        ]))
+        rep = equivalence_report(tree)
+        assert {type(c) for c in rep.certificates.values()} == {InRi, NotInRi}
+        reduced = [tuple(map(tuple, vectors)) for (vectors,) in calls]
+        for nid in tree.non_leaves():
+            support = conditional_support(tree, nid)
+            assert support.values() != support.basis
+            assert reduced.count(support.values()) == 1
 
     def test_rejects_invalid_tree(self):
         from arbcheck.tree import Node, ScenarioTree
