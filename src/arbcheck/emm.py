@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
 from .linalg import in_span
-from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
+from .lp import Infeasible, Optimal, Unbounded, solve_lp, sparse_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot
 from .tree import (
     ConditionalSupport,
@@ -50,26 +50,15 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     n = len(support.atoms)
     d = support.d
     # variables: y_1..y_r free (h = sum y_k b_k), then t_1..t_n >= 0
-    nvars = r + n
     rows = []
-    rhs = []
     for i, (x, _) in enumerate(support.atoms):
-        row = [ZERO] * nvars
-        for k in range(r):
-            c = dot(basis[k], x)
-            if c:
-                row[k] = -c
+        row = {k: -dot(b, x) for k, b in enumerate(basis)}
         row[r + i] = Q(-1)
-        rows.append(row)  # t_i >= -(h, x_i)
-        rhs.append(ZERO)
-    budget = [ZERO] * nvars
-    for i, (_, q) in enumerate(support.atoms):
-        budget[r + i] = q
-    rows.append(budget)  # expected lifted loss <= 1
-    rhs.append(ONE)
-    objective = [dot(basis[k], a) for k in range(r)] + [ZERO] * n
-    lower = [None] * r + [ZERO] * n
-    outcome = solve_lp(make_lp(objective, rows, rhs, lower=lower))
+        rows.append((row, ZERO, False))  # t_i >= -(h, x_i)
+    budget = {r + i: q for i, (_, q) in enumerate(support.atoms)}
+    rows.append((budget, ONE, False))  # expected lifted loss <= 1
+    objective = {k: dot(b, a) for k, b in enumerate(basis)}
+    outcome = solve_lp(sparse_lp(r + n, objective, rows, [None] * r + [ZERO] * n))
     if isinstance(outcome, Unbounded):
         # the ray's direction part certifies the origin outside the
         # relative interior: every (h, x_i) >= 0 and (a, h) > 0
@@ -119,30 +108,12 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     n = len(support.atoms)
     d = support.d
     # variables: g_1..g_n, then the max bound u; all floored at f
-    nvars = n + 1
-    rows = []
-    rhs = []
-    eqs = []
-    for i in range(n):
-        row = [ZERO] * nvars
-        row[i] = ONE
-        row[n] = Q(-1)
-        rows.append(row)  # g_i <= u
-        rhs.append(ZERO)
-        eqs.append(False)
-    for j in range(d):
-        row = [ZERO] * nvars
-        for i, (x, q) in enumerate(support.atoms):
-            if x[j]:
-                row[i] = q * x[j]
-        rows.append(row)  # E[g * increment_j] = 0
-        rhs.append(ZERO)
-        eqs.append(True)
-    objective = [ZERO] * n + [Q(-1)]  # minimize u
-    lower = [f] * nvars
-    # solve_lp re-checks the optimal point against the floors and the
-    # martingale rows; build_emm re-checks the pasted density
-    outcome = solve_lp(make_lp(objective, rows, rhs, eqs, lower))
+    rows = [({i: ONE, n: Q(-1)}, ZERO, False) for i in range(n)]  # g_i <= u
+    rows += [({i: q * x[j] for i, (x, q) in enumerate(support.atoms) if x[j]}, ZERO, True)
+             for j in range(d)]  # E[g * increment_j] = 0
+    # minimize u; solve_lp re-checks the optimal point against the floors
+    # and the martingale rows; build_emm re-checks the pasted density
+    outcome = solve_lp(sparse_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1)))
     if isinstance(outcome, Infeasible):
         raise InternalError("one-step density infeasible although the origin is interior")
     if isinstance(outcome, Unbounded):

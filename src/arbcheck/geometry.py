@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
 from .linalg import in_span
-from .lp import Optimal, Unbounded, make_lp, solve_lp
+from .lp import Optimal, Unbounded, solve_lp, sparse_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot, zero_vector
 from .tree import ConditionalSupport
 
@@ -62,19 +62,14 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
         return ZERO, zero_vector(d)
     # variables: y_1..y_r, h = sum_k y_k basis_k
     inner = [[dot(b, x) for b in basis] for x in pts]  # (h, x_i) row coefficients
-    rows = []
-    rhs = []
-    for coeffs in inner:
-        rows.append([-c for c in coeffs])  # (h, x_i) >= 0
-        rhs.append(ZERO)
+    rows = [(dict(enumerate(-c for c in coeffs)), ZERO, False)  # (h, x_i) >= 0
+            for coeffs in inner]
     for j in range(d):
-        col = [basis[k][j] for k in range(r)]
-        rows.append(col)  # h_j <= 1
-        rhs.append(ONE)
-        rows.append([-c for c in col])  # -h_j <= 1
-        rhs.append(ONE)
-    objective = [sum((inner[i][k] for i in range(len(pts))), ZERO) for k in range(r)]
-    outcome = solve_lp(make_lp(objective, rows, rhs))
+        col = {k: b[j] for k, b in enumerate(basis)}
+        rows.append((col, ONE, False))  # h_j <= 1
+        rows.append(({k: -c for k, c in col.items()}, ONE, False))  # -h_j <= 1
+    objective = dict(enumerate(sum(column, ZERO) for column in zip(*inner)))  # sum_i (h, x_i)
+    outcome = solve_lp(sparse_lp(r, objective, rows))
     if not isinstance(outcome, Optimal):
         raise InternalError("separation program must be feasible and bounded")
     y = outcome.point
@@ -120,25 +115,11 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     n = len(pts)
     d = support.d
     # variables: lambda_1..lambda_n, then t; all free
-    rows = []
-    rhs = []
-    eqs = []
-    for i in range(n):
-        row = [ZERO] * (n + 1)
-        row[i] = Q(-1)
-        row[n] = ONE
-        rows.append(row)  # t - lambda_i <= 0
-        rhs.append(ZERO)
-        eqs.append(False)
-    rows.append([ONE] * n + [ZERO])
-    rhs.append(ONE)
-    eqs.append(True)
-    for j in range(d):
-        rows.append([pts[i][j] for i in range(n)] + [ZERO])
-        rhs.append(ZERO)
-        eqs.append(True)
-    objective = [ZERO] * n + [ONE]
-    outcome = solve_lp(make_lp(objective, rows, rhs, eqs))
+    rows = [({i: Q(-1), n: ONE}, ZERO, False) for i in range(n)]  # t - lambda_i <= 0
+    rows.append((dict.fromkeys(range(n), ONE), ONE, True))  # sum lambda = 1
+    rows += [({i: x[j] for i, x in enumerate(pts)}, ZERO, True)  # sum lambda_i x_i = 0
+             for j in range(d)]
+    outcome = solve_lp(sparse_lp(n + 1, {n: ONE}, rows))
     if isinstance(outcome, Unbounded):
         raise InternalError("interiority program cannot be unbounded")
     if isinstance(outcome, Optimal) and outcome.value > 0:

@@ -33,7 +33,7 @@ never bad input.
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
 from .rationals import ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot, int_row
@@ -95,6 +95,29 @@ def make_lp(
     return LinearProgram(obj, mat, b, eq, lo)
 
 
+def _dense(coeffs: Mapping[int, RationalLike], n: int) -> list:
+    """The length-``n`` row of a {column: coefficient} map."""
+    row = [ZERO] * n
+    for j, c in coeffs.items():
+        if not 0 <= j < n:
+            raise InputError(f"column {j} outside 0..{n - 1}")
+        row[j] = c
+    return row
+
+
+def sparse_lp(
+    n_vars: int,
+    objective: Mapping[int, RationalLike],
+    rows: Sequence[tuple[Mapping[int, RationalLike], RationalLike, bool]],
+    lower: Optional[Sequence[Optional[RationalLike]]] = None,
+) -> LinearProgram:
+    """``make_lp`` over {column: coefficient} maps: the objective is one
+    map and each row a (coefficients, rhs, is_equality) triple. An absent
+    column is ZERO; one outside 0..n_vars-1 raises InputError."""
+    return make_lp(_dense(objective, n_vars), [_dense(c, n_vars) for c, _, _ in rows],
+                   [b for _, b, _ in rows], [eq for _, _, eq in rows], lower)
+
+
 class Optimal(Record):
     __slots__ = ("point", "value")
 
@@ -126,13 +149,10 @@ def farkas_row_system(lp: LinearProgram):
     rows = list(lp.rows)
     rhs = list(lp.rhs)
     eqs = list(lp.equalities)
-    n = lp.n_vars
     for j, lo in enumerate(lp.lower):
         if lo is None:
             continue
-        row = [ZERO] * n
-        row[j] = Q(-1)
-        rows.append(tuple(row))
+        rows.append(tuple(_dense({j: Q(-1)}, lp.n_vars)))
         rhs.append(-lo)
         eqs.append(False)
     return tuple(rows), tuple(rhs), tuple(eqs)

@@ -231,7 +231,8 @@ class ConditionalSupport(Record):
     a non-leaf node: distinct increment values with their summed
     transition probabilities, and the reduced row-echelon basis of the
     linear span of the values. The constructor takes the node and the
-    atoms, refuses an empty atom list or values of mixed dimensions, and
+    atoms, a non-empty tuple of (tuple of Rationals, Rational > 0)
+    pairs whose values share one dimension, refuses anything else, and
     builds the basis; copy and pickle rebuild it from the atoms. The
     geometry and emm routes read both from here."""
 
@@ -243,8 +244,15 @@ class ConditionalSupport(Record):
     basis: tuple[Vector, ...]
 
     def __init__(self, node, atoms) -> None:
-        if not atoms:
-            raise InputError(f"node {node}: a support needs at least one atom")
+        if type(atoms) is not tuple or not atoms:
+            raise InputError(f"node {node}: a support needs a tuple of at least one atom, "
+                             f"got {atoms!r}")
+        for atom in atoms:
+            if not (type(atom) is tuple and len(atom) == 2 and type(atom[0]) is tuple
+                    and all(isinstance(v, Rational) for v in atom[0])
+                    and isinstance(atom[1], Rational) and atom[1] > 0):
+                raise InputError(f"node {node}: an atom must be a pair (tuple of Rationals, "
+                                 f"Rational > 0), got {atom!r}")
         super().__init__(node, atoms, span_basis(tuple(x for x, _ in atoms)))
 
     @property

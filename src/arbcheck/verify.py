@@ -23,7 +23,7 @@ from .geometry import (
     max_norm_normalize,
     ri_conv_contains_origin,
 )
-from .lp import Optimal, make_lp, solve_lp
+from .lp import Optimal, solve_lp, sparse_lp
 from .rationals import (
     ONE,
     Q,
@@ -72,21 +72,20 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
 
     # one pass from the root: the expected gain, and each node's gain
     # coefficients negated
-    objective = [ZERO] * nvars
-    loss = {tree.root: [ZERO] * nvars}
+    objective: dict[int, Rational] = {}
+    loss: dict[int, dict[int, Rational]] = {tree.root: {}}
     for nd in tree.order[1:]:
-        row = loss[nd.parent][:]
+        row = dict(loss[nd.parent])
         for j, diff in enumerate(tree.increment(nd.id)):
             if diff:
                 k = col[(nd.parent, j)]
-                objective[k] += reach[nd.id] * diff
+                objective[k] = objective.get(k, ZERO) + reach[nd.id] * diff
                 row[k] = -diff
         loss[nd.id] = row
 
-    rows = [loss[leaf] for leaf in tree.leaves()]  # terminal gain >= 0
-    rows.append(objective)  # the budget E[gain] <= 1
-    rhs = [ZERO] * (len(rows) - 1) + [ONE]
-    outcome = solve_lp(make_lp(objective, rows, rhs))
+    rows = [(loss[leaf], ZERO, False) for leaf in tree.leaves()]  # terminal gain >= 0
+    rows.append((objective, ONE, False))  # the budget E[gain] <= 1
+    outcome = solve_lp(sparse_lp(nvars, objective, rows))
     if not isinstance(outcome, Optimal) or outcome.value not in (0, 1):
         raise InternalError("arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:

@@ -17,6 +17,7 @@ from arbcheck.lp import (
     _check_new_basis,
     make_lp,
     solve_lp,
+    sparse_lp,
 )
 from lp_oracle import oracle_check, random_lp
 
@@ -222,6 +223,40 @@ class TestInputValidation:
     def test_floats_rejected(self):
         with pytest.raises(InputError):
             make_lp([0.5], [[1]], [0])
+
+
+class TestSparseLp:
+    def test_equals_make_lp_on_the_dense_form(self):
+        # free x0, x1 >= 0, x2 >= 1/2; two inequality rows, one equality
+        sparse = sparse_lp(
+            3,
+            {0: 1, 2: Q(-1, 3)},
+            [({0: 1, 1: 2}, 4, False), ({1: -1, 2: "3/2"}, -1, False), ({0: 1, 2: 1}, 2, True)],
+            lower=[None, 0, Q(1, 2)],
+        )
+        dense = make_lp(
+            [1, 0, Q(-1, 3)],
+            [[1, 2, 0], [0, -1, Q(3, 2)], [1, 0, 1]],
+            [4, -1, 2],
+            equalities=[False, False, True],
+            lower=[None, 0, Q(1, 2)],
+        )
+        assert sparse == dense
+        assert solve_lp(sparse) == solve_lp(dense)
+
+    def test_absent_columns_are_zero(self):
+        lp = sparse_lp(4, {}, [({2: 5}, 1, False)])
+        assert lp.objective == (Q(0),) * 4
+        assert lp.rows == ((Q(0), Q(0), Q(5), Q(0)),)
+        assert lp.rhs == (Q(1),) and lp.equalities == (False,)
+        assert lp.lower == (None,) * 4
+
+    @pytest.mark.parametrize("col", [-1, 3])
+    def test_column_outside_the_program_rejected(self, col):
+        with pytest.raises(InputError, match="outside 0..2"):
+            sparse_lp(3, {col: 1}, [])
+        with pytest.raises(InputError, match="outside 0..2"):
+            sparse_lp(3, {}, [({0: 1, col: 1}, 0, False)])
 
 
 def _agree_with_oracle(rng, **kinds):

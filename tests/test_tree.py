@@ -295,6 +295,22 @@ class TestSupports:
             ConditionalSupport(0, ())
         with pytest.raises(InputError, match="mixed dimensions"):
             ConditionalSupport(0, (((Q(1),), Q(1, 2)), ((Q(1), Q(2)), Q(1, 2))))
+        with pytest.raises(InputError, match="at least one atom"):
+            ConditionalSupport(0, [((Q(1),), Q(1, 2)), ((Q(-1),), Q(1, 2))])
+        for atoms in (
+            (((Q(1),), Q(-1, 2)), ((Q(-1),), Q(3, 2))),  # negative weight
+            (((Q(1),), Q(0)), ((Q(-1),), Q(1))),  # zero weight
+            (((Q(1),), 0.5), ((Q(-1),), Q(1, 2))),  # float weight
+            (((Q(1),), 1), ((Q(-1),), Q(1, 2))),  # int weight
+            (((1,), Q(1, 2)), ((Q(-1),), Q(1, 2))),  # int value
+            (([Q(1)], Q(1, 2)), ((Q(-1),), Q(1, 2))),  # list value
+            (((Q(1),), Q(1, 2), Q(1)),),  # not a pair
+            ([(Q(1),), Q(1)],),  # a list for a pair
+        ):
+            with pytest.raises(InputError, match="an atom must be a pair"):
+                ConditionalSupport(0, atoms)
+        # duplicate values stay separate atoms
+        assert len(ConditionalSupport(0, (((Q(1),), Q(1, 2)), ((Q(1),), Q(1, 2)))).atoms) == 2
 
     def test_two_assets(self):
         t = one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"])
