@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arbcheck import Q
+from arbcheck import Q, equivalence_report
 from arbcheck.errors import InputError
 from arbcheck.geometry import (
     InRi,
@@ -15,7 +17,8 @@ from arbcheck.geometry import (
 )
 from arbcheck.linalg import in_span
 from arbcheck.rationals import dot
-from helpers import support, vec
+from arbcheck.tree import conditional_support
+from helpers import one_step, support, vec
 
 ZERO = Q(0)
 
@@ -179,3 +182,42 @@ def test_scaling_preserves_verdict():
         scaled = [tuple(c * x for x in p) for p in points]
         assert type(ri_conv_contains_origin(support(points))) \
             is type(ri_conv_contains_origin(support(scaled)))
+
+
+_entries = st.builds(Q, st.integers(-9, 9) | st.integers(-10**12, 10**12),
+                     st.integers(1, 10**12))
+
+
+@st.composite
+def _degenerate_one_step(draw):
+    """A one-step tree in dimension 1-4 whose increments are small
+    integer combinations of 0..d generators, so a span of rank below d,
+    zero increments and repeated increments are common; sometimes each
+    increment is reflected into x[0] >= 0, which puts the origin on the
+    relative boundary of the hull or outside it."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[_entries] * d), max_size=d))
+    n = draw(st.integers(1, 6))
+    deltas = []
+    for _ in range(n):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        deltas.append(tuple(sum((c * g[j] for c, g in zip(coeffs, gens)), ZERO)
+                            for j in range(d)))
+    if draw(st.booleans()):
+        deltas = [x if x[0] >= 0 else tuple(-c for c in x) for x in deltas]
+    masses = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return one_step(deltas, [Q(m, sum(masses)) for m in masses])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_degenerate_one_step())
+def test_degenerate_nodes(tree):
+    """On supports with repeated increments merged (as
+    conditional_support merges them), a span of rank below d, zero atoms
+    and the origin on the relative boundary: the certificate re-checks,
+    its kind matches the separation optimum, and the routes agree."""
+    cs = conditional_support(tree, 0)
+    cert = ri_conv_contains_origin(cs)
+    assert check_ri_certificate(cs, cert)
+    assert isinstance(cert, InRi) == (separation_optimum(cs)[0] == 0)
+    assert equivalence_report(tree).consistent
