@@ -19,8 +19,8 @@ from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
 from .linalg import in_span
-from .lp import Optimal, Unbounded, solve_lp, sparse_lp
-from .rationals import ONE, Q, Rational, Vector, ZERO, dot, zero_vector
+from .lp import Optimal, solve_lp, sparse_lp
+from .rationals import ONE, Rational, Vector, ZERO, dot, zero_vector
 from .tree import ConditionalSupport
 
 
@@ -105,25 +105,20 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     """Exact dichotomy with certificates for the support's atoms x_i.
 
     The origin is in the relative interior of their convex hull iff it
-    is a convex combination with all-positive weights, i.e. iff the LP
-    maximize t s.t. lambda_i >= t, sum lambda = 1, sum lambda_i x_i = 0
-    has a positive optimum. Its weights are re-checked here; otherwise
-    the separating direction comes from ``arbitrage_direction``, which
-    re-checks it.
+    is a convex combination with all-positive weights, i.e. (scaling
+    them onto lambda >= 1) iff the feasibility program lambda_i >= 1,
+    sum lambda_i x_i = 0 has a point. Its weights, divided by their
+    sum, are re-checked here; otherwise the separating direction comes
+    from ``arbitrage_direction``, which re-checks it.
     """
     pts = support.values()
     n = len(pts)
-    d = support.d
-    # variables: lambda_1..lambda_n, then t; all free
-    rows = [({i: Q(-1), n: ONE}, ZERO, False) for i in range(n)]  # t - lambda_i <= 0
-    rows.append((dict.fromkeys(range(n), ONE), ONE, True))  # sum lambda = 1
-    rows += [({i: x[j] for i, x in enumerate(pts)}, ZERO, True)  # sum lambda_i x_i = 0
-             for j in range(d)]
-    outcome = solve_lp(sparse_lp(n + 1, {n: ONE}, rows))
-    if isinstance(outcome, Unbounded):
-        raise InternalError("interiority program cannot be unbounded")
-    if isinstance(outcome, Optimal) and outcome.value > 0:
-        cert = InRi(tuple(outcome.point[:n]))
+    rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True)  # sum lambda_i x_i = 0
+            for j in range(support.d)]
+    outcome = solve_lp(sparse_lp(n, {}, rows, [ONE] * n))
+    if isinstance(outcome, Optimal):
+        total = sum(outcome.point, ZERO)
+        cert = InRi(tuple(w / total for w in outcome.point))
         if not check_ri_certificate(support, cert):
             raise InternalError("interiority certificate failed exact re-check")
         return cert

@@ -306,8 +306,8 @@ def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
     for nid in tree.non_leaves():
         if nid not in strategy:
             raise InputError(f"strategy missing at non-leaf node {nid}")
-        if len(strategy[nid]) != tree.d:
-            raise InputError(f"strategy at node {nid} has wrong dimension")
+        if len(strategy[nid]) != tree.d or not all(isinstance(v, Rational) for v in strategy[nid]):
+            raise InputError(f"strategy at node {nid} is not {tree.d} Rationals")
     gain = {tree.root: ZERO}
     for nd in tree.order[1:]:
         gain[nd.id] = gain[nd.parent] + dot(strategy[nd.parent], tree.increment(nd.id))
@@ -347,15 +347,16 @@ def leaf_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
 
 
 def check_density(tree: ScenarioTree, density: LeafDensity) -> None:
-    """Raise InputError unless density is strictly positive, covers
-    exactly the leaves, and has exact total mass 1."""
+    """Raise InputError unless density is strictly positive and exact
+    (Rational values), covers exactly the leaves, and has mass 1."""
     vals = density.as_dict()
     leaves = tree.leaves()
     if set(vals) != set(leaves):
         raise InputError("density keys do not match the tree's leaves")
     for leaf, z in vals.items():
-        if z <= 0:
-            raise InputError(f"density not strictly positive at leaf {leaf}: {z}")
+        if not (isinstance(z, Rational) and z > 0):
+            raise InputError(f"density not strictly positive or not a Rational "
+                             f"at leaf {leaf}: {z!r}")
     p = leaf_probabilities(tree)
     mass = sum((p[leaf] * vals[leaf] for leaf in leaves), ZERO)
     if mass != 1:

@@ -46,10 +46,10 @@ SWEEP_SIZE = 1000
 SWEEP_BUDGET_SECONDS = 300.0
 # sha256 of the sweep's report_to_json lines; pins every verdict, witness
 # and certificate the routes return, pivot for pivot
-SWEEP_REPORTS_SHA256 = "e2e3b9a3eb02fb7f23055a8aa711ec4d1db2de2525efedf4a0fd410b66ef25db"
+SWEEP_REPORTS_SHA256 = "933a59437538328b465205eb28d1ab47b42cd8bada624f771a52c3f8c5296845"
 # the same lines with each arbitrage witness reduced to whether it is
 # present; pins everything but the strategy route's choice of witness
-SWEEP_VERDICTS_SHA256 = "8f5a1f0973f914431e153ff2a4aad08ba3ab8b3434a5aa636edb3b62e63c6ed6"
+SWEEP_VERDICTS_SHA256 = "aa596a3c6acab3f1ca55576953b3bb0206b25fe10692cbb75be14cdf28878b04"
 
 
 def _sweep_params(seed):

@@ -169,3 +169,7 @@ class TestVerifyMartingale:
     def test_rejects_invalid_density(self):
         with pytest.raises(InputError):
             verify_martingale(skewed_coin(), LeafDensity.from_mapping({1: Q(2), 2: Q(2)}))
+        fair = one_step([1, -1], ["1/2", "1/2"])
+        for inexact in ({1: 1.0, 2: 1.0}, {1: "1", 2: "1"}):
+            with pytest.raises(InputError):
+                verify_martingale(fair, LeafDensity.from_mapping(inexact))

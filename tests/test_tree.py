@@ -336,6 +336,9 @@ class TestGains:
     def test_wrong_dim(self):
         with pytest.raises(InputError):
             gains(skewed_coin(), {0: (Q(1), Q(2))})
+        for inexact in ((0.5,), ("1",), (1,)):
+            with pytest.raises(InputError, match="Rationals"):
+                gains(skewed_coin(), {0: inexact})
 
     def test_linearity(self):
         t = skewed_coin_two_period()
@@ -379,6 +382,9 @@ class TestDensity:
             check_density(t, LeafDensity.from_mapping({1: Q(0), 2: Q(4)}))
         with pytest.raises(InputError, match="do not match"):
             check_density(t, LeafDensity.from_mapping({0: Q(1), 1: Q(1)}))
+        for inexact in ({1: 1.0, 2: 1.0}, {1: "1", 2: "1"}, {1: Q(2), 2: 0.5}):
+            with pytest.raises(InputError, match="not a Rational"):
+                check_density(t, LeafDensity.from_mapping(inexact))
 
     def test_density_process(self):
         t = skewed_coin_two_period()
