@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from arbcheck import Q
+from arbcheck import Q, format_rational
 from arbcheck.errors import InputError, InternalError
 from arbcheck.lp import (
     Infeasible,
@@ -286,3 +287,25 @@ def test_deterministic_resolve():
     for _ in range(25):
         lp = random_lp(rng)
         assert solve_lp(lp) == solve_lp(lp)
+
+
+OUTCOMES_SHA256 = "89e4ed3d8cb94e643ebe410909fbc4dc0941a331043d96b389d48001cdbe1074"
+
+
+def test_outcomes_are_pinned():
+    """Every outcome of 800 small programs (233 optimal, 379 infeasible,
+    188 unbounded) is pinned byte for byte: its kind and each entry of
+    its point and value, ray, or Farkas vector with bound multipliers."""
+    digest = hashlib.sha256()
+    for seed in range(400):
+        for free in (0.0, 0.5):
+            out = solve_lp(random_lp(random.Random(seed), free=free))
+            if isinstance(out, Optimal):
+                entries = (*out.point, out.value)
+            elif isinstance(out, Unbounded):
+                entries = out.ray
+            else:
+                entries = out.certificate
+            line = " ".join([type(out).__name__, *map(format_rational, entries)])
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == OUTCOMES_SHA256
