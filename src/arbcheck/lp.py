@@ -158,8 +158,15 @@ def farkas_row_system(lp: LinearProgram):
     return tuple(rows), tuple(rhs), tuple(eqs)
 
 
+def _exact(vector: Sequence[Rational], length: int) -> bool:
+    """``vector`` is a sequence of ``length`` Rationals, so the exact
+    re-checks below never compare a float or a string."""
+    return (isinstance(vector, Sequence) and len(vector) == length
+            and all(isinstance(v, Rational) for v in vector))
+
+
 def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
-    if len(point) != lp.n_vars:
+    if not _exact(point, lp.n_vars):
         return False
     for j, lo in enumerate(lp.lower):
         if lo is not None and point[j] < lo:
@@ -176,9 +183,7 @@ def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
 
 def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
     """Feasible recession direction with strictly positive objective growth."""
-    if len(ray) != lp.n_vars:
-        return False
-    if all(not c for c in ray):
+    if not _exact(ray, lp.n_vars) or not any(ray):
         return False
     for j, lo in enumerate(lp.lower):
         if lo is not None and ray[j] < 0:
@@ -195,13 +200,12 @@ def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
 
 def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
     rows, rhs, eqs = farkas_row_system(lp)
-    if len(certificate) != len(rows):
+    if not _exact(certificate, len(rows)):
         return False
     for y, eq in zip(certificate, eqs):
         if not eq and y < 0:
             return False
-    n = lp.n_vars
-    for j in range(n):
+    for j in range(lp.n_vars):
         if sum((y * row[j] for y, row in zip(certificate, rows)), ZERO) != 0:
             return False
     return dot(certificate, rhs) < 0
@@ -233,73 +237,51 @@ def _check_new_basis(seen: set[frozenset[int]], basis: Sequence[int]) -> None:
 
 class _Simplex:
     """Dense exact tableau of integer rows. Columns: one structural
-    column per variable, then one slack per inequality row, then
-    artificials; each row also carries its right-hand side in the last
-    slot. Structural column j holds y_j with x_j = sign[j] * y_j +
-    shift[j]: shift is the lower bound, or 0 for a free variable, and
-    a free column that enters with negative reduced cost is negated
-    first and its sign flipped. A free basic variable is never a leaving
-    candidate. Row i stands for ``T[i] / den[i]``: Python ints over one
-    positive denominator, kept in lowest terms, so a pivot is integer
-    multiply-and-subtract plus one gcd per touched row. The
-    reduced-cost row ``obj / obj_den`` has the same form."""
+    column per variable, then one slack per inequality row (from
+    ``n_vars``), then one artificial per equality or sign-flipped row
+    (from ``art_start`` to ``n_cols``); each row also carries its
+    right-hand side in the last slot. Structural column j holds y_j
+    with x_j = sign[j] * y_j + shift[j]: shift is the lower bound, or 0
+    for a free variable, and a free column that enters with negative
+    reduced cost is negated first and its sign flipped. A free basic
+    variable is never a leaving candidate. Row i stands for
+    ``T[i] / den[i]``: Python ints over one positive denominator, kept
+    in lowest terms, so a pivot is integer multiply-and-subtract plus
+    one gcd per touched row. The reduced-cost row ``obj / obj_den`` has
+    the same form; ``_price`` sets it before each phase."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n, m = lp.n_vars, lp.n_rows
-
+        n = lp.n_vars
         self.sign = [1] * n
         self.shift = [ZERO if lo is None else lo for lo in lp.lower]
         self.free_cols = [j for j, lo in enumerate(lp.lower) if lo is None]
-        ncols = n
 
         shifted = [(j, lo) for j, lo in enumerate(self.shift) if lo]
         rhs = [b - sum((row[j] * lo for j, lo in shifted if row[j]), ZERO)
                for row, b in zip(lp.rows, lp.rhs)]
-
-        self.slack_col: list[Optional[int]] = [None] * m
-        for k in range(m):
-            if not lp.equalities[k]:
-                self.slack_col[k] = ncols
-                ncols += 1
-
         # flip rows with negative transformed rhs so phase 1 starts basic-feasible
-        self.sigma: list[int] = []
-        for k in range(m):
-            self.sigma.append(-1 if rhs[k] < 0 else 1)
+        self.sigma = [-1 if b < 0 else 1 for b in rhs]
+        needs_art = [eq or s < 0 for eq, s in zip(lp.equalities, self.sigma)]
+        self.art_start = n + lp.equalities.count(False)
+        self.n_cols = self.art_start + sum(needs_art)
+        self.free = [lo is None for lo in lp.lower] + [False] * (self.n_cols - n)
 
-        self.art_col: list[Optional[int]] = [None] * m
-        for k in range(m):
-            if self.slack_col[k] is None or self.sigma[k] < 0:
-                self.art_col[k] = ncols
-                ncols += 1
-        self.n_cols = ncols
-        self.n_art = sum(1 for c in self.art_col if c is not None)
-        self.free = [lo is None for lo in lp.lower] + [False] * (ncols - n)
-
-        self.T: list[list[int]] = []
-        self.den: list[int] = []
-        self.basis: list[int] = []
-        self.active: list[bool] = [True] * m
-        for k in range(m):
-            nums, den = int_row((*lp.rows[k], rhs[k]))
-            s = self.sigma[k]
-            if s < 0:
-                nums = [-a for a in nums]
-            full = nums[:-1] + [0] * (ncols - n) + nums[-1:]
-            sc = self.slack_col[k]
-            if sc is not None:
-                full[sc] = s * den
-            ac = self.art_col[k]
-            if ac is not None:
-                full[ac] = den
+        self.T, self.den, self.basis = [], [], []  # int rows, denominators, basic columns
+        slack, art = n, self.art_start
+        for row, b, eq, s, needs in zip(lp.rows, rhs, lp.equalities, self.sigma, needs_art):
+            nums, den = int_row((*row, b))
+            full = [s * a for a in nums[:-1]] + [0] * (self.n_cols - n) + [s * nums[-1]]
+            if not eq:
+                full[slack] = s * den
+                basic, slack = slack, slack + 1
+            if needs:
+                full[art] = den
+                basic, art = art, art + 1
             self.T.append(full)
             self.den.append(den)
-            self.basis.append(ac if ac is not None else sc)  # type: ignore[arg-type]
+            self.basis.append(basic)
         self.init_basis = list(self.basis)
-        self.art_start = ncols - self.n_art if self.n_art else ncols
-        self.obj: list[int] = [0] * (ncols + 1)
-        self.obj_den = 1
 
     # --- pivoting -------------------------------------------------------
 
@@ -307,10 +289,9 @@ class _Simplex:
         """Set the reduced-cost row to cost - c_B B^-1 A for the current
         basis by clearing each basic column in turn."""
         self.obj, self.obj_den = cost, cost_den
-        for i, bi in enumerate(self.basis):
-            if self.active[i] and self.obj[bi]:
-                self.obj, self.obj_den = _eliminate(
-                    self.obj, self.obj_den, self.T[i], self.den[i], bi)
+        for row, den, bi in zip(self.T, self.den, self.basis):
+            if self.obj[bi]:
+                self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, row, den, bi)
 
     def _pivot(self, i: int, enter: int) -> None:
         T, den = self.T, self.den
@@ -326,13 +307,13 @@ class _Simplex:
         T[i] = prow
         den[i] = p
         for r in range(len(T)):
-            if r != i and self.active[r] and T[r][enter]:
+            if r != i and T[r][enter]:
                 T[r], den[r] = _eliminate(T[r], den[r], prow, p, enter)
         if self.obj[enter]:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, enter)
         self.basis[i] = enter
 
-    def _optimize(self, ncols: int):
+    def _optimize(self, ncols: int) -> Optional[int]:
         """Bland's rule over the first ``ncols`` columns: entering =
         smallest column with positive reduced cost, or smallest free
         column with a nonzero one, negated first if that is negative;
@@ -341,8 +322,9 @@ class _Simplex:
         most one entry per free column adds to Bland's finite count; row
         denominators cancel, so ratios are compared by
         cross-multiplying), ties by smallest basis column.
-        Returns ('optimal', None) or ('unbounded', enter)."""
-        T, free, basis, active = self.T, self.free, self.basis, self.active
+        Returns None at an optimum, or the entering column that no row
+        bounds when the program is unbounded along it."""
+        T, free, basis = self.T, self.free, self.basis
         seen: set[frozenset[int]] = set()
         _check_new_basis(seen, basis)
         while True:
@@ -359,12 +341,12 @@ class _Simplex:
                     enter = j
                     break
             if enter == ncols:
-                return "optimal", None
+                return None
             leave = -1
             best_b = best_a = 0
             for i, row in enumerate(T):
                 a = row[enter]
-                if a > 0 and active[i] and not free[basis[i]]:
+                if a > 0 and not free[basis[i]]:
                     b = row[-1]
                     if leave < 0 or b * best_a < best_b * a or (
                         b * best_a == best_b * a and basis[i] < basis[leave]
@@ -372,7 +354,7 @@ class _Simplex:
                         best_b, best_a = b, a
                         leave = i
             if leave < 0:
-                return "unbounded", enter
+                return enter
             self._pivot(leave, enter)
             if T[leave][-1]:  # the objective moved
                 seen.clear()
@@ -381,95 +363,87 @@ class _Simplex:
     # --- phases ---------------------------------------------------------
 
     def run(self) -> LpOutcome:
-        lp = self.lp
-        m = lp.n_rows
-
-        if self.n_art:
-            cost = [0] * (self.n_cols + 1)
-            for c in self.art_col:
-                if c is not None:
-                    cost[c] = -1
-            self._price(cost, 1)
-            status, _ = self._optimize(self.n_cols)
-            if status != "optimal":
+        n_art = self.n_cols - self.art_start
+        if n_art:
+            self._price([0] * self.art_start + [-1] * n_art + [0], 1)
+            if self._optimize(self.n_cols) is not None:
                 raise InternalError("phase 1 cannot be unbounded")
-            if any(self.T[i][-1] for i in range(m) if self.basis[i] >= self.art_start):
+            if any(row[-1] for row, bi in zip(self.T, self.basis) if bi >= self.art_start):
                 return self._extract_infeasible()
             self._expel_artificials()
-            # artificials never re-enter, so their columns are dropped
-            for row in self.T:
-                del row[self.art_start:self.n_cols]
 
-        cost_q = [-c if s < 0 else c for s, c in zip(self.sign, lp.objective)]
-        cost_q += [ZERO] * (self.art_start + 1 - lp.n_vars)
+        cost_q = [-c if s < 0 else c for s, c in zip(self.sign, self.lp.objective)]
+        cost_q += [ZERO] * (self.art_start + 1 - self.lp.n_vars)
         self._price(*int_row(cost_q))
-        status, enter = self._optimize(self.art_start)
-        if status == "unbounded":
-            return self._extract_ray(enter)  # type: ignore[arg-type]
+        enter = self._optimize(self.art_start)
+        if enter is not None:
+            return self._extract_ray(enter)
         return self._extract_optimal()
 
     def _expel_artificials(self) -> None:
-        """After a zero-value phase 1, pivot artificials out of the basis;
-        rows where no structural or slack coefficient remains are
-        redundant and dropped."""
+        """After a zero-value phase 1, pivot artificials out of the basis.
+        A row with no structural or slack coefficient left is redundant:
+        no later pivot touches it, as its entry in every entering column
+        is 0, so it is deleted. Artificials never re-enter, so their
+        columns are deleted too."""
         # phase-1 costs are spent; phase 2 prices its costs after these pivots
         self.obj = [0] * (self.n_cols + 1)
-        for i in range(len(self.T)):
-            if not self.active[i] or self.basis[i] < self.art_start:
+        redundant = []
+        for i, row in enumerate(self.T):
+            if self.basis[i] < self.art_start:
                 continue
-            row = self.T[i]
             enter = next((j for j in range(self.art_start) if row[j]), None)
             if enter is None:
-                self.active[i] = False
-                continue
-            # rhs here is exactly 0, so any nonzero pivot keeps feasibility
-            self._pivot(i, enter)
+                redundant.append(i)
+            else:
+                # rhs here is exactly 0, so any nonzero pivot keeps feasibility
+                self._pivot(i, enter)
+        for i in reversed(redundant):
+            del self.T[i], self.den[i], self.basis[i]
+        for row in self.T:
+            del row[self.art_start:self.n_cols]
 
     # --- outcome extraction ----------------------------------------------
 
-    def _extract_optimal(self) -> Optimal:
+    def _basic_values(self, col: int) -> list:
+        """``T[i][col] / den[i]`` at each row's basic column, ZERO at
+        every nonbasic one: the basic solution for the rhs column, and
+        minus the ray's basic entries for an entering column."""
         y = [ZERO] * self.n_cols
-        for i, bi in enumerate(self.basis):
-            if self.active[i]:
-                y[bi] = Q(self.T[i][-1], self.den[i])
+        for row, den, bi in zip(self.T, self.den, self.basis):
+            y[bi] = Q(row[col], den)
+        return y
+
+    def _extract_optimal(self) -> Optimal:
+        y = self._basic_values(-1)
         x = tuple((v if s > 0 else -v) + lo for s, v, lo in zip(self.sign, y, self.shift))
         if not check_feasible(self.lp, x):
             raise InternalError("optimal point failed exact feasibility re-check")
         return Optimal(x, dot(self.lp.objective, x))
 
     def _extract_ray(self, enter: int) -> Unbounded:
-        y = [ZERO] * self.n_cols
-        y[enter] = ONE
-        for i, bi in enumerate(self.basis):
-            if self.active[i]:
-                y[bi] = Q(-self.T[i][enter], self.den[i])
-        r = tuple(v if s > 0 else -v for s, v in zip(self.sign, y))
+        y = self._basic_values(enter)
+        y[enter] = -ONE
+        r = tuple(-v if s > 0 else v for s, v in zip(self.sign, y))
         if not check_ray(self.lp, r):
             raise InternalError("unbounded ray failed exact re-check")
         return Unbounded(r)
 
     def _extract_infeasible(self) -> Infeasible:
-        """Multipliers from the phase-1 duals. For tableau row i with
-        initial basis column c (slack or artificial), pi_i equals the
-        phase-1 cost of c minus its final reduced cost; undoing the row
-        flips gives multipliers u for the declared rows, and
-        z_j = u^T A_j >= 0 closes each bound row."""
-        lp = self.lp
-        cert: list[Rational] = []
-        u: list[Rational] = []
-        for k in range(lp.n_rows):
-            c = self.init_basis[k]
-            c1 = Q(-1) if c >= self.art_start else ZERO
-            pi = c1 - Q(self.obj[c], self.obj_den)
-            u.append(pi if self.sigma[k] > 0 else -pi)
-        cert.extend(u)
-        for j in range(lp.n_vars):
-            if lp.lower[j] is None:
-                continue
-            zj = sum((u[k] * lp.rows[k][j] for k in range(lp.n_rows)), ZERO)
-            cert.append(zj)
+        """Multipliers from the final phase-1 reduced costs d = obj /
+        obj_den. For tableau row k with initial basis column c (slack or
+        artificial), pi_k equals the phase-1 cost of c minus d_c; undoing
+        the row flip gives the multiplier u_k of declared row k. A
+        bounded column j has phase-1 cost 0 and is never negated, so
+        d_j = -u^T A_j and its bound row's multiplier is z_j = -d_j."""
+        obj, den = self.obj, self.obj_den
+        cert = []
+        for c, s in zip(self.init_basis, self.sigma):
+            pi = (Q(-1) if c >= self.art_start else ZERO) - Q(obj[c], den)
+            cert.append(pi if s > 0 else -pi)
+        cert += [Q(-obj[j], den) for j, lo in enumerate(self.lp.lower) if lo is not None]
         certificate = tuple(cert)
-        if not check_farkas(lp, certificate):
+        if not check_farkas(self.lp, certificate):
             raise InternalError("Farkas certificate failed exact re-check")
         return Infeasible(certificate)
 

@@ -10,7 +10,7 @@ and no "almost surely" qualifiers are needed anywhere downstream.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, Record
 from .linalg import span_basis
@@ -303,10 +303,14 @@ Strategy = Mapping[int, Vector]
 def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
     """Terminal gain per leaf: the sum over the path of the one-step
     inner products (strategy at the parent, price increment)."""
+    if not isinstance(strategy, Mapping):
+        raise InputError("strategy is not a mapping from node id to vector")
     for nid in tree.non_leaves():
         if nid not in strategy:
             raise InputError(f"strategy missing at non-leaf node {nid}")
-        if len(strategy[nid]) != tree.d or not all(isinstance(v, Rational) for v in strategy[nid]):
+        vec = strategy[nid]
+        if not (isinstance(vec, Sequence) and len(vec) == tree.d
+                and all(isinstance(v, Rational) for v in vec)):
             raise InputError(f"strategy at node {nid} is not {tree.d} Rationals")
     gain = {tree.root: ZERO}
     for nd in tree.order[1:]:
@@ -349,6 +353,8 @@ def leaf_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
 def check_density(tree: ScenarioTree, density: LeafDensity) -> None:
     """Raise InputError unless density is strictly positive and exact
     (Rational values), covers exactly the leaves, and has mass 1."""
+    if not isinstance(density, LeafDensity):
+        raise InputError(f"density is a {type(density).__name__}, not a LeafDensity")
     vals = density.as_dict()
     leaves = tree.leaves()
     if set(vals) != set(leaves):

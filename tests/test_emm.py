@@ -173,3 +173,6 @@ class TestVerifyMartingale:
         for inexact in ({1: 1.0, 2: 1.0}, {1: "1", 2: "1"}):
             with pytest.raises(InputError):
                 verify_martingale(fair, LeafDensity.from_mapping(inexact))
+        for not_a_density in ({1: Q(1), 2: Q(1)}, [Q(1), Q(1)], None):
+            with pytest.raises(InputError, match="not a LeafDensity"):
+                verify_martingale(fair, not_a_density)

@@ -336,9 +336,13 @@ class TestGains:
     def test_wrong_dim(self):
         with pytest.raises(InputError):
             gains(skewed_coin(), {0: (Q(1), Q(2))})
-        for inexact in ((0.5,), ("1",), (1,)):
+        for inexact in ((0.5,), ("1",), (1,), 0.5, None, "1"):
             with pytest.raises(InputError, match="Rationals"):
                 gains(skewed_coin(), {0: inexact})
+        for not_a_mapping in ("abc", None, [(Q(1),)]):
+            with pytest.raises(InputError, match="mapping"):
+                gains(skewed_coin(), not_a_mapping)
+        assert gains(skewed_coin(), {0: [Q(2)]}) == {1: Q(2), 2: Q(-2)}
 
     def test_linearity(self):
         t = skewed_coin_two_period()
@@ -385,6 +389,11 @@ class TestDensity:
         for inexact in ({1: 1.0, 2: 1.0}, {1: "1", 2: "1"}, {1: Q(2), 2: 0.5}):
             with pytest.raises(InputError, match="not a Rational"):
                 check_density(t, LeafDensity.from_mapping(inexact))
+        for not_a_density in ({1: Q(1), 2: Q(1)}, [Q(1), Q(1)], None):
+            with pytest.raises(InputError, match="not a LeafDensity"):
+                check_density(t, not_a_density)
+            with pytest.raises(InputError, match="not a LeafDensity"):
+                density_process(t, not_a_density)
 
     def test_density_process(self):
         t = skewed_coin_two_period()
