@@ -11,6 +11,7 @@ oracle only; the split program has the same outcome kind and optimum,
 and the solver's certificates are checked against the original LP.
 """
 
+from collections.abc import Sequence
 from itertools import combinations
 
 from arbcheck import Q
@@ -25,7 +26,7 @@ from arbcheck.lp import (
     make_lp,
     solve_lp,
 )
-from arbcheck.rationals import dot
+from arbcheck.rationals import Rational, dot
 
 ZERO = Q(0)
 
@@ -152,6 +153,79 @@ def random_lp(rng, free=0.0, max_vars=4):
     obj = [coef() for _ in range(n)]
     lower = [None if free and rng.random() < free else Q(rng.randint(-3, 0)) for _ in range(n)]
     return make_lp(obj, rows, rhs, eqs, lower)
+
+
+def random_fractional_lp(rng, max_vars=4):
+    """Small random LP with fractional coefficients, right-hand sides and
+    lower bounds. Half of them floor every variable at one fraction, as
+    the density program floors every ratio at f; in the other half each
+    variable is free with probability 3/10 or has its own bound."""
+    n = rng.randint(1, max_vars)
+    m = rng.randint(1, 6)
+    frac = lambda lo, hi: Q(rng.randint(lo, hi), rng.randint(1, 6))
+    rows = [[frac(-3, 3) for _ in range(n)] for _ in range(m)]
+    rhs = [frac(-4, 4) for _ in range(m)]
+    eqs = [rng.random() < 0.25 for _ in range(m)]
+    obj = [frac(-3, 3) for _ in range(n)]
+    if rng.random() < 0.5:
+        lower = [Q(1, rng.randint(2, 7))] * n
+    else:
+        lower = [None if rng.random() < 0.3 else frac(-3, 1) for _ in range(n)]
+    return make_lp(obj, rows, rhs, eqs, lower)
+
+
+# Reference re-checks: the dense rational forms of check_feasible,
+# check_ray and check_farkas, kept here so the shipped integer forms can
+# be held against them.
+
+def _exact(vector, length):
+    return (isinstance(vector, Sequence) and len(vector) == length
+            and all(isinstance(v, Rational) for v in vector))
+
+
+def reference_check_feasible(lp, point):
+    if not _exact(point, lp.n_vars):
+        return False
+    for j, lo in enumerate(lp.lower):
+        if lo is not None and point[j] < lo:
+            return False
+    for row, b, eq in zip(lp.rows, lp.rhs, lp.equalities):
+        lhs = dot(row, point)
+        if eq:
+            if lhs != b:
+                return False
+        elif lhs > b:
+            return False
+    return True
+
+
+def reference_check_ray(lp, ray):
+    if not _exact(ray, lp.n_vars) or not any(ray):
+        return False
+    for j, lo in enumerate(lp.lower):
+        if lo is not None and ray[j] < 0:
+            return False
+    for row, eq in zip(lp.rows, lp.equalities):
+        lhs = dot(row, ray)
+        if eq:
+            if lhs != 0:
+                return False
+        elif lhs > 0:
+            return False
+    return dot(lp.objective, ray) > 0
+
+
+def reference_check_farkas(lp, certificate):
+    rows, rhs, eqs = farkas_row_system(lp)
+    if not _exact(certificate, len(rows)):
+        return False
+    for y, eq in zip(certificate, eqs):
+        if not eq and y < 0:
+            return False
+    for j in range(lp.n_vars):
+        if sum((y * row[j] for y, row in zip(certificate, rows)), ZERO) != 0:
+            return False
+    return dot(certificate, rhs) < 0
 
 
 def oracle_check(lp):

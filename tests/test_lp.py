@@ -20,7 +20,14 @@ from arbcheck.lp import (
     solve_lp,
     sparse_lp,
 )
-from lp_oracle import oracle_check, random_lp
+from lp_oracle import (
+    oracle_check,
+    random_fractional_lp,
+    random_lp,
+    reference_check_farkas,
+    reference_check_feasible,
+    reference_check_ray,
+)
 
 
 class TestWorkedExamples:
@@ -321,3 +328,66 @@ def test_outcomes_are_pinned():
             line = " ".join([type(out).__name__, *map(format_rational, entries)])
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == OUTCOMES_SHA256
+
+
+def _vector(out):
+    if isinstance(out, Optimal):
+        return out.point
+    return out.ray if isinstance(out, Unbounded) else out.certificate
+
+
+def _perturbed(lp, out):
+    """Copies of an outcome's vector with one entry moved by +-1/7, one
+    sign flipped, or, in a Farkas vector, one bound multiplier zeroed."""
+    v = _vector(out)
+    for k, y in enumerate(v):
+        for new in (y + Q(1, 7), y - Q(1, 7), -y):
+            yield v[:k] + (new,) + v[k + 1:]
+    if isinstance(out, Infeasible):
+        for k in range(lp.n_rows, len(v)):
+            if v[k]:
+                yield v[:k] + (Q(0),) + v[k + 1:]
+
+
+def _verdicts(lp, vector):
+    """(shipped, reference) verdicts of all three re-checks on one vector."""
+    return ((check_feasible(lp, vector), check_ray(lp, vector), check_farkas(lp, vector)),
+            (reference_check_feasible(lp, vector), reference_check_ray(lp, vector),
+             reference_check_farkas(lp, vector)))
+
+
+def _assert_checks_agree(lp, out):
+    shipped, reference = _verdicts(lp, _vector(out))
+    assert shipped == reference and True in shipped, (lp, out)
+    for vector in _perturbed(lp, out):
+        shipped, reference = _verdicts(lp, vector)
+        assert shipped == reference, (lp, out, vector)
+
+
+FRACTIONAL_OUTCOMES_SHA256 = "b6b800d6a37ad0656c409913131c43b8a4bcfa051fe0f0b1941276cfa100ee7a"
+
+
+class TestReChecksAgreeWithReference:
+    """The shipped re-checks give the verdicts of the dense rational
+    references in ``lp_oracle`` on every outcome and on near misses."""
+
+    @pytest.mark.parametrize("free", [0.0, 0.5])
+    def test_pinned_programs(self, free):
+        for seed in range(400):
+            lp = random_lp(random.Random(seed), free=free)
+            _assert_checks_agree(lp, solve_lp(lp))
+
+    def test_fractional_coefficients_rhs_and_bounds(self):
+        """Here the simplex shifts fractional lower bounds out of the
+        right-hand sides; the outcomes (59 optimal, 201 infeasible, 40
+        unbounded) are pinned byte for byte as well."""
+        rng = random.Random(1607)
+        digest = hashlib.sha256()
+        for case in range(300):
+            lp = random_fractional_lp(rng, max_vars=3)
+            ok, out, oracle = oracle_check(lp)
+            assert ok, f"case {case}: solver {out!r} vs oracle {oracle!r}"
+            _assert_checks_agree(lp, out)
+            line = " ".join([type(out).__name__, *map(format_rational, _vector(out))])
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == FRACTIONAL_OUTCOMES_SHA256
