@@ -6,11 +6,13 @@ bounded below. The solver is a two-phase primal simplex with Bland's
 anti-cycling rule and exact pivots, so it terminates on every input and
 its certificates are bit-exact. Every variable has one tableau column;
 a free one enters with either sign of reduced cost and, once basic,
-never leaves. The tableau keeps each row as Python ints over one
-positive row denominator (fraction-free pivoting: an integer
-multiply-and-subtract and one gcd per touched row), so pivots never
-touch the rational scalar type; values become rationals again only
-when an outcome is read off. No pivot budget cuts a solve short: a
+never leaves. Each program derives its rows' integer form once, when it
+is built; the tableau is filled from it, with lower bounds shifted out
+in integers, and keeps each row as Python ints over one positive row
+denominator (fraction-free pivoting: an integer multiply-and-subtract
+and one gcd per touched row), so set-up and pivots never touch the
+rational scalar type; values become rationals again only when an
+outcome is read off. No pivot budget cuts a solve short: a
 basis revisited between two moves of the objective, which Bland's rule
 rules out, raises InternalError instead.
 
@@ -21,10 +23,13 @@ Every outcome is re-verified before it leaves ``solve_lp``:
   positive objective growth;
 * an Infeasible certificate is a Farkas vector over the *extended* row
   system of ``farkas_row_system`` -- the declared rows followed by one
-  materialized row ``-x_j <= -lower_j`` per bounded variable. Over that
-  system the certificate y satisfies y >= 0 on inequality rows,
-  y^T A = 0 componentwise and y^T b < 0, which is a self-contained
-  proof of infeasibility.
+  row ``-x_j <= -lower_j`` per bounded variable, kept implicit here.
+  Over that system the certificate y satisfies y >= 0 on inequality
+  rows, y^T A = 0 componentwise and y^T b < 0, which is a
+  self-contained proof of infeasibility.
+
+Each re-check reads only the program and the vector, which it brings to
+one common denominator to compare integer sums over the rows' nonzeros.
 
 A failed re-verification raises InternalError; it signals a solver bug,
 never bad input.
@@ -32,7 +37,7 @@ never bad input.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
@@ -41,9 +46,14 @@ from .rationals import ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational
 
 class LinearProgram(Record):
     """maximize objective . x  s.t.  rows[i] . x (<= or ==) rhs[i],
-    x_j >= lower[j] where lower[j] is not None."""
+    x_j >= lower[j] where lower[j] is not None. Every number must be a
+    Rational and every flag a bool. Also derived, outside ``_fields``:
+    ``int_rows[i]``, row i's ((column, numerator) nonzeros, rhs
+    numerator, positive denominator), and ``int_lower``, the bound
+    numerators (0 where free) over their common denominator."""
 
-    __slots__ = ("objective", "rows", "rhs", "equalities", "lower")
+    __slots__ = ("objective", "rows", "rhs", "equalities", "lower", "int_rows", "int_lower")
+    _fields = __slots__[:5]
 
     objective: Vector
     rows: tuple[Vector, ...]
@@ -53,16 +63,26 @@ class LinearProgram(Record):
 
     def __init__(self, objective, rows, rhs, equalities, lower) -> None:
         n, m = len(objective), len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise InputError(f"row {i} has {len(row)} coefficients, expected {n}")
         if len(rhs) != m:
             raise InputError(f"{len(rhs)} right-hand sides for {m} rows")
         if len(equalities) != m:
             raise InputError(f"{len(equalities)} equality flags for {m} rows")
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
-        super().__init__(objective, rows, rhs, equalities, lower)
+        _check_rational("the objective or bounds",
+                        (*objective, *(lo for lo in lower if lo is not None)))
+        int_rows = []
+        for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities)):
+            if len(row) != n:
+                raise InputError(f"row {i} has {len(row)} coefficients, expected {n}")
+            if not isinstance(eq, bool):
+                raise InputError(f"equality flag {i} is {eq!r}, not a bool")
+            _check_rational(f"row {i}", (*row, b))
+            cols = [j for j, a in enumerate(row) if a]
+            nums, den = int_row([row[j] for j in cols] + [b])
+            int_rows.append((tuple(zip(cols, nums)), nums[-1], den))
+        low, d = int_row([lo or ZERO for lo in lower])
+        super().__init__(objective, rows, rhs, equalities, lower, tuple(int_rows), (tuple(low), d))
 
     @property
     def n_vars(self) -> int:
@@ -73,6 +93,12 @@ class LinearProgram(Record):
         return len(self.rows)
 
 
+def _check_rational(what: str, values) -> None:
+    for v in values:  # faster than all(map(isinstance, ...)) on short rows
+        if not isinstance(v, Rational):
+            raise InputError(f"{what} holds {v!r}, not a Rational")
+
+
 def make_lp(
     objective: Sequence[RationalLike],
     rows: Sequence[Sequence[RationalLike]],
@@ -80,14 +106,11 @@ def make_lp(
     equalities: Optional[Sequence[bool]] = None,
     lower: Optional[Sequence[Optional[RationalLike]]] = None,
 ) -> LinearProgram:
-    """Coerce raw data into a LinearProgram, which checks its shape."""
+    """Coerce raw numbers into a LinearProgram, which checks its shape."""
     obj = tuple(as_rational(c) for c in objective)
     mat = tuple(tuple(as_rational(a) for a in row) for row in rows)
     b = tuple(as_rational(v) for v in rhs)
-    if equalities is None:
-        eq = (False,) * len(mat)
-    else:
-        eq = tuple(bool(e) for e in equalities)
+    eq = (False,) * len(mat) if equalities is None else tuple(equalities)
     if lower is None:
         lo: tuple[Optional[Rational], ...] = (None,) * len(obj)
     else:
@@ -165,50 +188,53 @@ def _exact(vector: Sequence[Rational], length: int) -> bool:
             and all(isinstance(v, Rational) for v in vector))
 
 
-def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
-    if not _exact(point, lp.n_vars):
+def _holds(lp: LinearProgram, x: list[int], d: int) -> bool:
+    """``x / d`` meets every row and bound of ``lp``; with ``d = 0``,
+    ``x`` meets them with every right-hand side and bound set to 0."""
+    low, low_den = lp.int_lower
+    if any(xj * low_den < l * d for xj, lo, l in zip(x, lp.lower, low) if lo is not None):
         return False
-    for j, lo in enumerate(lp.lower):
-        if lo is not None and point[j] < lo:
-            return False
-    for row, b, eq in zip(lp.rows, lp.rhs, lp.equalities):
-        lhs = dot(row, point)
-        if eq:
-            if lhs != b:
-                return False
-        elif lhs > b:
+    for (nz, b, _), eq in zip(lp.int_rows, lp.equalities):
+        lhs = sum(a * x[j] for j, a in nz)
+        if lhs != b * d if eq else lhs > b * d:
             return False
     return True
 
 
+def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
+    return _exact(point, lp.n_vars) and _holds(lp, *int_row(point))
+
+
 def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
     """Feasible recession direction with strictly positive objective growth."""
-    if not _exact(ray, lp.n_vars) or not any(ray):
-        return False
-    for j, lo in enumerate(lp.lower):
-        if lo is not None and ray[j] < 0:
-            return False
-    for row, eq in zip(lp.rows, lp.equalities):
-        lhs = dot(row, ray)
-        if eq:
-            if lhs != 0:
-                return False
-        elif lhs > 0:
-            return False
-    return dot(lp.objective, ray) > 0
+    return (_exact(ray, lp.n_vars) and any(ray) and _holds(lp, int_row(ray)[0], 0)
+            and dot(lp.objective, ray) > 0)
 
 
 def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
-    rows, rhs, eqs = farkas_row_system(lp)
-    if not _exact(certificate, len(rows)):
+    """Over ``farkas_row_system(lp)``, whose bound rows stay implicit
+    here: the row of the k-th bounded column j is -x_j <= -lower_j."""
+    bounded, m = [j for j, lo in enumerate(lp.lower) if lo is not None], lp.n_rows
+    if not _exact(certificate, m + len(bounded)):
         return False
-    for y, eq in zip(certificate, eqs):
-        if not eq and y < 0:
-            return False
-    for j in range(lp.n_vars):
-        if sum((y * row[j] for y, row in zip(certificate, rows)), ZERO) != 0:
-            return False
-    return dot(certificate, rhs) < 0
+    y, _ = int_row(certificate)
+    if any(v < 0 for v in y[m:]) or any(v < 0 and not eq for v, eq in zip(y, lp.equalities)):
+        return False
+    # y^T A and the declared rows' share of y^T b, over y's denominator times scale
+    scale = lcm(*(den for _, _, den in lp.int_rows))
+    col, rhs = [0] * lp.n_vars, 0
+    for (nz, b, den), v in zip(lp.int_rows, y):
+        if v:
+            v *= scale // den
+            rhs += v * b
+            for j, a in nz:
+                col[j] += v * a
+    low, low_den = lp.int_lower
+    bound_rhs = 0  # minus the bound rows' share, over y's denominator times low_den
+    for j, z in zip(bounded, y[m:]):
+        col[j] -= z * scale
+        bound_rhs += z * low[j]
+    return not any(col) and rhs * low_den < bound_rhs * scale
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
@@ -245,9 +271,9 @@ class _Simplex:
     for a free variable, and a free column that enters with negative
     reduced cost is negated first and its sign flipped. A free basic
     variable is never a leaving candidate. Row i stands for
-    ``T[i] / den[i]``: Python ints over one positive denominator, kept
-    in lowest terms, so a pivot is integer multiply-and-subtract plus
-    one gcd per touched row. The reduced-cost row ``obj / obj_den`` has
+    ``T[i] / den[i]``: Python ints over one positive denominator, put
+    in lowest terms by each pivot that touches it, so a pivot is integer
+    multiply-and-subtract plus one gcd per touched row. The reduced-cost row ``obj / obj_den`` has
     the same form; ``_price`` sets it before each phase."""
 
     def __init__(self, lp: LinearProgram):
@@ -257,9 +283,9 @@ class _Simplex:
         self.shift = [ZERO if lo is None else lo for lo in lp.lower]
         self.free_cols = [j for j, lo in enumerate(lp.lower) if lo is None]
 
-        shifted = [(j, lo) for j, lo in enumerate(self.shift) if lo]
-        rhs = [b - sum((row[j] * lo for j, lo in shifted if row[j]), ZERO)
-               for row, b in zip(lp.rows, lp.rhs)]
+        # x_j = y_j + lower_j over each row's denominator times low_den
+        low, low_den = lp.int_lower
+        rhs = [b * low_den - sum(a * low[j] for j, a in nz) for nz, b, _ in lp.int_rows]
         # flip rows with negative transformed rhs so phase 1 starts basic-feasible
         self.sigma = [-1 if b < 0 else 1 for b in rhs]
         needs_art = [eq or s < 0 for eq, s in zip(lp.equalities, self.sigma)]
@@ -269,9 +295,13 @@ class _Simplex:
 
         self.T, self.den, self.basis = [], [], []  # int rows, denominators, basic columns
         slack, art = n, self.art_start
-        for row, b, eq, s, needs in zip(lp.rows, rhs, lp.equalities, self.sigma, needs_art):
-            nums, den = int_row((*row, b))
-            full = [s * a for a in nums[:-1]] + [0] * (self.n_cols - n) + [s * nums[-1]]
+        for (nz, _, den), b, eq, s, needs in zip(lp.int_rows, rhs, lp.equalities,
+                                                  self.sigma, needs_art):
+            full = [0] * (self.n_cols + 1)
+            for j, a in nz:
+                full[j] = s * low_den * a
+            full[-1] = s * b
+            den *= low_den
             if not eq:
                 full[slack] = s * den
                 basic, slack = slack, slack + 1
@@ -372,9 +402,9 @@ class _Simplex:
                 return self._extract_infeasible()
             self._expel_artificials()
 
-        cost_q = [-c if s < 0 else c for s, c in zip(self.sign, self.lp.objective)]
-        cost_q += [ZERO] * (self.art_start + 1 - self.lp.n_vars)
-        self._price(*int_row(cost_q))
+        cost, cost_den = int_row(self.lp.objective)
+        cost = [s * c for s, c in zip(self.sign, cost)] + [0] * (self.art_start + 1 - len(cost))
+        self._price(cost, cost_den)
         enter = self._optimize(self.art_start)
         if enter is not None:
             return self._extract_ray(enter)

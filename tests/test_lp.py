@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import pickle
 import random
+import re
 
 import pytest
 
@@ -214,6 +217,13 @@ class TestCertificateChecks:
         assert not check_farkas(lp, (Q(-1), Q(-1)))
         assert not check_farkas(lp, (Q(1), Q(0)))
 
+    def test_check_farkas_rejects_a_negative_bound_multiplier(self):
+        # x >= 1 with x >= 0 is feasible, yet (1, -1) balances the columns
+        # and has y^T b = -1 < 0; only its sign on the bound row is wrong
+        lp = make_lp([0], [[-1]], [-1], lower=[0])
+        assert not check_farkas(lp, (Q(1), Q(-1)))
+        assert not reference_check_farkas(lp, (Q(1), Q(-1)))
+
     def test_inexact_vectors_rejected(self):
         lp = make_lp([1], [[1]], [1], lower=[0])
         for point in ((0.5,), (1.0,), ("1",), (1,), 0.5, None, "1"):
@@ -243,6 +253,59 @@ class TestInputValidation:
     def test_floats_rejected(self):
         with pytest.raises(InputError):
             make_lp([0.5], [[1]], [0])
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_equality_flag_must_be_a_bool(self, flag):
+        with pytest.raises(InputError, match="equality flag 0"):
+            make_lp([1], [[1]], [1], equalities=[flag])
+
+    @pytest.mark.parametrize("fields", [
+        ((0.5,), ((Q(1, 2),),), (Q(1),), (False,), (Q(0),)),  # objective
+        ((Q(1, 2),), ((0.5,),), (Q(1),), (False,), (Q(0),)),  # cell
+        ((Q(1, 2),), ((Q(0),),), (1.0,), (False,), (Q(0),)),  # zero cell, rhs
+        ((Q(1, 2),), (("1",),), (Q(1),), (False,), (Q(0),)),  # string cell
+        ((Q(1, 2),), ((Q(1, 2),),), (Q(1),), (False,), (0.0,)),  # bound
+        ((Q(1, 2),), ((Q(1, 2),),), (Q(1),), (False,), (1,)),  # int bound
+    ])
+    def test_built_directly_every_number_must_be_rational(self, fields):
+        with pytest.raises(InputError, match="not a Rational"):
+            LinearProgram(*fields)
+
+    def test_built_directly_every_flag_must_be_a_bool(self):
+        with pytest.raises(InputError, match="not a bool"):
+            LinearProgram((Q(1, 2),), ((Q(1, 2),),), (Q(1),), ("no",), (Q(0),))
+
+
+class TestDerivedIntegerRows:
+    """The integer form is derived from the five declared fields and
+    never compared, hashed, shown or pickled itself."""
+
+    def _lp(self):
+        return make_lp([1, 0, Q(-1, 3)], [[Q(1, 2), 0, Q(3, 4)], [0, -2, 0]], [1, Q(5, 6)],
+                       equalities=[False, True], lower=[None, 0, Q(1, 2)])
+
+    def test_integer_form(self):
+        lp = self._lp()
+        assert lp.int_rows == ((((0, 2), (2, 3)), 4, 4), (((1, -12),), 5, 6))
+        assert lp.int_lower == ((0, 0, 1), 2)
+
+    def test_make_lp_and_sparse_lp_forms_are_equal(self):
+        sparse = sparse_lp(3, {0: 1, 2: Q(-1, 3)},
+                           [({0: Q(1, 2), 2: Q(3, 4)}, 1, False), ({1: -2}, Q(5, 6), True)],
+                           lower=[None, 0, Q(1, 2)])
+        dense = self._lp()
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert (sparse.int_rows, sparse.int_lower) == (dense.int_rows, dense.int_lower)
+
+    def test_copy_and_pickle_round_trips_are_equal(self):
+        lp = self._lp()
+        for clone in (copy.copy(lp), copy.deepcopy(lp), pickle.loads(pickle.dumps(lp))):
+            assert clone == lp and hash(clone) == hash(lp)
+            assert (clone.int_rows, clone.int_lower) == (lp.int_rows, lp.int_lower)
+
+    def test_repr_names_only_the_declared_fields(self):
+        names = re.findall(r"(\w+)=", repr(self._lp()))
+        assert names == ["objective", "rows", "rhs", "equalities", "lower"]
 
 
 class TestSparseLp:
