@@ -12,7 +12,6 @@ from .lp import (
     check_farkas,
     check_feasible,
     check_ray,
-    farkas_row_system,
     make_lp,
     solve_lp,
 )

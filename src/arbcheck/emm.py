@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
 from .linalg import in_span
-from .lp import Infeasible, Optimal, Unbounded, solve_lp, sparse_lp
+from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot
 from .tree import (
     ConditionalSupport,
@@ -58,7 +58,7 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     budget = {r + i: q for i, (_, q) in enumerate(support.atoms)}
     rows.append((budget, ONE, False))  # expected lifted loss <= 1
     objective = {k: dot(b, a) for k, b in enumerate(basis)}
-    outcome = solve_lp(sparse_lp(r + n, objective, rows, [None] * r + [ZERO] * n))
+    outcome = solve_lp(make_lp(r + n, objective, rows, [None] * r + [ZERO] * n))
     if isinstance(outcome, Unbounded):
         # the ray's direction part certifies the origin outside the
         # relative interior: every (h, x_i) >= 0 and (a, h) > 0
@@ -113,7 +113,7 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
              for j in range(d)]  # E[g * increment_j] = 0
     # minimize u; solve_lp re-checks the optimal point against the floors
     # and the martingale rows; build_emm re-checks the pasted density
-    outcome = solve_lp(sparse_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1)))
+    outcome = solve_lp(make_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1)))
     if isinstance(outcome, Infeasible):
         raise InternalError("one-step density infeasible although the origin is interior")
     if isinstance(outcome, Unbounded):

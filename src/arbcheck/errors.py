@@ -75,13 +75,10 @@ class GeometryError(RuntimeError):
     callers can report or serialize it.
     """
 
-    def __init__(self, node: int, certificate, message: str | None = None):
+    def __init__(self, node: int, certificate):
         self.node = node
         self.certificate = certificate
-        super().__init__(
-            message
-            or f"origin outside the relative interior of the support at node {node}"
-        )
+        super().__init__(f"origin outside the relative interior of the support at node {node}")
 
 
 class InternalError(RuntimeError):

@@ -19,8 +19,8 @@ from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
 from .linalg import in_span
-from .lp import Optimal, solve_lp, sparse_lp
-from .rationals import ONE, Rational, Vector, ZERO, dot, zero_vector
+from .lp import Optimal, make_lp, solve_lp
+from .rationals import ONE, Rational, Vector, ZERO, dot, is_exact_vector, zero_vector
 from .tree import ConditionalSupport
 
 
@@ -69,7 +69,7 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
         rows.append((col, ONE, False))  # h_j <= 1
         rows.append(({k: -c for k, c in col.items()}, ONE, False))  # -h_j <= 1
     objective = dict(enumerate(sum(column, ZERO) for column in zip(*inner)))  # sum_i (h, x_i)
-    outcome = solve_lp(sparse_lp(r, objective, rows))
+    outcome = solve_lp(make_lp(r, objective, rows))
     if not isinstance(outcome, Optimal):
         raise InternalError("separation program must be feasible and bounded")
     y = outcome.point
@@ -115,7 +115,7 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     n = len(pts)
     rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True)  # sum lambda_i x_i = 0
             for j in range(support.d)]
-    outcome = solve_lp(sparse_lp(n, {}, rows, [ONE] * n))
+    outcome = solve_lp(make_lp(n, {}, rows, [ONE] * n))
     if isinstance(outcome, Optimal):
         total = sum(outcome.point, ZERO)
         cert = InRi(tuple(w / total for w in outcome.point))
@@ -130,14 +130,13 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
 
 def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bool:
     """Exact re-verification of either certificate against the support's
-    atoms and, for a direction, its span basis."""
+    atoms and, for a direction, its span basis. A certificate with an
+    entry that is not a Rational fails it."""
     pts = support.values()
     d = support.d
     if isinstance(cert, InRi):
         lam = cert.weights
-        if len(lam) != len(pts):
-            return False
-        if any(w <= 0 for w in lam):
+        if not is_exact_vector(lam, len(pts)) or any(w <= 0 for w in lam):
             return False
         if sum(lam, ZERO) != 1:
             return False
@@ -147,7 +146,7 @@ def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bo
         return True
     if isinstance(cert, NotInRi):
         h = cert.direction
-        if len(h) != d:
+        if not is_exact_vector(h, d):
             return False
         if max((abs(c) for c in h), default=ZERO) != 1:
             return False

@@ -23,7 +23,13 @@ _Echelon = list
 
 
 def _common_dim(vectors: Sequence[Sequence[Rational]]) -> int:
-    dims = {len(v) for v in vectors}
+    """The one length of ``vectors``, whose entries must be Rationals."""
+    dims = set()
+    for v in vectors:
+        dims.add(len(v))
+        for a in v:
+            if not isinstance(a, Rational):
+                raise InputError(f"vector entry {a!r} is not a Rational")
     if len(dims) > 1:
         raise InputError(f"vectors of mixed dimensions: {sorted(dims)}")
     return dims.pop() if dims else 0
@@ -81,6 +87,5 @@ def span_basis(points: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
 
 def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> bool:
     """True iff v is an exact rational combination of the given vectors."""
-    if vectors and len(v) != _common_dim(vectors):
-        raise InputError(f"dimension mismatch: {len(v)} vs {_common_dim(vectors)}")
+    _common_dim((v, *vectors))
     return not any(_reduce(int_row(v)[0], _echelon(vectors)))

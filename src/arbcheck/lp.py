@@ -2,7 +2,10 @@
 
 Problems are maximizations subject to rows ``A x <= b`` (equality rows
 flagged) and per-variable bounds: each variable is either free or
-bounded below. The solver is a two-phase primal simplex with Bland's
+bounded below. A program is built by ``make_lp`` from a
+``{column: coefficient}`` map for the objective and one such map per
+row, and keeps each row as its nonzero ``(column, coefficient)`` pairs
+in column order. The solver is a two-phase primal simplex with Bland's
 anti-cycling rule and exact pivots, so it terminates on every input and
 its certificates are bit-exact. Every variable has one tableau column;
 a free one enters with either sign of reduced cost and, once basic,
@@ -22,11 +25,11 @@ Every outcome is re-verified before it leaves ``solve_lp``:
 * an Unbounded ray is checked to be a feasible direction with strictly
   positive objective growth;
 * an Infeasible certificate is a Farkas vector over the *extended* row
-  system of ``farkas_row_system`` -- the declared rows followed by one
-  row ``-x_j <= -lower_j`` per bounded variable, kept implicit here.
-  Over that system the certificate y satisfies y >= 0 on inequality
-  rows, y^T A = 0 componentwise and y^T b < 0, which is a
-  self-contained proof of infeasibility.
+  system: the declared rows, then one row ``-x_j <= -lower_j`` for each
+  bounded variable j in increasing j, kept implicit here. Over that
+  system the certificate y satisfies y >= 0 on inequality rows,
+  y^T A = 0 componentwise and y^T b < 0, which is a self-contained
+  proof of infeasibility.
 
 Each re-check reads only the program and the vector, which it brings to
 one common denominator to compare integer sums over the rows' nonzeros.
@@ -38,25 +41,29 @@ never bad input.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import lt
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
-from .rationals import ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot, int_row
+from .rationals import (ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot, int_row,
+                        is_exact_vector)
 
 
 class LinearProgram(Record):
     """maximize objective . x  s.t.  rows[i] . x (<= or ==) rhs[i],
-    x_j >= lower[j] where lower[j] is not None. Every number must be a
-    Rational and every flag a bool. Also derived, outside ``_fields``:
-    ``int_rows[i]``, row i's ((column, numerator) nonzeros, rhs
-    numerator, positive denominator), and ``int_lower``, the bound
-    numerators (0 where free) over their common denominator."""
+    x_j >= lower[j] where lower[j] is not None. Row i is a tuple of
+    (column, coefficient) pairs, int columns rising inside 0..n_vars-1,
+    each with a nonzero coefficient; an absent column is zero. Every
+    number must be a Rational and every flag a bool. Also derived,
+    outside ``_fields``: ``int_rows[i]``, row i's ((column, numerator)
+    pairs, rhs numerator, positive denominator), and ``int_lower``, the
+    bound numerators (0 where free) over their common denominator."""
 
     __slots__ = ("objective", "rows", "rhs", "equalities", "lower", "int_rows", "int_lower")
     _fields = __slots__[:5]
 
     objective: Vector
-    rows: tuple[Vector, ...]
+    rows: tuple[tuple[tuple[int, Rational], ...], ...]
     rhs: Vector
     equalities: tuple[bool, ...]
     lower: tuple[Optional[Rational], ...]
@@ -69,17 +76,18 @@ class LinearProgram(Record):
             raise InputError(f"{len(equalities)} equality flags for {m} rows")
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
-        _check_rational("the objective or bounds",
-                        (*objective, *(lo for lo in lower if lo is not None)))
+        _check_rational("the objective, right-hand sides or bounds",
+                        (*objective, *rhs, *(lo for lo in lower if lo is not None)))
         int_rows = []
         for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities)):
-            if len(row) != n:
-                raise InputError(f"row {i} has {len(row)} coefficients, expected {n}")
             if not isinstance(eq, bool):
                 raise InputError(f"equality flag {i} is {eq!r}, not a bool")
-            _check_rational(f"row {i}", (*row, b))
-            cols = [j for j, a in enumerate(row) if a]
-            nums, den = int_row([row[j] for j in cols] + [b])
+            cols, values = zip(*row) if row else ((), ())
+            _check_columns(f"row {i}", cols, n)
+            _check_rational(f"row {i}", values)
+            nums, den = int_row(values + (b,))
+            if not all(nums[:-1]):
+                raise InputError(f"row {i} has a zero coefficient in column {cols[nums.index(0)]}")
             int_rows.append((tuple(zip(cols, nums)), nums[-1], den))
         low, d = int_row([lo or ZERO for lo in lower])
         super().__init__(objective, rows, rhs, equalities, lower, tuple(int_rows), (tuple(low), d))
@@ -99,46 +107,39 @@ def _check_rational(what: str, values) -> None:
             raise InputError(f"{what} holds {v!r}, not a Rational")
 
 
+def _check_columns(what: str, cols: Sequence, n: int) -> None:
+    """Int columns rising inside 0..n-1, so no entry can land in another
+    column of the tableau."""
+    for j in cols:
+        if type(j) is not int:
+            raise InputError(f"{what} has column {j!r}, not an int")
+    if cols and not (0 <= cols[0] and cols[-1] < n and all(map(lt, cols, cols[1:]))):
+        raise InputError(f"{what} has columns {cols}: not rising, or outside 0..{n - 1}")
+
+
+def _pairs(coeffs: Mapping[int, RationalLike]) -> tuple[tuple[int, Rational], ...]:
+    """The coerced nonzero (column, coefficient) pairs of a map, by column."""
+    return tuple(sorted([(j, a) for j, c in coeffs.items() if (a := as_rational(c))]))
+
+
 def make_lp(
-    objective: Sequence[RationalLike],
-    rows: Sequence[Sequence[RationalLike]],
-    rhs: Sequence[RationalLike],
-    equalities: Optional[Sequence[bool]] = None,
-    lower: Optional[Sequence[Optional[RationalLike]]] = None,
-) -> LinearProgram:
-    """Coerce raw numbers into a LinearProgram, which checks its shape."""
-    obj = tuple(as_rational(c) for c in objective)
-    mat = tuple(tuple(as_rational(a) for a in row) for row in rows)
-    b = tuple(as_rational(v) for v in rhs)
-    eq = (False,) * len(mat) if equalities is None else tuple(equalities)
-    if lower is None:
-        lo: tuple[Optional[Rational], ...] = (None,) * len(obj)
-    else:
-        lo = tuple(None if v is None else as_rational(v) for v in lower)
-    return LinearProgram(obj, mat, b, eq, lo)
-
-
-def _dense(coeffs: Mapping[int, RationalLike], n: int) -> list:
-    """The length-``n`` row of a {column: coefficient} map."""
-    row = [ZERO] * n
-    for j, c in coeffs.items():
-        if not 0 <= j < n:
-            raise InputError(f"column {j} outside 0..{n - 1}")
-        row[j] = c
-    return row
-
-
-def sparse_lp(
     n_vars: int,
     objective: Mapping[int, RationalLike],
     rows: Sequence[tuple[Mapping[int, RationalLike], RationalLike, bool]],
     lower: Optional[Sequence[Optional[RationalLike]]] = None,
 ) -> LinearProgram:
-    """``make_lp`` over {column: coefficient} maps: the objective is one
-    map and each row a (coefficients, rhs, is_equality) triple. An absent
-    column is ZERO; one outside 0..n_vars-1 raises InputError."""
-    return make_lp(_dense(objective, n_vars), [_dense(c, n_vars) for c, _, _ in rows],
-                   [b for _, b, _ in rows], [eq for _, _, eq in rows], lower)
+    """Coerce raw numbers into a LinearProgram, which checks its shape.
+    The objective is one {column: coefficient} map and each row a
+    (coefficients, rhs, is_equality) triple. An absent column or a zero
+    entry is ZERO; a column outside 0..n_vars-1 raises InputError."""
+    obj = dict(_pairs(objective))
+    _check_columns("the objective", list(obj), n_vars)
+    lo = ([None] * n_vars if lower is None
+          else [None if v is None else as_rational(v) for v in lower])
+    return LinearProgram(tuple(obj.get(j, ZERO) for j in range(n_vars)),
+                         tuple(_pairs(c) for c, _, _ in rows),
+                         tuple(as_rational(b) for _, b, _ in rows),
+                         tuple(eq for _, _, eq in rows), tuple(lo))
 
 
 class Optimal(Record):
@@ -151,7 +152,7 @@ class Optimal(Record):
 class Infeasible(Record):
     __slots__ = ("certificate",)
 
-    certificate: Vector  # multipliers over farkas_row_system(lp)
+    certificate: Vector  # over the declared rows, then -x_j <= -lower_j per bounded j
 
 
 class Unbounded(Record):
@@ -161,31 +162,6 @@ class Unbounded(Record):
 
 
 LpOutcome = Union[Optimal, Infeasible, Unbounded]
-
-
-def farkas_row_system(lp: LinearProgram):
-    """The row system Farkas certificates refer to: the declared rows,
-    then one row -x_j <= -lower_j per bounded variable in increasing j.
-
-    Returns (rows, rhs, equalities).
-    """
-    rows = list(lp.rows)
-    rhs = list(lp.rhs)
-    eqs = list(lp.equalities)
-    for j, lo in enumerate(lp.lower):
-        if lo is None:
-            continue
-        rows.append(tuple(_dense({j: Q(-1)}, lp.n_vars)))
-        rhs.append(-lo)
-        eqs.append(False)
-    return tuple(rows), tuple(rhs), tuple(eqs)
-
-
-def _exact(vector: Sequence[Rational], length: int) -> bool:
-    """``vector`` is a sequence of ``length`` Rationals, so the exact
-    re-checks below never compare a float or a string."""
-    return (isinstance(vector, Sequence) and len(vector) == length
-            and all(isinstance(v, Rational) for v in vector))
 
 
 def _holds(lp: LinearProgram, x: list[int], d: int) -> bool:
@@ -202,20 +178,21 @@ def _holds(lp: LinearProgram, x: list[int], d: int) -> bool:
 
 
 def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
-    return _exact(point, lp.n_vars) and _holds(lp, *int_row(point))
+    return is_exact_vector(point, lp.n_vars) and _holds(lp, *int_row(point))
 
 
 def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
     """Feasible recession direction with strictly positive objective growth."""
-    return (_exact(ray, lp.n_vars) and any(ray) and _holds(lp, int_row(ray)[0], 0)
+    return (is_exact_vector(ray, lp.n_vars) and any(ray) and _holds(lp, int_row(ray)[0], 0)
             and dot(lp.objective, ray) > 0)
 
 
 def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
-    """Over ``farkas_row_system(lp)``, whose bound rows stay implicit
-    here: the row of the k-th bounded column j is -x_j <= -lower_j."""
+    """Over the extended row system: the declared rows, then, kept
+    implicit here, the row -x_j <= -lower_j of each bounded column j in
+    increasing j."""
     bounded, m = [j for j, lo in enumerate(lp.lower) if lo is not None], lp.n_rows
-    if not _exact(certificate, m + len(bounded)):
+    if not is_exact_vector(certificate, m + len(bounded)):
         return False
     y, _ = int_row(certificate)
     if any(v < 0 for v in y[m:]) or any(v < 0 and not eq for v, eq in zip(y, lp.equalities)):

@@ -112,6 +112,17 @@ def zero_vector(dim: int) -> Vector:
     return (ZERO,) * dim
 
 
+def is_exact_vector(vector: Sequence[Rational], length: int) -> bool:
+    """``vector`` is a sequence of ``length`` Rationals, so an exact
+    re-check never compares a float or a string."""
+    if not (isinstance(vector, Sequence) and len(vector) == length):
+        return False
+    for v in vector:  # faster than all() over a generator on short vectors
+        if not isinstance(v, Rational):
+            return False
+    return True
+
+
 def int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
     """Numerators of ``values`` over the lcm of their denominators, as
     Python ints (``int()`` also converts mpq's mpz parts)."""

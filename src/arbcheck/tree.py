@@ -352,10 +352,13 @@ def leaf_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
 
 def check_density(tree: ScenarioTree, density: LeafDensity) -> None:
     """Raise InputError unless density is strictly positive and exact
-    (Rational values), covers exactly the leaves, and has mass 1."""
+    (Rational values), lists each leaf once and no other node, and has
+    mass 1."""
     if not isinstance(density, LeafDensity):
         raise InputError(f"density is a {type(density).__name__}, not a LeafDensity")
     vals = density.as_dict()
+    if len(vals) != len(density.values):
+        raise InputError("density lists a leaf more than once")
     leaves = tree.leaves()
     if set(vals) != set(leaves):
         raise InputError("density keys do not match the tree's leaves")

@@ -23,7 +23,7 @@ from .geometry import (
     max_norm_normalize,
     ri_conv_contains_origin,
 )
-from .lp import Optimal, solve_lp, sparse_lp
+from .lp import Optimal, make_lp, solve_lp
 from .rationals import (
     ONE,
     Q,
@@ -85,7 +85,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
 
     rows = [(loss[leaf], ZERO, False) for leaf in tree.leaves()]  # terminal gain >= 0
     rows.append((objective, ONE, False))  # the budget E[gain] <= 1
-    outcome = solve_lp(sparse_lp(nvars, objective, rows))
+    outcome = solve_lp(make_lp(nvars, objective, rows))
     if not isinstance(outcome, Optimal) or outcome.value not in (0, 1):
         raise InternalError("arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
@@ -218,30 +218,17 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
     for nid in range(1, count):
         children[parent[nid]].append(nid)
 
-    prices: list[Optional[Vector]] = [None] * count
-    probs: list[Rational] = [ONE] * count
+    max_den = params.max_denominator
+
+    def draw_price() -> Vector:
+        return tuple(_draw_rational(rng, lo, hi, max_den) for _ in range(params.assets))
 
     if params.mode == "generic":
-        for nid in range(count):
-            prices[nid] = tuple(
-                _draw_rational(rng, lo, hi, params.max_denominator)
-                for _ in range(params.assets)
-            )
-        for nid in range(count):
-            if children[nid]:
-                for c, q in zip(children[nid], _draw_probs(rng, len(children[nid]), params.max_denominator)):
-                    probs[c] = q
+        prices: list[Optional[Vector]] = [draw_price() for _ in range(count)]
     else:  # martingale_perturbed
-        reference: dict[int, list[Rational]] = {}
-        for nid in range(count):
-            if children[nid]:
-                reference[nid] = _draw_probs(rng, len(children[nid]), params.max_denominator)
-        for nid in range(count):
-            if not children[nid]:
-                prices[nid] = tuple(
-                    _draw_rational(rng, lo, hi, params.max_denominator)
-                    for _ in range(params.assets)
-                )
+        reference = {nid: _draw_probs(rng, len(kids), max_den)
+                     for nid, kids in enumerate(children) if kids}
+        prices = [None if kids else draw_price() for kids in children]
         for nid in reversed(range(count)):  # ids are breadth-first: children first
             if children[nid]:
                 acc = [ZERO] * params.assets
@@ -251,10 +238,11 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
                     for j in range(params.assets):
                         acc[j] += q * cp[j]
                 prices[nid] = tuple(acc)
-        for nid in range(count):
-            if children[nid]:
-                for c, q in zip(children[nid], _draw_probs(rng, len(children[nid]), params.max_denominator)):
-                    probs[c] = q
+    probs: list[Rational] = [ONE] * count
+    for kids in children:
+        if kids:
+            for c, q in zip(kids, _draw_probs(rng, len(kids), max_den)):
+                probs[c] = q
 
     nodes = [
         Node(nid, parent[nid], probs[nid], prices[nid])  # type: ignore[arg-type]

@@ -8,8 +8,9 @@ from typing import Optional
 
 from arbcheck import Q, verify_martingale
 from arbcheck.errors import InternalError
-from arbcheck.lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
+from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
 from arbcheck.tree import LeafDensity, ScenarioTree, leaf_probabilities
+from lp_oracle import dense_lp
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -73,7 +74,7 @@ def find_martingale_density(tree: ScenarioTree) -> Optional[LeafDensity]:
                 eqs.append(True)
 
     objective = [ZERO] * n + [ONE]
-    outcome = solve_lp(make_lp(objective, rows, rhs, eqs))
+    outcome = solve_lp(dense_lp(objective, rows, rhs, eqs))
     if isinstance(outcome, Infeasible):
         return None  # no signed normalized solution at all, let alone positive
     if isinstance(outcome, Unbounded):

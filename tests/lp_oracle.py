@@ -22,13 +22,50 @@ from arbcheck.lp import (
     check_farkas,
     check_feasible,
     check_ray,
-    farkas_row_system,
     make_lp,
     solve_lp,
 )
 from arbcheck.rationals import Rational, dot
 
 ZERO = Q(0)
+
+
+def dense_lp(objective, rows, rhs, equalities=None, lower=None):
+    """``make_lp`` over dense rows: one coefficient per variable in the
+    objective and in each row, the right-hand sides and equality flags
+    as separate sequences (every row an inequality when omitted)."""
+    if equalities is None:
+        equalities = [False] * len(rows)
+    return make_lp(len(objective), dict(enumerate(objective)),
+                   [(dict(enumerate(row)), b, eq) for row, b, eq in zip(rows, rhs, equalities)],
+                   lower)
+
+
+def dense_rows(lp):
+    """Each row of ``lp`` with its absent columns filled in with ZERO."""
+    dense = []
+    for pairs in lp.rows:
+        row = [ZERO] * lp.n_vars
+        for j, a in pairs:
+            row[j] = a
+        dense.append(tuple(row))
+    return tuple(dense)
+
+
+def farkas_row_system(lp):
+    """The dense row system Farkas certificates refer to: the declared
+    rows, then one row -x_j <= -lower_j per bounded variable in
+    increasing j.
+
+    Returns (rows, rhs, equalities).
+    """
+    rows, rhs, eqs = list(dense_rows(lp)), list(lp.rhs), list(lp.equalities)
+    for j, lo in enumerate(lp.lower):
+        if lo is not None:
+            rows.append(tuple(Q(-1) if k == j else ZERO for k in range(lp.n_vars)))
+            rhs.append(-lo)
+            eqs.append(False)
+    return tuple(rows), tuple(rhs), tuple(eqs)
 
 
 def _solve_square(rows, rhs):
@@ -108,9 +145,9 @@ def _split_free(lp):
             for j, lo in enumerate(lp.lower)]
     cols = [c for group in cols for c in group]
     lower = [ZERO if lp.lower[j] is None else lp.lower[j] for j, _ in cols]
-    return make_lp([s * lp.objective[j] for j, s in cols],
-                   [[s * row[j] for j, s in cols] for row in lp.rows],
-                   lp.rhs, lp.equalities, lower)
+    return dense_lp([s * lp.objective[j] for j, s in cols],
+                    [[s * row[j] for j, s in cols] for row in dense_rows(lp)],
+                    lp.rhs, lp.equalities, lower)
 
 
 def enumerate_lp(lp):
@@ -152,7 +189,7 @@ def random_lp(rng, free=0.0, max_vars=4):
     eqs = [rng.random() < 0.25 for _ in range(m)]
     obj = [coef() for _ in range(n)]
     lower = [None if free and rng.random() < free else Q(rng.randint(-3, 0)) for _ in range(n)]
-    return make_lp(obj, rows, rhs, eqs, lower)
+    return dense_lp(obj, rows, rhs, eqs, lower)
 
 
 def random_fractional_lp(rng, max_vars=4):
@@ -171,7 +208,7 @@ def random_fractional_lp(rng, max_vars=4):
         lower = [Q(1, rng.randint(2, 7))] * n
     else:
         lower = [None if rng.random() < 0.3 else frac(-3, 1) for _ in range(n)]
-    return make_lp(obj, rows, rhs, eqs, lower)
+    return dense_lp(obj, rows, rhs, eqs, lower)
 
 
 # Reference re-checks: the dense rational forms of check_feasible,
@@ -189,7 +226,7 @@ def reference_check_feasible(lp, point):
     for j, lo in enumerate(lp.lower):
         if lo is not None and point[j] < lo:
             return False
-    for row, b, eq in zip(lp.rows, lp.rhs, lp.equalities):
+    for row, b, eq in zip(dense_rows(lp), lp.rhs, lp.equalities):
         lhs = dot(row, point)
         if eq:
             if lhs != b:
@@ -205,7 +242,7 @@ def reference_check_ray(lp, ray):
     for j, lo in enumerate(lp.lower):
         if lo is not None and ray[j] < 0:
             return False
-    for row, eq in zip(lp.rows, lp.equalities):
+    for row, eq in zip(dense_rows(lp), lp.equalities):
         lhs = dot(row, ray)
         if eq:
             if lhs != 0:

@@ -11,7 +11,7 @@ from typing import Optional
 from arbcheck.emm import one_step_scale
 from arbcheck.errors import InternalError
 from arbcheck.linalg import span_basis
-from arbcheck.lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
+from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
 from arbcheck.rationals import ONE, Q, Rational, ZERO, dot
 from arbcheck.tree import (
     ScenarioTree,
@@ -20,6 +20,7 @@ from arbcheck.tree import (
     ensure_valid,
     path_probabilities,
 )
+from lp_oracle import dense_lp
 
 
 def scaled_gain_lp(tree: ScenarioTree) -> Rational:
@@ -80,7 +81,7 @@ def scaled_gain_lp(tree: ScenarioTree) -> Rational:
     rows.append(budget)
     rhs.append(ONE)
 
-    outcome = solve_lp(make_lp(objective, rows, rhs, lower=lower))
+    outcome = solve_lp(dense_lp(objective, rows, rhs, lower=lower))
     if isinstance(outcome, Unbounded):
         raise InternalError("scaled-gain program unbounded: the floor bound failed")
     if isinstance(outcome, Infeasible):

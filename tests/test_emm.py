@@ -51,6 +51,10 @@ class TestSupportFunction:
         with pytest.raises(InputError):
             support_function(cs, (ZERO, Q(1)))
 
+    def test_inexact_query_rejected(self):
+        with pytest.raises(InputError, match="not a Rational"):
+            support_function(coin_support(), (0.5,))
+
     def test_unbounded_when_origin_not_interior(self):
         cs = conditional_support(sure_win(), 0)
         with pytest.raises(GeometryError) as exc:

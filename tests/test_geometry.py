@@ -144,6 +144,12 @@ class TestCertificateCheck:
         assert not check_ri_certificate(points, NotInRi(direction=(ZERO, Q(1))))
         assert check_ri_certificate(points, NotInRi(direction=(Q(1), ZERO)))
 
+    @pytest.mark.parametrize("cert", [InRi((0.5, 0.5)), InRi(("1/2", "1/2")),
+                                      NotInRi((1.0,)), NotInRi(("1",))])
+    def test_rejects_entries_that_are_not_rational(self, cert):
+        # on the +-1 coin the float weights would sum to 1 and balance
+        assert not check_ri_certificate(support(pts((1,), (-1,))), cert)
+
     def test_rejects_zero_dimensional_direction(self):
         # an empty direction has no component of absolute value 1
         assert not check_ri_certificate(support([()]), NotInRi(()))

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arbcheck import Q, in_span, span_basis
+from arbcheck.errors import InputError
 from helpers import vec
 from linalg_oracle import rref_basis, rref_in_span
 
@@ -33,6 +35,16 @@ def test_in_span():
     assert in_span(vec((0, 0, 0)), vecs)
     assert not in_span(vec((1, 0, 0)), vecs)
     assert in_span(vec((0, 0)), [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: span_basis([(0.5,)]),
+    lambda: in_span((0.5,), V((1,))),
+    lambda: in_span(("1",), V((1,))),
+], ids=["span_basis-float", "in_span-float", "in_span-string"])
+def test_entries_that_are_not_rational_are_refused(call):
+    with pytest.raises(InputError, match="is not a Rational"):
+        call()
 
 
 def test_basis_is_canonical_under_presentation():

@@ -16,14 +16,15 @@ from arbcheck.lp import (
     check_farkas,
     check_feasible,
     check_ray,
-    farkas_row_system,
     _Simplex,
     _check_new_basis,
     make_lp,
     solve_lp,
-    sparse_lp,
 )
 from lp_oracle import (
+    dense_lp,
+    dense_rows,
+    farkas_row_system,
     oracle_check,
     random_fractional_lp,
     random_lp,
@@ -36,7 +37,7 @@ from lp_oracle import (
 class TestWorkedExamples:
     def test_two_variable_optimum(self):
         # max x+y  s.t.  x+2y <= 4, 3x+y <= 6, x,y >= 0
-        lp = make_lp([1, 1], [[1, 2], [3, 1]], [4, 6], lower=[0, 0])
+        lp = dense_lp([1, 1], [[1, 2], [3, 1]], [4, 6], lower=[0, 0])
         out = solve_lp(lp)
         assert isinstance(out, Optimal)
         assert out.value == Q(14, 5)
@@ -44,14 +45,14 @@ class TestWorkedExamples:
 
     def test_infeasible_with_farkas(self):
         # x <= 1 and -x <= -2 cannot both hold
-        lp = make_lp([1], [[1], [-1]], [1, -2], lower=[None])
+        lp = dense_lp([1], [[1], [-1]], [1, -2], lower=[None])
         out = solve_lp(lp)
         assert isinstance(out, Infeasible)
         assert out.certificate == (Q(1), Q(1))
         assert check_farkas(lp, out.certificate)
 
     def test_unbounded_ray(self):
-        lp = make_lp([1], [[-1]], [0], lower=[None])
+        lp = dense_lp([1], [[-1]], [0], lower=[None])
         out = solve_lp(lp)
         assert isinstance(out, Unbounded)
         assert out.ray == (Q(1),)
@@ -60,7 +61,7 @@ class TestWorkedExamples:
     def test_degenerate_cycling_instance(self):
         """A classic instance that cycles under naive pivoting; the
         least-index rule must terminate at the exact optimum."""
-        lp = make_lp(
+        lp = dense_lp(
             [Q(3, 4), -150, Q(1, 50), -6],
             [
                 [Q(1, 4), -60, Q(-1, 25), 9],
@@ -78,7 +79,7 @@ class TestWorkedExamples:
         """Bland's rule takes 57,313 pivots on the n=22 Klee-Minty cube;
         no pivot budget may cut a valid, bounded program short."""
         n = 22
-        lp = make_lp(
+        lp = dense_lp(
             [2 ** (n - j) for j in range(1, n + 1)],
             [[2 ** (i - j + 1) if j < i else int(j == i) for j in range(1, n + 1)]
              for i in range(1, n + 1)],
@@ -99,7 +100,7 @@ class TestWorkedExamples:
 
     def test_equality_rows(self):
         # max t  s.t.  l1+l2 == 1, l1-l2 == 0, t <= l1, t <= l2
-        lp = make_lp(
+        lp = dense_lp(
             [0, 0, 1],
             [[1, 1, 0], [1, -1, 0], [-1, 0, 1], [0, -1, 1]],
             [1, 0, 0, 0],
@@ -113,8 +114,8 @@ class TestWorkedExamples:
 
     def test_free_variables(self):
         # max z1 subject to z1+z2 == 0 and z2 <= 3, both free
-        lp = make_lp([1, 0], [[1, 1], [0, 1]], [0, 3],
-                     equalities=[True, False], lower=[None, None])
+        lp = dense_lp([1, 0], [[1, 1], [0, 1]], [0, 3],
+                      equalities=[True, False], lower=[None, None])
         out = solve_lp(lp)
         assert isinstance(out, Unbounded)
         assert check_ray(lp, out.ray)
@@ -128,8 +129,8 @@ class TestTableauEdgeCases:
     def test_unbounded_ray_enters_on_a_slack(self, monkeypatch):
         # max x - 2y  s.t.  -x + y == 0, 2x + y <= -1, both free. The
         # second row is flipped (rhs < 0) and the ray enters on its slack.
-        lp = make_lp([1, -2], [[-1, 1], [2, 1]], [0, -1],
-                     equalities=[True, False], lower=[None, None])
+        lp = dense_lp([1, -2], [[-1, 1], [2, 1]], [0, -1],
+                      equalities=[True, False], lower=[None, None])
         seen = []
         extract = _Simplex._extract_ray
 
@@ -145,8 +146,8 @@ class TestTableauEdgeCases:
 
     def test_redundant_equality_row_is_dropped(self):
         # the second equality is three times the first
-        lp = make_lp([1, 0], [[Q(1, 3), Q(2, 3)], [1, 2]], [Q(1, 3), 1],
-                     equalities=[True, True], lower=[0, 0])
+        lp = dense_lp([1, 0], [[Q(1, 3), Q(2, 3)], [1, 2]], [Q(1, 3), 1],
+                      equalities=[True, True], lower=[0, 0])
         simplex = _Simplex(lp)
         out = simplex.run()
         assert len(simplex.T) == 1
@@ -155,8 +156,8 @@ class TestTableauEdgeCases:
     def test_negative_pivot_when_expelling_artificials(self):
         # phase 1 ends with the artificial of row 2 basic at zero, and it
         # is expelled by a pivot on that row's coefficient -2 for y
-        lp = make_lp([2, -1], [[0, -1], [2, -2], [0, -2]], [0, 0, 0],
-                     equalities=[False, True, True], lower=[None, 0])
+        lp = dense_lp([2, -1], [[0, -1], [2, -2], [0, -2]], [0, 0, 0],
+                      equalities=[False, True, True], lower=[None, 0])
         simplex = _Simplex(lp)
         out = simplex.run()
         assert len(simplex.T) == 3
@@ -165,26 +166,26 @@ class TestTableauEdgeCases:
     def test_free_column_enters_with_negative_reduced_cost(self):
         # max -x + y  s.t.  -x <= 2, y <= 1, x free: x enters first and
         # must move down, so its column is negated before the pivot
-        lp = make_lp([-1, 1], [[-1, 0], [0, 1]], [2, 1], lower=[None, 0])
+        lp = dense_lp([-1, 1], [[-1, 0], [0, 1]], [2, 1], lower=[None, 0])
         assert solve_lp(lp) == Optimal((Q(-2), Q(1)), Q(3))
 
     def test_ratio_test_skips_a_negative_free_basic(self):
         # max x + 2y + 3z  s.t.  x + y + z <= 0, y <= 3, z <= 2, x free:
         # x turns basic at 0, then y and z each have coefficient +1 in
         # its row (rhs 0, then -3); that row must never be chosen
-        lp = make_lp([1, 2, 3], [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [0, 3, 2],
-                     lower=[None, 0, 0])
+        lp = dense_lp([1, 2, 3], [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [0, 3, 2],
+                      lower=[None, 0, 0])
         assert solve_lp(lp) == Optimal((Q(-5), Q(3), Q(2)), Q(7))
 
     def test_unbounded_ray_along_a_negated_free_column(self):
         # max -x + y  s.t.  y <= 1, x + y <= 4, x free: x decreases forever
-        lp = make_lp([-1, 1], [[0, 1], [1, 1]], [1, 4], lower=[None, 0])
+        lp = dense_lp([-1, 1], [[0, 1], [1, 1]], [1, 4], lower=[None, 0])
         assert solve_lp(lp) == Unbounded((Q(-1), Q(0)))
 
     def test_farkas_certificate_on_sign_flipped_rows(self):
         # x/2 + y == -1 with x, y >= 0: the equality is flipped
-        lp = make_lp([1, 1], [[Q(1, 2), 1], [1, -2]], [-1, 3],
-                     equalities=[True, False], lower=[0, 0])
+        lp = dense_lp([1, 1], [[Q(1, 2), 1], [1, -2]], [-1, 3],
+                      equalities=[True, False], lower=[0, 0])
         out = solve_lp(lp)
         assert isinstance(out, Infeasible)
         assert out.certificate == (Q(1), Q(0), Q(1, 2), Q(1))
@@ -193,45 +194,45 @@ class TestTableauEdgeCases:
 
 class TestCertificateChecks:
     def test_extended_row_system_appends_bounds(self):
-        lp = make_lp([1, 1], [[1, 0]], [2], lower=[None, Q(-1)])
+        lp = dense_lp([1, 1], [[1, 0]], [2], lower=[None, Q(-1)])
         rows, rhs, eqs = farkas_row_system(lp)
         assert rows == ((Q(1), Q(0)), (Q(0), Q(-1)))
         assert rhs == (Q(2), Q(1))
         assert eqs == (False, False)
 
     def test_check_feasible(self):
-        lp = make_lp([1], [[1]], [1], equalities=[True], lower=[0])
+        lp = dense_lp([1], [[1]], [1], equalities=[True], lower=[0])
         assert check_feasible(lp, (Q(1),))
         assert not check_feasible(lp, (Q(1, 2),))
         assert not check_feasible(lp, (Q(-1),))
 
     def test_check_ray(self):
-        lp = make_lp([1, 0], [[1, 1]], [5], equalities=[True], lower=[None, None])
+        lp = dense_lp([1, 0], [[1, 1]], [5], equalities=[True], lower=[None, None])
         assert check_ray(lp, (Q(1), Q(-1)))
         assert not check_ray(lp, (Q(1), Q(0)))   # violates the equality row
         assert not check_ray(lp, (Q(0), Q(0)))
         assert not check_ray(lp, (Q(-1), Q(1)))  # objective does not grow
 
     def test_check_farkas_rejects_wrong_sign(self):
-        lp = make_lp([1], [[1], [-1]], [1, -2], lower=[None])
+        lp = dense_lp([1], [[1], [-1]], [1, -2], lower=[None])
         assert not check_farkas(lp, (Q(-1), Q(-1)))
         assert not check_farkas(lp, (Q(1), Q(0)))
 
     def test_check_farkas_rejects_a_negative_bound_multiplier(self):
         # x >= 1 with x >= 0 is feasible, yet (1, -1) balances the columns
         # and has y^T b = -1 < 0; only its sign on the bound row is wrong
-        lp = make_lp([0], [[-1]], [-1], lower=[0])
+        lp = dense_lp([0], [[-1]], [-1], lower=[0])
         assert not check_farkas(lp, (Q(1), Q(-1)))
         assert not reference_check_farkas(lp, (Q(1), Q(-1)))
 
     def test_inexact_vectors_rejected(self):
-        lp = make_lp([1], [[1]], [1], lower=[0])
+        lp = dense_lp([1], [[1]], [1], lower=[0])
         for point in ((0.5,), (1.0,), ("1",), (1,), 0.5, None, "1"):
             assert not check_feasible(lp, point)
-        ray_lp = make_lp([1], [[-1]], [0], lower=[None])
+        ray_lp = dense_lp([1], [[-1]], [0], lower=[None])
         for ray in ((0.5,), ("1",), (1,), None):
             assert not check_ray(ray_lp, ray)
-        bad = make_lp([1], [[1], [-1]], [1, -2], lower=[None])
+        bad = dense_lp([1], [[1], [-1]], [1, -2], lower=[None])
         assert check_farkas(bad, (Q(1), Q(1)))
         for cert in ((1.0, 1.0), (Q(1), "1"), (1, 1), None):
             assert not check_farkas(bad, cert)
@@ -239,31 +240,31 @@ class TestCertificateChecks:
 
 class TestInputValidation:
     def test_dimension_mismatches(self):
+        with pytest.raises(InputError, match="outside 0..0"):
+            make_lp(1, {}, [({1: 1}, 0, False)])
         with pytest.raises(InputError):
-            make_lp([1, 2], [[1]], [0])
+            LinearProgram((Q(1),), (((0, Q(1)),),), (Q(0), Q(1)), (False,), (None,))
         with pytest.raises(InputError):
-            make_lp([1], [[1]], [0, 1])
+            LinearProgram((Q(1),), (((0, Q(1)),),), (Q(0),), (True, False), (None,))
         with pytest.raises(InputError):
-            make_lp([1], [[1]], [0], equalities=[True, False])
-        with pytest.raises(InputError):
-            make_lp([1], [[1]], [0], lower=[0, 0])
+            make_lp(1, {0: 1}, [({0: 1}, 0, False)], lower=[0, 0])
         with pytest.raises(InputError):  # built directly, without make_lp
-            LinearProgram((Q(1),), ((Q(1), Q(1)),), (Q(0),), (False,), (None,))
+            LinearProgram((Q(1),), (((0, Q(1)), (1, Q(1))),), (Q(0),), (False,), (None,))
 
     def test_floats_rejected(self):
         with pytest.raises(InputError):
-            make_lp([0.5], [[1]], [0])
+            dense_lp([0.5], [[1]], [0])
 
     @pytest.mark.parametrize("flag", ["no", 1, None])
     def test_equality_flag_must_be_a_bool(self, flag):
         with pytest.raises(InputError, match="equality flag 0"):
-            make_lp([1], [[1]], [1], equalities=[flag])
+            dense_lp([1], [[1]], [1], equalities=[flag])
 
     @pytest.mark.parametrize("fields", [
         ((0.5,), ((Q(1, 2),),), (Q(1),), (False,), (Q(0),)),  # objective
-        ((Q(1, 2),), ((0.5,),), (Q(1),), (False,), (Q(0),)),  # cell
-        ((Q(1, 2),), ((Q(0),),), (1.0,), (False,), (Q(0),)),  # zero cell, rhs
-        ((Q(1, 2),), (("1",),), (Q(1),), (False,), (Q(0),)),  # string cell
+        ((Q(1, 2),), (((0, 0.5),),), (Q(1),), (False,), (Q(0),)),  # coefficient
+        ((Q(1, 2),), ((),), (1.0,), (False,), (Q(0),)),  # empty row, rhs
+        ((Q(1, 2),), (((0, "1"),),), (Q(1),), (False,), (Q(0),)),  # string coefficient
         ((Q(1, 2),), ((Q(1, 2),),), (Q(1),), (False,), (0.0,)),  # bound
         ((Q(1, 2),), ((Q(1, 2),),), (Q(1),), (False,), (1,)),  # int bound
     ])
@@ -273,7 +274,23 @@ class TestInputValidation:
 
     def test_built_directly_every_flag_must_be_a_bool(self):
         with pytest.raises(InputError, match="not a bool"):
-            LinearProgram((Q(1, 2),), ((Q(1, 2),),), (Q(1),), ("no",), (Q(0),))
+            LinearProgram((Q(1, 2),), (((0, Q(1, 2)),),), (Q(1),), ("no",), (Q(0),))
+
+    @pytest.mark.parametrize("row, message", [
+        (((1.0, Q(1)),), "not an int"),
+        ((("0", Q(1)),), "not an int"),
+        (((True, Q(1)),), "not an int"),
+        (((-1, Q(1)),), "outside 0..2"),
+        (((3, Q(1)),), "outside 0..2"),
+        (((1, Q(1)), (1, Q(2))), "not rising"),
+        (((2, Q(1)), (0, Q(1))), "not rising"),
+        (((0, Q(0)),), "zero coefficient in column 0"),
+    ])
+    def test_built_directly_every_row_pair_is_checked(self, row, message):
+        """A bad column must not reach the tableau, where one outside
+        0..n-1 would write into a slack column."""
+        with pytest.raises(InputError, match=message):
+            LinearProgram((Q(0),) * 3, (row,), (Q(1),), (False,), (None,) * 3)
 
 
 class TestDerivedIntegerRows:
@@ -281,8 +298,8 @@ class TestDerivedIntegerRows:
     never compared, hashed, shown or pickled itself."""
 
     def _lp(self):
-        return make_lp([1, 0, Q(-1, 3)], [[Q(1, 2), 0, Q(3, 4)], [0, -2, 0]], [1, Q(5, 6)],
-                       equalities=[False, True], lower=[None, 0, Q(1, 2)])
+        return dense_lp([1, 0, Q(-1, 3)], [[Q(1, 2), 0, Q(3, 4)], [0, -2, 0]], [1, Q(5, 6)],
+                        equalities=[False, True], lower=[None, 0, Q(1, 2)])
 
     def test_integer_form(self):
         lp = self._lp()
@@ -290,9 +307,9 @@ class TestDerivedIntegerRows:
         assert lp.int_lower == ((0, 0, 1), 2)
 
     def test_make_lp_and_sparse_lp_forms_are_equal(self):
-        sparse = sparse_lp(3, {0: 1, 2: Q(-1, 3)},
-                           [({0: Q(1, 2), 2: Q(3, 4)}, 1, False), ({1: -2}, Q(5, 6), True)],
-                           lower=[None, 0, Q(1, 2)])
+        sparse = make_lp(3, {0: 1, 2: Q(-1, 3)},
+                         [({0: Q(1, 2), 2: Q(3, 4)}, 1, False), ({1: -2}, Q(5, 6), True)],
+                         lower=[None, 0, Q(1, 2)])
         dense = self._lp()
         assert sparse == dense and hash(sparse) == hash(dense)
         assert (sparse.int_rows, sparse.int_lower) == (dense.int_rows, dense.int_lower)
@@ -311,13 +328,13 @@ class TestDerivedIntegerRows:
 class TestSparseLp:
     def test_equals_make_lp_on_the_dense_form(self):
         # free x0, x1 >= 0, x2 >= 1/2; two inequality rows, one equality
-        sparse = sparse_lp(
+        sparse = make_lp(
             3,
             {0: 1, 2: Q(-1, 3)},
             [({0: 1, 1: 2}, 4, False), ({1: -1, 2: "3/2"}, -1, False), ({0: 1, 2: 1}, 2, True)],
             lower=[None, 0, Q(1, 2)],
         )
-        dense = make_lp(
+        dense = dense_lp(
             [1, 0, Q(-1, 3)],
             [[1, 2, 0], [0, -1, Q(3, 2)], [1, 0, 1]],
             [4, -1, 2],
@@ -328,18 +345,29 @@ class TestSparseLp:
         assert solve_lp(sparse) == solve_lp(dense)
 
     def test_absent_columns_are_zero(self):
-        lp = sparse_lp(4, {}, [({2: 5}, 1, False)])
+        lp = make_lp(4, {}, [({2: 5}, 1, False)])
         assert lp.objective == (Q(0),) * 4
-        assert lp.rows == ((Q(0), Q(0), Q(5), Q(0)),)
+        assert lp.rows == (((2, Q(5)),),)
+        assert dense_rows(lp) == ((Q(0), Q(0), Q(5), Q(0)),)
         assert lp.rhs == (Q(1),) and lp.equalities == (False,)
         assert lp.lower == (None,) * 4
+
+    def test_key_order_and_explicit_zeros_change_nothing(self):
+        lp = make_lp(3, {2: 1, 0: -1}, [({2: "3/2", 0: 1}, 4, False), ({1: 2}, 0, True)],
+                     lower=[None, 0, 0])
+        same = make_lp(3, {1: 0, 0: -1, 2: 1},
+                       [({0: 1, 1: Q(0), 2: "3/2"}, 4, False), ({2: "0", 1: 2, 0: 0}, 0, True)],
+                       lower=[None, 0, 0])
+        assert lp.rows == (((0, Q(1)), (2, Q(3, 2))), ((1, Q(2)),))
+        assert same == lp and hash(same) == hash(lp)
+        assert (same.int_rows, same.int_lower) == (lp.int_rows, lp.int_lower)
 
     @pytest.mark.parametrize("col", [-1, 3])
     def test_column_outside_the_program_rejected(self, col):
         with pytest.raises(InputError, match="outside 0..2"):
-            sparse_lp(3, {col: 1}, [])
+            make_lp(3, {col: 1}, [])
         with pytest.raises(InputError, match="outside 0..2"):
-            sparse_lp(3, {}, [({0: 1, col: 1}, 0, False)])
+            make_lp(3, {}, [({0: 1, col: 1}, 0, False)])
 
 
 def _agree_with_oracle(rng, **kinds):

@@ -16,6 +16,7 @@ from arbcheck import (
     tree_from_json,
     tree_to_json,
     validate,
+    verify_martingale,
 )
 from arbcheck.errors import InputError
 from arbcheck.tree import (
@@ -394,6 +395,14 @@ class TestDensity:
                 check_density(t, not_a_density)
             with pytest.raises(InputError, match="not a LeafDensity"):
                 density_process(t, not_a_density)
+
+    def test_check_density_rejects_a_repeated_leaf(self):
+        # as a dict, the first value for leaf 1 would be dropped unseen
+        z = LeafDensity(((1, Q(5)), (1, Q(1)), (2, Q(1))))
+        with pytest.raises(InputError, match="more than once"):
+            check_density(skewed_coin(), z)
+        with pytest.raises(InputError, match="more than once"):
+            verify_martingale(skewed_coin(), z)
 
     def test_density_process(self):
         t = skewed_coin_two_period()
