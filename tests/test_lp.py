@@ -192,6 +192,50 @@ class TestTableauEdgeCases:
         assert check_farkas(lp, out.certificate)
 
 
+def _first_structural_row(simplex):
+    return next(i for i, b in enumerate(simplex.basis) if b < simplex.lp.n_vars)
+
+
+def _bump_point(simplex):
+    i = _first_structural_row(simplex)  # a basic x_j moves by 1
+    simplex.T[i][-1] += simplex.den[i]
+
+
+def _bump_ray(simplex, enter):
+    i = _first_structural_row(simplex)  # a basic ray entry moves by 1
+    simplex.T[i][enter] += simplex.den[i]
+
+
+def _bump_farkas(simplex):
+    # the first row's multiplier moves by 1
+    simplex.obj[simplex.init_basis[0]] += simplex.obj_den
+
+
+class TestExtractionsAreReChecked:
+    """A tableau value that an extraction reads, moved by one, must be
+    caught by that outcome's exact re-check before it is returned."""
+
+    @pytest.mark.parametrize("extract, corrupt, lp, message", [
+        ("_extract_optimal", _bump_point,
+         dense_lp([1, 1], [[1, 2], [3, 1]], [4, 6], lower=[0, 0]), "optimal point"),
+        ("_extract_ray", _bump_ray,
+         dense_lp([1, -2], [[-1, 1], [2, 1]], [0, -1], equalities=[True, False],
+                  lower=[None, None]), "unbounded ray"),
+        ("_extract_infeasible", _bump_farkas,
+         dense_lp([1], [[1], [-1]], [1, -2], lower=[None]), "Farkas certificate"),
+    ])
+    def test_a_corrupted_tableau_value_raises(self, monkeypatch, extract, corrupt, lp, message):
+        original = getattr(_Simplex, extract)
+
+        def corrupted(self, *args):
+            corrupt(self, *args)
+            return original(self, *args)
+
+        monkeypatch.setattr(_Simplex, extract, corrupted)
+        with pytest.raises(InternalError, match=message):
+            solve_lp(lp)
+
+
 class TestCertificateChecks:
     def test_extended_row_system_appends_bounds(self):
         lp = dense_lp([1, 1], [[1, 0]], [2], lower=[None, Q(-1)])
