@@ -215,13 +215,13 @@ def random_fractional_lp(rng, max_vars=4):
 # check_ray and check_farkas, kept here so the shipped integer forms can
 # be held against them.
 
-def _exact(vector, length):
+def exact_vector(vector, length):
     return (isinstance(vector, Sequence) and len(vector) == length
             and all(isinstance(v, Rational) for v in vector))
 
 
 def reference_check_feasible(lp, point):
-    if not _exact(point, lp.n_vars):
+    if not exact_vector(point, lp.n_vars):
         return False
     for j, lo in enumerate(lp.lower):
         if lo is not None and point[j] < lo:
@@ -237,7 +237,7 @@ def reference_check_feasible(lp, point):
 
 
 def reference_check_ray(lp, ray):
-    if not _exact(ray, lp.n_vars) or not any(ray):
+    if not exact_vector(ray, lp.n_vars) or not any(ray):
         return False
     for j, lo in enumerate(lp.lower):
         if lo is not None and ray[j] < 0:
@@ -254,7 +254,7 @@ def reference_check_ray(lp, ray):
 
 def reference_check_farkas(lp, certificate):
     rows, rhs, eqs = farkas_row_system(lp)
-    if not _exact(certificate, len(rows)):
+    if not exact_vector(certificate, len(rows)):
         return False
     for y, eq in zip(certificate, eqs):
         if not eq and y < 0:

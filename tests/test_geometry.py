@@ -19,6 +19,7 @@ from arbcheck.linalg import in_span
 from arbcheck.rationals import dot
 from arbcheck.tree import conditional_support
 from helpers import one_step, support, vec
+from lp_oracle import exact_vector
 
 ZERO = Q(0)
 
@@ -155,16 +156,20 @@ class TestCertificateCheck:
         assert not check_ri_certificate(support([()]), NotInRi(()))
 
 
-def test_dichotomy_sample():
-    """Random atom sets: exactly one verdict kind, certificates check,
-    and the separation optimum is zero precisely in the interior case."""
+def _dichotomy_points():
     rng = random.Random(5150)
-    kinds = {InRi: 0, NotInRi: 0}
     for _ in range(300):
         d = rng.randint(1, 3)
         k = rng.randint(1, 5)
-        points = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3))
-                        for _ in range(d)) for _ in range(k)]
+        yield [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(d)) for _ in range(k)]
+
+
+def test_dichotomy_sample():
+    """Random atom sets: exactly one verdict kind, certificates check,
+    and the separation optimum is zero precisely in the interior case."""
+    kinds = {InRi: 0, NotInRi: 0}
+    for points in _dichotomy_points():
         out = ri_conv_contains_origin(support(points))
         kinds[type(out)] += 1
         assert check_ri_certificate(support(points), out)
@@ -227,3 +232,74 @@ def test_degenerate_nodes(tree):
     assert check_ri_certificate(cs, cert)
     assert isinstance(cert, InRi) == (separation_optimum(cs)[0] == 0)
     assert equivalence_report(tree).consistent
+
+
+def reference_check_ri_certificate(support, cert):
+    """The rational form of ``check_ri_certificate``, with sums of
+    rational products, kept here to hold the shipped integer form to."""
+    pts = support.values()
+    d = support.d
+    if isinstance(cert, InRi):
+        lam = cert.weights
+        if not exact_vector(lam, len(pts)) or any(w <= 0 for w in lam):
+            return False
+        if sum(lam, ZERO) != 1:
+            return False
+        for j in range(d):
+            if sum((w * x[j] for w, x in zip(lam, pts)), ZERO) != 0:
+                return False
+        return True
+    if isinstance(cert, NotInRi):
+        h = cert.direction
+        if not exact_vector(h, d):
+            return False
+        if max((abs(c) for c in h), default=ZERO) != 1:
+            return False
+        if not in_span(h, support.basis):
+            return False
+        strict = False
+        for x in pts:
+            v = dot(h, x)
+            if v < 0:
+                return False
+            if v > 0:
+                strict = True
+        return strict
+    return False
+
+
+def _near_misses(cert):
+    """Copies of a certificate with one entry moved by +-1/7, one sign
+    flipped or one entry zeroed, and the whole vector scaled by 2; for
+    weights, also one zeroed with the rest rescaled to sum 1, which
+    still balances when the zeroed atom is the origin."""
+    kind = type(cert)
+    v = cert.weights if kind is InRi else cert.direction
+    yield kind(tuple(2 * c for c in v))
+    for k, c in enumerate(v):
+        for new in (c + Q(1, 7), c - Q(1, 7), -c, ZERO):
+            yield kind(v[:k] + (new,) + v[k + 1:])
+        rest = v[:k] + (ZERO,) + v[k + 1:]
+        if kind is InRi and sum(rest, ZERO):
+            yield InRi(tuple(w / sum(rest, ZERO) for w in rest))
+
+
+def _assert_ri_checks_agree(cs):
+    cert = ri_conv_contains_origin(cs)
+    assert check_ri_certificate(cs, cert) and reference_check_ri_certificate(cs, cert)
+    for miss in _near_misses(cert):
+        assert check_ri_certificate(cs, miss) == reference_check_ri_certificate(cs, miss), miss
+
+
+class TestRiCheckAgreesWithReference:
+    """The shipped ``check_ri_certificate`` gives the verdicts of the
+    rational reference on every certificate and on its near misses."""
+
+    def test_dichotomy_supports(self):
+        for points in _dichotomy_points():
+            _assert_ri_checks_agree(support(points))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_degenerate_one_step())
+    def test_degenerate_supports(self, tree):
+        _assert_ri_checks_agree(conditional_support(tree, 0))
