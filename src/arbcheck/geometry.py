@@ -15,12 +15,13 @@ used downstream is scale-invariant).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
 from .linalg import in_span
 from .lp import Optimal, make_lp, solve_lp
-from .rationals import ONE, Rational, Vector, ZERO, dot, is_exact_vector, zero_vector
+from .rationals import ONE, Q, Rational, Vector, ZERO, dot, int_row, is_exact_vector, zero_vector
 from .tree import ConditionalSupport
 
 
@@ -117,8 +118,9 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
             for j in range(support.d)]
     outcome = solve_lp(make_lp(n, {}, rows, [ONE] * n))
     if isinstance(outcome, Optimal):
-        total = sum(outcome.point, ZERO)
-        cert = InRi(tuple(w / total for w in outcome.point))
+        weights, _ = int_row(outcome.point)
+        total = sum(weights)
+        cert = InRi(tuple(Q(w, total) for w in weights))
         if not check_ri_certificate(support, cert):
             raise InternalError("interiority certificate failed exact re-check")
         return cert
@@ -130,34 +132,26 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
 
 def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bool:
     """Exact re-verification of either certificate against the support's
-    atoms and, for a direction, its span basis. A certificate with an
-    entry that is not a Rational fails it."""
+    atoms and, for a direction, its span basis, in integer sums: the
+    weights' numerators over one denominator against each coordinate's
+    integer column, or the direction's numerators against each atom's.
+    A certificate with an entry that is not a Rational fails it."""
     pts = support.values()
-    d = support.d
     if isinstance(cert, InRi):
         lam = cert.weights
-        if not is_exact_vector(lam, len(pts)) or any(w <= 0 for w in lam):
+        if not is_exact_vector(lam, len(pts)):
             return False
-        if sum(lam, ZERO) != 1:
+        w, den = int_row(lam)
+        if any(v <= 0 for v in w) or sum(w) != den:
             return False
-        for j in range(d):
-            if sum((w * x[j] for w, x in zip(lam, pts)), ZERO) != 0:
-                return False
-        return True
+        return not any(sum(map(mul, w, int_row(column)[0])) for column in zip(*pts))
     if isinstance(cert, NotInRi):
         h = cert.direction
-        if not is_exact_vector(h, d):
+        if not is_exact_vector(h, support.d):
             return False
-        if max((abs(c) for c in h), default=ZERO) != 1:
+        nums, den = int_row(h)
+        if max(map(abs, nums), default=0) != den or not in_span(h, support.basis):
             return False
-        if not in_span(h, support.basis):
-            return False
-        strict = False
-        for x in pts:
-            v = dot(h, x)
-            if v < 0:
-                return False
-            if v > 0:
-                strict = True
-        return strict
+        dots = [sum(map(mul, nums, int_row(x)[0])) for x in pts]
+        return all(v >= 0 for v in dots) and any(dots)
     return False

@@ -9,15 +9,18 @@ in column order. The solver is a two-phase primal simplex with Bland's
 anti-cycling rule and exact pivots, so it terminates on every input and
 its certificates are bit-exact. Every variable has one tableau column;
 a free one enters with either sign of reduced cost and, once basic,
-never leaves. Each program derives its rows' integer form once, when it
-is built; the tableau is filled from it, with lower bounds shifted out
-in integers, and keeps each row as Python ints over one positive row
+never leaves. Each program derives the integer form of its objective,
+rows and bounds once, when it is built, in the one pass that checks
+them; the tableau is filled from it, with lower bounds shifted out in
+integers, and keeps each row as Python ints over one positive row
 denominator (fraction-free pivoting: an integer multiply-and-subtract
 and one gcd per touched row), so set-up and pivots never touch the
-rational scalar type; values become rationals again only when an
-outcome is read off. No pivot budget cuts a solve short: a
-basis revisited between two moves of the objective, which Bland's rule
-rules out, raises InternalError instead.
+rational scalar type. Each outcome is read off the tableau as integer
+numerators over one denominator and re-checked in integers; a Rational
+is made only for each nonzero entry returned, and for an optimum's
+value, from the objective's integer row. No pivot budget cuts a solve
+short: a basis revisited between two moves of the objective, which
+Bland's rule rules out, raises InternalError instead.
 
 Every outcome is re-verified before it leaves ``solve_lp``:
 
@@ -31,8 +34,12 @@ Every outcome is re-verified before it leaves ``solve_lp``:
   y^T A = 0 componentwise and y^T b < 0, which is a self-contained
   proof of infeasibility.
 
-Each re-check reads only the program and the vector, which it brings to
-one common denominator to compare integer sums over the rows' nonzeros.
+Each re-check reads only the program and the vector. The public
+``check_feasible``, ``check_ray`` and ``check_farkas`` refuse a vector
+that is not exact, bring it to one common denominator and hand its
+numerators to a private integer core, which compares integer sums over
+the rows' nonzeros; ``solve_lp`` runs the same cores on the numerators
+it read off.
 
 A failed re-verification raises InternalError; it signals a solver bug,
 never bad input.
@@ -41,11 +48,11 @@ never bad input.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import lt
+from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
-from .rationals import (ONE, ZERO, Q, Rational, RationalLike, Vector, as_rational, dot, int_row,
+from .rationals import (ZERO, Q, Rational, RationalLike, Vector, as_rational, int_row,
                         is_exact_vector)
 
 
@@ -55,11 +62,15 @@ class LinearProgram(Record):
     (column, coefficient) pairs, int columns rising inside 0..n_vars-1,
     each with a nonzero coefficient; an absent column is zero. Every
     number must be a Rational and every flag a bool. Also derived,
-    outside ``_fields``: ``int_rows[i]``, row i's ((column, numerator)
-    pairs, rhs numerator, positive denominator), and ``int_lower``, the
-    bound numerators (0 where free) over their common denominator."""
+    outside ``_fields``: ``int_objective``, the objective's numerators
+    over their common denominator; ``int_rows[i]``, row i's ((column,
+    numerator) pairs, rhs numerator, positive denominator); and
+    ``int_lower``, the bound numerators (0 where free) over their common
+    denominator. Each number's numerator and denominator are read once,
+    in the pass that checks it."""
 
-    __slots__ = ("objective", "rows", "rhs", "equalities", "lower", "int_rows", "int_lower")
+    __slots__ = ("objective", "rows", "rhs", "equalities", "lower",
+                 "int_objective", "int_rows", "int_lower")
     _fields = __slots__[:5]
 
     objective: Vector
@@ -76,21 +87,41 @@ class LinearProgram(Record):
             raise InputError(f"{len(equalities)} equality flags for {m} rows")
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
-        _check_rational("the objective, right-hand sides or bounds",
-                        (*objective, *rhs, *(lo for lo in lower if lo is not None)))
+        int_objective = _int_vector("the objective", objective)
+        int_lower = _int_vector("the bounds", [ZERO if lo is None else lo for lo in lower])
         int_rows = []
         for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities)):
-            if not isinstance(eq, bool):
+            if type(eq) is not bool:
                 raise InputError(f"equality flag {i} is {eq!r}, not a bool")
-            cols, values = zip(*row) if row else ((), ())
-            _check_columns(f"row {i}", cols, n)
-            _check_rational(f"row {i}", values)
-            nums, den = int_row(values + (b,))
-            if not all(nums[:-1]):
-                raise InputError(f"row {i} has a zero coefficient in column {cols[nums.index(0)]}")
-            int_rows.append((tuple(zip(cols, nums)), nums[-1], den))
-        low, d = int_row([lo or ZERO for lo in lower])
-        super().__init__(objective, rows, rhs, equalities, lower, tuple(int_rows), (tuple(low), d))
+            if not isinstance(b, Rational):
+                raise InputError(f"right-hand side {i} holds {b!r}, not a Rational")
+            parts, dens, last = [], [int(b.denominator)], -1
+            for pair in row:
+                try:
+                    j, a = pair
+                except (TypeError, ValueError):
+                    raise InputError(f"row {i} holds {pair!r}, not a (column, coefficient) "
+                                     "pair") from None
+                if type(j) is not int:
+                    raise InputError(f"row {i} has column {j!r}, not an int")
+                if not last < j < n:
+                    after = f" after column {last}" if last >= 0 else ""
+                    raise InputError(f"row {i} has column {j}{after}: not rising, or outside "
+                                     f"0..{n - 1}")
+                if not isinstance(a, Rational):
+                    raise InputError(f"row {i} holds {a!r}, not a Rational")
+                p = int(a.numerator)
+                if not p:
+                    raise InputError(f"row {i} has a zero coefficient in column {j}")
+                q = int(a.denominator)
+                parts.append((j, p, q))
+                dens.append(q)
+                last = j
+            den = lcm(*dens)
+            int_rows.append((tuple([(j, p * (den // q)) for j, p, q in parts]),
+                             int(b.numerator) * (den // dens[0]), den))
+        super().__init__(objective, rows, rhs, equalities, lower,
+                         int_objective, tuple(int_rows), int_lower)
 
     @property
     def n_vars(self) -> int:
@@ -101,25 +132,34 @@ class LinearProgram(Record):
         return len(self.rows)
 
 
-def _check_rational(what: str, values) -> None:
-    for v in values:  # faster than all(map(isinstance, ...)) on short rows
+def _int_vector(what: str, values: Sequence) -> tuple[tuple[int, ...], int]:
+    """``int_row`` of ``values``, reading each numerator and denominator
+    once; InputError on an entry that is not a Rational."""
+    nums, dens = [], []
+    for v in values:
         if not isinstance(v, Rational):
             raise InputError(f"{what} holds {v!r}, not a Rational")
+        nums.append(int(v.numerator))
+        dens.append(int(v.denominator))
+    den = lcm(*dens)
+    return tuple([p * (den // q) for p, q in zip(nums, dens)]), den
 
 
-def _check_columns(what: str, cols: Sequence, n: int) -> None:
-    """Int columns rising inside 0..n-1, so no entry can land in another
-    column of the tableau."""
-    for j in cols:
-        if type(j) is not int:
-            raise InputError(f"{what} has column {j!r}, not an int")
-    if cols and not (0 <= cols[0] and cols[-1] < n and all(map(lt, cols, cols[1:]))):
-        raise InputError(f"{what} has columns {cols}: not rising, or outside 0..{n - 1}")
-
-
-def _pairs(coeffs: Mapping[int, RationalLike]) -> tuple[tuple[int, Rational], ...]:
-    """The coerced nonzero (column, coefficient) pairs of a map, by column."""
-    return tuple(sorted([(j, a) for j, c in coeffs.items() if (a := as_rational(c))]))
+def _pairs(what: str, coeffs: Mapping[int, RationalLike]) -> tuple[tuple[int, Rational], ...]:
+    """The coerced nonzero (column, coefficient) pairs of a map, by
+    column; InputError on anything but a map whose columns can be
+    ordered."""
+    try:
+        items = coeffs.items()
+    except AttributeError:
+        raise InputError(f"{what} is {coeffs!r}, not a {{column: coefficient}} map") from None
+    pairs = [(j, a) for j, c in items if (a := as_rational(c))]
+    try:
+        pairs.sort()
+    except TypeError:
+        bad = next(j for j in coeffs if type(j) is not int)
+        raise InputError(f"{what} has column {bad!r}, not an int") from None
+    return tuple(pairs)
 
 
 def make_lp(
@@ -131,15 +171,28 @@ def make_lp(
     """Coerce raw numbers into a LinearProgram, which checks its shape.
     The objective is one {column: coefficient} map and each row a
     (coefficients, rhs, is_equality) triple. An absent column or a zero
-    entry is ZERO; a column outside 0..n_vars-1 raises InputError."""
-    obj = dict(_pairs(objective))
-    _check_columns("the objective", list(obj), n_vars)
+    entry is ZERO; a column outside 0..n_vars-1 or that is not an int,
+    a map that is not a mapping, or a row that is not such a triple,
+    raises InputError."""
+    obj = [ZERO] * n_vars
+    for j, a in _pairs("the objective", objective):
+        if type(j) is not int or not 0 <= j < n_vars:
+            raise InputError(f"the objective has column {j!r}: not an int, or outside "
+                             f"0..{n_vars - 1}")
+        obj[j] = a
+    pairs, rhs, eqs = [], [], []
+    for i, row in enumerate(rows):
+        try:
+            coeffs, b, eq = row
+        except (TypeError, ValueError):
+            raise InputError(f"row {i} is {row!r}, not a (coefficients, rhs, is_equality) "
+                             "triple") from None
+        pairs.append(_pairs(f"row {i}", coeffs))
+        rhs.append(as_rational(b))
+        eqs.append(eq)
     lo = ([None] * n_vars if lower is None
           else [None if v is None else as_rational(v) for v in lower])
-    return LinearProgram(tuple(obj.get(j, ZERO) for j in range(n_vars)),
-                         tuple(_pairs(c) for c, _, _ in rows),
-                         tuple(as_rational(b) for _, b, _ in rows),
-                         tuple(eq for _, _, eq in rows), tuple(lo))
+    return LinearProgram(tuple(obj), tuple(pairs), tuple(rhs), tuple(eqs), tuple(lo))
 
 
 class Optimal(Record):
@@ -171,30 +224,22 @@ def _holds(lp: LinearProgram, x: list[int], d: int) -> bool:
     if any(xj * low_den < l * d for xj, lo, l in zip(x, lp.lower, low) if lo is not None):
         return False
     for (nz, b, _), eq in zip(lp.int_rows, lp.equalities):
-        lhs = sum(a * x[j] for j, a in nz)
+        lhs = sum([a * x[j] for j, a in nz])
         if lhs != b * d if eq else lhs > b * d:
             return False
     return True
 
 
-def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
-    return is_exact_vector(point, lp.n_vars) and _holds(lp, *int_row(point))
+def _is_ray(lp: LinearProgram, r: list[int]) -> bool:
+    """The direction ``r`` (any positive scale) recedes from every row
+    and bound and strictly raises the objective."""
+    return any(r) and _holds(lp, r, 0) and sum(map(mul, lp.int_objective[0], r)) > 0
 
 
-def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
-    """Feasible recession direction with strictly positive objective growth."""
-    return (is_exact_vector(ray, lp.n_vars) and any(ray) and _holds(lp, int_row(ray)[0], 0)
-            and dot(lp.objective, ray) > 0)
-
-
-def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
-    """Over the extended row system: the declared rows, then, kept
-    implicit here, the row -x_j <= -lower_j of each bounded column j in
-    increasing j."""
-    bounded, m = [j for j, lo in enumerate(lp.lower) if lo is not None], lp.n_rows
-    if not is_exact_vector(certificate, m + len(bounded)):
-        return False
-    y, _ = int_row(certificate)
+def _is_farkas(lp: LinearProgram, y: list[int]) -> bool:
+    """The multipliers ``y`` (any positive scale) over the extended row
+    system prove ``lp`` infeasible."""
+    m = lp.n_rows
     if any(v < 0 for v in y[m:]) or any(v < 0 and not eq for v, eq in zip(y, lp.equalities)):
         return False
     # y^T A and the declared rows' share of y^T b, over y's denominator times scale
@@ -208,10 +253,36 @@ def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
                 col[j] += v * a
     low, low_den = lp.int_lower
     bound_rhs = 0  # minus the bound rows' share, over y's denominator times low_den
-    for j, z in zip(bounded, y[m:]):
+    for j, z in zip(_bounded(lp), y[m:]):
         col[j] -= z * scale
         bound_rhs += z * low[j]
     return not any(col) and rhs * low_den < bound_rhs * scale
+
+
+def _bounded(lp: LinearProgram) -> list[int]:
+    return [j for j, lo in enumerate(lp.lower) if lo is not None]
+
+
+def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
+    return is_exact_vector(point, lp.n_vars) and _holds(lp, *int_row(point))
+
+
+def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
+    """Feasible recession direction with strictly positive objective growth."""
+    return is_exact_vector(ray, lp.n_vars) and _is_ray(lp, int_row(ray)[0])
+
+
+def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
+    """Over the extended row system: the declared rows, then, kept
+    implicit here, the row -x_j <= -lower_j of each bounded column j in
+    increasing j."""
+    return (is_exact_vector(certificate, lp.n_rows + len(_bounded(lp)))
+            and _is_farkas(lp, int_row(certificate)[0]))
+
+
+def _rationals(nums: list[int], den: int) -> Vector:
+    """``nums / den`` entry by entry, ZERO where a numerator is 0."""
+    return tuple([Q(p, den) if p else ZERO for p in nums])
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
@@ -257,7 +328,6 @@ class _Simplex:
         self.lp = lp
         n = lp.n_vars
         self.sign = [1] * n
-        self.shift = [ZERO if lo is None else lo for lo in lp.lower]
         self.free_cols = [j for j, lo in enumerate(lp.lower) if lo is None]
 
         # x_j = y_j + lower_j over each row's denominator times low_den
@@ -379,7 +449,7 @@ class _Simplex:
                 return self._extract_infeasible()
             self._expel_artificials()
 
-        cost, cost_den = int_row(self.lp.objective)
+        cost, cost_den = self.lp.int_objective
         cost = [s * c for s, c in zip(self.sign, cost)] + [0] * (self.art_start + 1 - len(cost))
         self._price(cost, cost_den)
         enter = self._optimize(self.art_start)
@@ -412,29 +482,40 @@ class _Simplex:
 
     # --- outcome extraction ----------------------------------------------
 
-    def _basic_values(self, col: int) -> list:
-        """``T[i][col] / den[i]`` at each row's basic column, ZERO at
-        every nonbasic one: the basic solution for the rhs column, and
-        minus the ray's basic entries for an entering column."""
-        y = [ZERO] * self.n_cols
-        for row, den, bi in zip(self.T, self.den, self.basis):
-            y[bi] = Q(row[col], den)
-        return y
+    def _structural(self, col: int) -> tuple[list[tuple[int, int]], int]:
+        """Column ``col`` at each row with a structural basic variable j,
+        as (j, numerator) pairs over one denominator: the basic x-part of
+        the solution for the rhs column, and minus the ray's basic
+        entries for an entering column."""
+        n = self.lp.n_vars
+        rows = [(bi, row[col], den) for row, den, bi in zip(self.T, self.den, self.basis) if bi < n]
+        common = lcm(*(den for _, _, den in rows))
+        return [(j, v * (common // den)) for j, v, den in rows], common
 
     def _extract_optimal(self) -> Optimal:
-        y = self._basic_values(-1)
-        x = tuple((v if s > 0 else -v) + lo for s, v, lo in zip(self.sign, y, self.shift))
-        if not check_feasible(self.lp, x):
+        lp, sign = self.lp, self.sign
+        basic, den = self._structural(-1)
+        low, low_den = lp.int_lower
+        x = [lo * den for lo in low]  # x_j = sign[j] * y_j + lower_j over den * low_den
+        for j, v in basic:
+            x[j] += sign[j] * v * low_den
+        den *= low_den
+        if not _holds(lp, x, den):
             raise InternalError("optimal point failed exact feasibility re-check")
-        return Optimal(x, dot(self.lp.objective, x))
+        cost, cost_den = lp.int_objective
+        return Optimal(_rationals(x, den), Q(sum(map(mul, cost, x)), cost_den * den))
 
     def _extract_ray(self, enter: int) -> Unbounded:
-        y = self._basic_values(enter)
-        y[enter] = -ONE
-        r = tuple(-v if s > 0 else v for s, v in zip(self.sign, y))
-        if not check_ray(self.lp, r):
+        lp, sign = self.lp, self.sign
+        basic, den = self._structural(enter)
+        r = [0] * lp.n_vars  # r_j = -sign[j] * y_j, with y_enter = -1
+        for j, v in basic:
+            r[j] = -sign[j] * v
+        if enter < lp.n_vars:
+            r[enter] = sign[enter] * den
+        if not _is_ray(lp, r):
             raise InternalError("unbounded ray failed exact re-check")
-        return Unbounded(r)
+        return Unbounded(_rationals(r, den))
 
     def _extract_infeasible(self) -> Infeasible:
         """Multipliers from the final phase-1 reduced costs d = obj /
@@ -442,17 +523,17 @@ class _Simplex:
         artificial), pi_k equals the phase-1 cost of c minus d_c; undoing
         the row flip gives the multiplier u_k of declared row k. A
         bounded column j has phase-1 cost 0 and is never negated, so
-        d_j = -u^T A_j and its bound row's multiplier is z_j = -d_j."""
+        d_j = -u^T A_j and its bound row's multiplier is z_j = -d_j. All
+        are read off as numerators over obj_den."""
         obj, den = self.obj, self.obj_den
-        cert = []
+        y = []
         for c, s in zip(self.init_basis, self.sigma):
-            pi = (Q(-1) if c >= self.art_start else ZERO) - Q(obj[c], den)
-            cert.append(pi if s > 0 else -pi)
-        cert += [Q(-obj[j], den) for j, lo in enumerate(self.lp.lower) if lo is not None]
-        certificate = tuple(cert)
-        if not check_farkas(self.lp, certificate):
+            pi = (-den if c >= self.art_start else 0) - obj[c]
+            y.append(pi if s > 0 else -pi)
+        y += [-obj[j] for j in _bounded(self.lp)]
+        if not _is_farkas(self.lp, y):
             raise InternalError("Farkas certificate failed exact re-check")
-        return Infeasible(certificate)
+        return Infeasible(_rationals(y, den))
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:

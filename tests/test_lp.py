@@ -295,6 +295,19 @@ class TestInputValidation:
         with pytest.raises(InputError):  # built directly, without make_lp
             LinearProgram((Q(1),), (((0, Q(1)), (1, Q(1))),), (Q(0),), (False,), (None,))
 
+    @pytest.mark.parametrize("objective, rows, message", [
+        ({0: 1, "a": 1}, [], "column 'a', not an int"),
+        ({}, [({0: 1, "a": 1}, 0, False)], "row 0 has column 'a', not an int"),
+        ({}, [({0: 1}, 0)], "row 0 is .*, not a .*triple"),
+        ({}, [None], "row 0 is None, not a .*triple"),
+        ([1], [], "the objective is \\[1\\], not a \\{column: coefficient\\} map"),
+        ({}, [([1, 2], 0, False)], "row 0 is \\[1, 2\\], not a \\{column: coefficient\\} map"),
+    ])
+    def test_make_lp_refuses_maps_and_rows_of_the_wrong_shape(
+            self, objective, rows, message):
+        with pytest.raises(InputError, match=message):
+            make_lp(2, objective, rows)
+
     def test_floats_rejected(self):
         with pytest.raises(InputError):
             dense_lp([0.5], [[1]], [0])
@@ -329,6 +342,7 @@ class TestInputValidation:
         (((1, Q(1)), (1, Q(2))), "not rising"),
         (((2, Q(1)), (0, Q(1))), "not rising"),
         (((0, Q(0)),), "zero coefficient in column 0"),
+        ((Q(1),), "not a \\(column, coefficient\\) pair"),
     ])
     def test_built_directly_every_row_pair_is_checked(self, row, message):
         """A bad column must not reach the tableau, where one outside
