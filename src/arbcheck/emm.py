@@ -17,8 +17,8 @@ separating certificate otherwise.
 from __future__ import annotations
 
 from .errors import GeometryError, InputError, InternalError, Record
-from .geometry import NotInRi, check_ri_certificate, max_norm_normalize
-from .linalg import in_span
+from .geometry import separating_certificate
+from .linalg import combination, in_span
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Q, Rational, Vector, ZERO, dot
 from .tree import (
@@ -48,7 +48,6 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     if r == 0:
         return ZERO  # span {0}: T = {0}
     n = len(support.atoms)
-    d = support.d
     # variables: y_1..y_r free (h = sum y_k b_k), then t_1..t_n >= 0
     rows = []
     for i, (x, _) in enumerate(support.atoms):
@@ -62,14 +61,8 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     if isinstance(outcome, Unbounded):
         # the ray's direction part certifies the origin outside the
         # relative interior: every (h, x_i) >= 0 and (a, h) > 0
-        y = outcome.ray
-        h = tuple(
-            sum((y[k] * basis[k][j] for k in range(r)), ZERO) for j in range(d)
-        )
-        cert = NotInRi(max_norm_normalize(h))
-        if not check_ri_certificate(support, cert):
-            raise InternalError("unbounded support program gave a bad certificate")
-        raise GeometryError(support.node, cert)
+        h = combination(basis, outcome.ray)
+        raise GeometryError(support.node, separating_certificate(support, h))
     if isinstance(outcome, Infeasible):
         raise InternalError("support program is never infeasible (0 is feasible)")
     assert isinstance(outcome, Optimal)

@@ -19,9 +19,10 @@ from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
-from .linalg import in_span
+from .linalg import combination, in_span
 from .lp import Optimal, make_lp, solve_lp
-from .rationals import ONE, Q, Rational, Vector, ZERO, dot, int_row, is_exact_vector, zero_vector
+from .rationals import (ONE, Rational, Vector, ZERO, dot, int_row, is_exact_vector, rational_row,
+                        zero_vector)
 from .tree import ConditionalSupport
 
 
@@ -73,11 +74,7 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
     outcome = solve_lp(make_lp(r, objective, rows))
     if not isinstance(outcome, Optimal):
         raise InternalError("separation program must be feasible and bounded")
-    y = outcome.point
-    h = tuple(
-        sum((y[k] * basis[k][j] for k in range(r)), ZERO) for j in range(d)
-    )
-    return outcome.value, h
+    return outcome.value, combination(basis, outcome.point)
 
 
 def max_norm_normalize(h: Vector) -> Vector:
@@ -95,11 +92,16 @@ def arbitrage_direction(support: ConditionalSupport) -> Optional[Vector]:
         if any(h):
             raise InternalError("zero separation value with a nonzero optimizer")
         return None
-    direction = max_norm_normalize(h)
-    cert = NotInRi(direction)
+    return separating_certificate(support, h).direction
+
+
+def separating_certificate(support: ConditionalSupport, h: Vector) -> NotInRi:
+    """``h``, max-norm normalized, as a NotInRi that has passed
+    ``check_ri_certificate``; InternalError naming the node if not."""
+    cert = NotInRi(max_norm_normalize(h))
     if not check_ri_certificate(support, cert):
-        raise InternalError("separating direction failed exact re-check")
-    return direction
+        raise InternalError(f"node {support.node}: separating direction failed exact re-check")
+    return cert
 
 
 def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
@@ -119,8 +121,7 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     outcome = solve_lp(make_lp(n, {}, rows, [ONE] * n))
     if isinstance(outcome, Optimal):
         weights, _ = int_row(outcome.point)
-        total = sum(weights)
-        cert = InRi(tuple(Q(w, total) for w in weights))
+        cert = InRi(rational_row(weights, sum(weights)))
         if not check_ri_certificate(support, cert):
             raise InternalError("interiority certificate failed exact re-check")
         return cert

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InputError
-from .rationals import Q, Rational, Vector, ZERO, int_row
+from .rationals import Rational, Vector, ZERO, int_row, lowest_terms, rational_row
 
 # (pivot column, integer row): the pivot entry is positive and the only
 # nonzero entry of its column among the rows of one echelon form
@@ -23,19 +23,14 @@ _Echelon = list
 
 
 def _common_dim(vectors: Sequence[Sequence[Rational]]) -> int:
-    """The one length of ``vectors``, whose entries must be Rationals."""
-    dims = set()
-    for v in vectors:
-        dims.add(len(v))
-        for a in v:
-            if not isinstance(a, Rational):
-                raise InputError(f"vector entry {a!r} is not a Rational")
+    """The one length of ``vectors``."""
+    dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise InputError(f"vectors of mixed dimensions: {sorted(dims)}")
     return dims.pop() if dims else 0
 
 
-def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
+def _eliminate(row: Sequence[int], prow: Sequence[int], col: int) -> list[int]:
     """``row * p - row[col] * prow`` for the pivot ``p = prow[col] > 0``,
     in lowest terms: column ``col`` cleared, and the scale of ``row``
     multiplied by a positive factor."""
@@ -45,7 +40,7 @@ def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
     return [a // g for a in new] if g > 1 else new
 
 
-def _reduce(row: list[int], rows: _Echelon) -> list[int]:
+def _reduce(row: Sequence[int], rows: _Echelon) -> Sequence[int]:
     for piv, prow in rows:
         if row[piv]:
             row = _eliminate(row, prow, piv)
@@ -60,11 +55,7 @@ def _echelon(vectors: Sequence[Sequence[Rational]]) -> _Echelon:
         piv = next((j for j, a in enumerate(row) if a), None)
         if piv is None:
             continue
-        if row[piv] < 0:
-            row = [-a for a in row]
-        g = gcd(*row)
-        if g > 1:
-            row = [a // g for a in row]
+        row = lowest_terms(row, piv)
         for k, (q, other) in enumerate(rows):
             if other[piv]:
                 rows[k] = (q, _eliminate(other, row, piv))
@@ -80,12 +71,16 @@ def span_basis(points: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
     yields the empty basis.
     """
     _common_dim(points)
-    return tuple(
-        tuple(Q(a, row[piv]) if a else ZERO for a in row) for piv, row in _echelon(points)
-    )
+    return tuple(rational_row(row, row[piv]) for piv, row in _echelon(points))
 
 
 def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> bool:
     """True iff v is an exact rational combination of the given vectors."""
     _common_dim((v, *vectors))
     return not any(_reduce(int_row(v)[0], _echelon(vectors)))
+
+
+def combination(basis: Sequence[Vector], coords: Sequence[Rational]) -> Vector:
+    """``sum_k coords[k] * basis[k]`` over a non-empty basis; coordinates
+    past the basis are ignored."""
+    return tuple(sum((c * b for c, b in zip(coords, column)), ZERO) for column in zip(*basis))

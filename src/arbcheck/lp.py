@@ -53,7 +53,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
 from .rationals import (ZERO, Q, Rational, RationalLike, Vector, as_rational, int_row,
-                        is_exact_vector)
+                        is_exact_vector, lowest_terms, rational_row)
 
 
 class LinearProgram(Record):
@@ -87,8 +87,8 @@ class LinearProgram(Record):
             raise InputError(f"{len(equalities)} equality flags for {m} rows")
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
-        int_objective = _int_vector("the objective", objective)
-        int_lower = _int_vector("the bounds", [ZERO if lo is None else lo for lo in lower])
+        int_objective = int_row(objective)
+        int_lower = int_row([ZERO if lo is None else lo for lo in lower])
         int_rows = []
         for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities)):
             if type(eq) is not bool:
@@ -130,19 +130,6 @@ class LinearProgram(Record):
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-
-def _int_vector(what: str, values: Sequence) -> tuple[tuple[int, ...], int]:
-    """``int_row`` of ``values``, reading each numerator and denominator
-    once; InputError on an entry that is not a Rational."""
-    nums, dens = [], []
-    for v in values:
-        if not isinstance(v, Rational):
-            raise InputError(f"{what} holds {v!r}, not a Rational")
-        nums.append(int(v.numerator))
-        dens.append(int(v.denominator))
-    den = lcm(*dens)
-    return tuple([p * (den // q) for p, q in zip(nums, dens)]), den
 
 
 def _pairs(what: str, coeffs: Mapping[int, RationalLike]) -> tuple[tuple[int, Rational], ...]:
@@ -280,11 +267,6 @@ def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
             and _is_farkas(lp, int_row(certificate)[0]))
 
 
-def _rationals(nums: list[int], den: int) -> Vector:
-    """``nums / den`` entry by entry, ZERO where a numerator is 0."""
-    return tuple([Q(p, den) if p else ZERO for p in nums])
-
-
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
     """Subtract the multiple of ``prow / p`` (pivot ``p > 0`` in column
     ``col``) that clears ``row / den`` in that column; returns the new
@@ -372,17 +354,8 @@ class _Simplex:
 
     def _pivot(self, i: int, enter: int) -> None:
         T, den = self.T, self.den
-        prow = T[i]
-        p = prow[enter]
-        if p < 0:
-            prow = [-a for a in prow]
-            p = -p
-        g = gcd(*prow)
-        if g > 1:
-            prow = [a // g for a in prow]
-            p //= g
-        T[i] = prow
-        den[i] = p
+        prow = T[i] = lowest_terms(T[i], enter)
+        p = den[i] = prow[enter]
         for r in range(len(T)):
             if r != i and T[r][enter]:
                 T[r], den[r] = _eliminate(T[r], den[r], prow, p, enter)
@@ -503,7 +476,7 @@ class _Simplex:
         if not _holds(lp, x, den):
             raise InternalError("optimal point failed exact feasibility re-check")
         cost, cost_den = lp.int_objective
-        return Optimal(_rationals(x, den), Q(sum(map(mul, cost, x)), cost_den * den))
+        return Optimal(rational_row(x, den), Q(sum(map(mul, cost, x)), cost_den * den))
 
     def _extract_ray(self, enter: int) -> Unbounded:
         lp, sign = self.lp, self.sign
@@ -515,7 +488,7 @@ class _Simplex:
             r[enter] = sign[enter] * den
         if not _is_ray(lp, r):
             raise InternalError("unbounded ray failed exact re-check")
-        return Unbounded(_rationals(r, den))
+        return Unbounded(rational_row(r, den))
 
     def _extract_infeasible(self) -> Infeasible:
         """Multipliers from the final phase-1 reduced costs d = obj /
@@ -533,7 +506,7 @@ class _Simplex:
         y += [-obj[j] for j in _bounded(self.lp)]
         if not _is_farkas(self.lp, y):
             raise InternalError("Farkas certificate failed exact re-check")
-        return Infeasible(_rationals(y, den))
+        return Infeasible(rational_row(y, den))
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:

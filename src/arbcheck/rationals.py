@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence, Tuple, Union
 
 from .errors import InputError
@@ -123,9 +123,28 @@ def is_exact_vector(vector: Sequence[Rational], length: int) -> bool:
     return True
 
 
-def int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
+def int_row(values: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
     """Numerators of ``values`` over the lcm of their denominators, as
-    Python ints (``int()`` also converts mpq's mpz parts)."""
-    dens = [int(v.denominator) for v in values]
+    Python ints (``int()`` also converts mpq's mpz parts); InputError on
+    an entry that is not a Rational, an int included."""
+    nums, dens = [], []
+    for v in values:
+        if not isinstance(v, Rational):
+            raise InputError(f"entry {v!r} is not a Rational")
+        nums.append(int(v.numerator))
+        dens.append(int(v.denominator))
     den = lcm(*dens)
-    return [int(v.numerator) * (den // q) for v, q in zip(values, dens)], den
+    return tuple([p * (den // q) for p, q in zip(nums, dens)]), den
+
+
+def rational_row(nums: Sequence[int], den: int) -> Vector:
+    """``nums / den`` entry by entry, ZERO where a numerator is 0."""
+    return tuple([Q(p, den) if p else ZERO for p in nums])
+
+
+def lowest_terms(row: list[int], col: int) -> list[int]:
+    """``row`` scaled so that its entry in ``col``, which must be
+    nonzero, is positive and its entries have gcd 1; ``row`` itself when
+    it already is."""
+    g = gcd(*row) if row[col] > 0 else -gcd(*row)
+    return row if g == 1 else [a // g for a in row]
