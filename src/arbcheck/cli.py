@@ -206,10 +206,7 @@ def main(argv: Optional[list] = None) -> int:
         if code == EXIT_ALARM:  # check's routes disagree; failed re-checks raise
             print("ALARM: the three routes disagree", file=sys.stderr)
         return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

@@ -4,13 +4,17 @@ Rows are reduced as Python ints, as in the simplex tableau: a vector is
 scaled by the lcm of its denominators, and each elimination is an
 integer multiply-and-subtract plus one gcd (fraction-free elimination,
 Bareiss 1968). A span is scale-invariant, so rows carry no denominator.
-The leftmost-pivot rule with back-elimination gives an integer reduced
-row-echelon form; dividing each row by its pivot yields a basis that is
-canonical for the subspace spanned (independent of input order).
+The vector conversions (``int_row``, ``rational_row``) and the row
+normalisation (``lowest_terms``) belong to ``rationals``; this module
+owns only the elimination. The leftmost-pivot rule with
+back-elimination gives an integer reduced row-echelon form; dividing
+each row by its pivot yields a basis that is canonical for the
+subspace spanned (independent of input order).
 """
 
 from __future__ import annotations
 
+from collections import abc
 from math import gcd
 from typing import Sequence
 
@@ -22,9 +26,17 @@ from .rationals import Rational, Vector, ZERO, int_row, lowest_terms, rational_r
 _Echelon = list
 
 
-def _common_dim(vectors: Sequence[Sequence[Rational]]) -> int:
-    """The one length of ``vectors``."""
-    dims = {len(v) for v in vectors}
+def _common_dim(vectors: Sequence[Sequence[Rational]], *more: Sequence[Rational]) -> int:
+    """The one length of the vectors in ``vectors`` and of ``more``;
+    InputError unless ``vectors`` is a sequence of sequences."""
+    if not isinstance(vectors, abc.Sequence):
+        raise InputError(f"{vectors!r} is not a sequence of vectors")
+    vectors = (*vectors, *more)
+    try:
+        dims = {len(v) for v in vectors}
+    except TypeError:  # the first vector without a length is named
+        bad = next(v for v in vectors if not isinstance(v, abc.Sequence))
+        raise InputError(f"{bad!r} is not a vector") from None
     if len(dims) > 1:
         raise InputError(f"vectors of mixed dimensions: {sorted(dims)}")
     return dims.pop() if dims else 0
@@ -76,7 +88,7 @@ def span_basis(points: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
 
 def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> bool:
     """True iff v is an exact rational combination of the given vectors."""
-    _common_dim((v, *vectors))
+    _common_dim(vectors, v)
     return not any(_reduce(int_row(v)[0], _echelon(vectors)))
 
 

@@ -15,12 +15,15 @@ them; the tableau is filled from it, with lower bounds shifted out in
 integers, and keeps each row as Python ints over one positive row
 denominator (fraction-free pivoting: an integer multiply-and-subtract
 and one gcd per touched row), so set-up and pivots never touch the
-rational scalar type. Each outcome is read off the tableau as integer
-numerators over one denominator and re-checked in integers; a Rational
-is made only for each nonzero entry returned, and for an optimum's
-value, from the objective's integer row. No pivot budget cuts a solve
-short: a basis revisited between two moves of the objective, which
-Bland's rule rules out, raises InternalError instead.
+rational scalar type. The vector conversions (``int_row``,
+``rational_row``) and the row normalisation (``lowest_terms``) belong
+to ``rationals``; this module owns the one pass over each sparse row,
+the tableau and its elimination. Each outcome is read off the tableau
+as integer numerators over one denominator and re-checked in integers;
+a Rational is made only for each nonzero entry returned, and for an
+optimum's value, from the objective's integer row. No pivot budget
+cuts a solve short: a basis revisited between two moves of the
+objective, which Bland's rule rules out, raises InternalError instead.
 
 Every outcome is re-verified before it leaves ``solve_lp``:
 
@@ -47,6 +50,7 @@ never bad input.
 
 from __future__ import annotations
 
+from collections import abc
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Optional, Sequence, Union
@@ -156,11 +160,18 @@ def make_lp(
     lower: Optional[Sequence[Optional[RationalLike]]] = None,
 ) -> LinearProgram:
     """Coerce raw numbers into a LinearProgram, which checks its shape.
-    The objective is one {column: coefficient} map and each row a
-    (coefficients, rhs, is_equality) triple. An absent column or a zero
-    entry is ZERO; a column outside 0..n_vars-1 or that is not an int,
-    a map that is not a mapping, or a row that is not such a triple,
-    raises InputError."""
+    The objective is one {column: coefficient} map, ``rows`` a sequence
+    of (coefficients, rhs, is_equality) triples and ``lower``, when
+    given, a sequence. An absent column or a zero entry is ZERO; a count
+    that is not an int >= 0, a column outside 0..n_vars-1 or that is not
+    an int, a map that is not a mapping, or rows or bounds of another
+    shape, raises InputError."""
+    if type(n_vars) is not int or n_vars < 0:
+        raise InputError(f"variable count {n_vars!r} is not an int >= 0")
+    if not isinstance(rows, abc.Sequence):
+        raise InputError(f"rows {rows!r} are not a sequence of triples")
+    if not (lower is None or isinstance(lower, abc.Sequence)):
+        raise InputError(f"bounds {lower!r} are not a sequence")
     obj = [ZERO] * n_vars
     for j, a in _pairs("the objective", objective):
         if type(j) is not int or not 0 <= j < n_vars:

@@ -7,6 +7,12 @@ pivot. Both keep values canonical: lowest terms, positive denominator.
 str() on either yields the "p/q" wire format (denominator omitted when
 1), e.g. "3/4", "-2", "0"; parse_rational and format_rational hold
 both backends to the interpreter's int-str digit limit.
+
+This module owns the integer-row form that the LP core, the span
+kernel and the geometry re-check work in: ``int_row`` turns a vector
+of Rationals into Python-int numerators over one denominator,
+``rational_row`` turns such a row back, and ``lowest_terms`` scales a
+row so that a pivot entry is positive and the gcd is 1.
 """
 
 from __future__ import annotations
@@ -142,9 +148,9 @@ def rational_row(nums: Sequence[int], den: int) -> Vector:
     return tuple([Q(p, den) if p else ZERO for p in nums])
 
 
-def lowest_terms(row: list[int], col: int) -> list[int]:
+def lowest_terms(row: Sequence[int], col: int) -> Sequence[int]:
     """``row`` scaled so that its entry in ``col``, which must be
-    nonzero, is positive and its entries have gcd 1; ``row`` itself when
-    it already is."""
+    nonzero, is positive and its entries have gcd 1: a new list, or
+    ``row`` itself when it already is."""
     g = gcd(*row) if row[col] > 0 else -gcd(*row)
     return row if g == 1 else [a // g for a in row]

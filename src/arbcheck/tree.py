@@ -10,6 +10,7 @@ and no "almost surely" qualifiers are needed anywhere downstream.
 from __future__ import annotations
 
 import json
+from collections import abc
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, Record
@@ -93,6 +94,8 @@ class ScenarioTree(Record):
     _fields = ("d", "horizon", "nodes")
 
     def __init__(self, d: int, horizon: int, nodes: Iterable[Node]):
+        if not isinstance(nodes, abc.Iterable):
+            raise InputError(f"tree nodes must be an iterable of Node records, got {nodes!r}")
         nodes = tuple(nodes)
         _check_int(d, "asset count")
         _check_int(horizon, "horizon")
@@ -176,7 +179,10 @@ class ScenarioTree(Record):
 
 
 def validate(tree: ScenarioTree) -> list[Violation]:
-    """Check the semantic invariants; violations are data, not failures."""
+    """Check the semantic invariants; violations are data, not failures.
+    Anything but a ScenarioTree raises InputError."""
+    if not isinstance(tree, ScenarioTree):
+        raise InputError(f"expected a ScenarioTree, got {type(tree).__name__}")
     out: list[Violation] = []
 
     def flag(node: int, rule: str, detail: str, *values: Rational) -> None:
@@ -210,10 +216,11 @@ def validate(tree: ScenarioTree) -> list[Violation]:
 
 
 def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
-    """The tree, or InputError listing its violations. A pass is
-    recorded on the tree, so later calls do not validate it again; a
-    failure is not, and raises on every call."""
-    if "validate" in tree._passed:
+    """The tree, or InputError listing its violations, or naming the
+    type of anything but a ScenarioTree. A pass is recorded on the
+    tree, so later calls do not validate it again; a failure is not,
+    and raises on every call."""
+    if isinstance(tree, ScenarioTree) and "validate" in tree._passed:
         return tree
     violations = validate(tree)
     if violations:

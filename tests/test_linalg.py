@@ -47,6 +47,17 @@ def test_entries_that_are_not_rational_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: span_basis([1, 2]), "1 is not a vector"),
+    (lambda: span_basis(None), "None is not a sequence of vectors"),
+    (lambda: in_span((Q(1),), 5), "5 is not a sequence of vectors"),
+    (lambda: in_span(None, V((1,))), "None is not a vector"),
+], ids=["span_basis-ints", "span_basis-None", "in_span-int", "in_span-None"])
+def test_vectors_of_the_wrong_shape_are_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_basis_is_canonical_under_presentation():
     """Same subspace, different generating sets: identical basis tuple."""
     rng = random.Random(99)

@@ -308,6 +308,18 @@ class TestInputValidation:
         with pytest.raises(InputError, match=message):
             make_lp(2, objective, rows)
 
+    @pytest.mark.parametrize("args, message", [
+        (("3", {}, []), "variable count '3'"),
+        ((2.0, {}, []), "variable count 2.0"),
+        ((-1, {}, []), "variable count -1"),
+        ((True, {0: 1}, []), "variable count True"),
+        ((1, {}, None), "rows None are not a sequence"),
+        ((1, {}, [], 5), "bounds 5 are not a sequence"),
+    ], ids=["str-count", "float-count", "negative-count", "bool-count", "rows-None", "bounds-int"])
+    def test_make_lp_refuses_counts_rows_and_bounds_of_the_wrong_shape(self, args, message):
+        with pytest.raises(InputError, match=message):
+            make_lp(*args)
+
     def test_floats_rejected(self):
         with pytest.raises(InputError):
             dense_lp([0.5], [[1]], [0])

@@ -1,10 +1,13 @@
 import pytest
+from math import gcd
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arbcheck import Q, as_rational, format_rational, parse_rational
 from arbcheck.errors import InputError
-from arbcheck.rationals import dot, parse_vector, vec_sub, zero_vector
+from arbcheck.rationals import (ZERO, dot, int_row, lowest_terms, parse_vector, rational_row,
+                                vec_sub, zero_vector)
 from helpers import vec
 
 
@@ -78,3 +81,35 @@ def test_vector_ops():
 
 def test_parse_vector():
     assert parse_vector(["1/2", "-3"]) == (Q(1, 2), Q(-3))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", 1, None], ids=["float", "str", "int", "None"])
+def test_int_row_refuses_entries_that_are_not_rational(bad):
+    with pytest.raises(InputError, match="is not a Rational"):
+        int_row((Q(1, 2), bad))
+
+
+def test_int_row_and_rational_row_worked():
+    assert int_row(vec(["1/2", 0, "-2/3", 5])) == ((3, 0, -4, 30), 6)
+    assert int_row(()) == ((), 1)
+    assert rational_row((3, 0, -4), 6) == (Q(1, 2), ZERO, Q(-2, 3))
+
+
+_rationals = st.builds(Q, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@given(st.lists(_rationals | st.just(ZERO), max_size=8))
+def test_rational_row_inverts_int_row(values):
+    nums, den = int_row(values)
+    assert den > 0 and all(type(p) is int for p in nums)
+    assert rational_row(nums, den) == tuple(values)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8), st.data())
+def test_lowest_terms_keeps_the_ratios(row, data):
+    col = data.draw(st.integers(0, len(row) - 1))
+    row[col] = row[col] or 1
+    out = lowest_terms(list(row), col)
+    assert out[col] > 0 and gcd(*out) == 1
+    # a nonzero rational scale: out[col] * row == row[col] * out entry by entry
+    assert all(out[col] * a == row[col] * b for a, b in zip(row, out))

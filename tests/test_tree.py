@@ -124,6 +124,11 @@ class TestConstruction:
         with pytest.raises(InputError, match=message):
             ScenarioTree(1, 1, [Node(0, None, R1, (Q(0),)), child])
 
+    @pytest.mark.parametrize("nodes", [None, 3])
+    def test_nodes_that_are_not_iterable_rejected(self, nodes):
+        with pytest.raises(InputError, match="iterable of Node records"):
+            ScenarioTree(1, 1, nodes)
+
 
 class TestImmutable:
     def test_nodes_cannot_change_after_validation(self):
@@ -200,6 +205,12 @@ class TestValidation:
                                 Node(1, 0, R1, (Q(1),))])
         with pytest.raises(InputError):
             ensure_valid(t)
+
+    @pytest.mark.parametrize("check", [validate, ensure_valid])
+    def test_anything_but_a_tree_is_refused(self, check):
+        for not_a_tree in ("x", None, tree_to_json(skewed_coin())):
+            with pytest.raises(InputError, match="expected a ScenarioTree"):
+                check(not_a_tree)
 
     def test_ensure_valid_records_only_a_pass(self, monkeypatch):
         calls = count_calls(monkeypatch, arbcheck.tree, "validate")

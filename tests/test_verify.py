@@ -153,6 +153,9 @@ def test_entry_points_reject_invalid_tree(entry):
     halved = one_step([1, -1], ["1/4", "1/4"])  # child probabilities sum to 1/2
     with pytest.raises(InputError, match="prob_sum"):
         entry(halved)
+    for not_a_tree in ("x", None):
+        with pytest.raises(InputError, match="expected a ScenarioTree"):
+            entry(not_a_tree)
 
 
 class TestScaledGainOptimum:
