@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arbcheck.geometry
 from arbcheck import Q, equivalence_report
-from arbcheck.errors import InputError
+from arbcheck.emm import support_function
+from arbcheck.errors import InputError, InternalError
 from arbcheck.geometry import (
     InRi,
     NotInRi,
@@ -17,7 +19,7 @@ from arbcheck.geometry import (
 )
 from arbcheck.linalg import in_span
 from arbcheck.rationals import dot
-from arbcheck.tree import conditional_support
+from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
 from helpers import one_step, support, vec
 from lp_oracle import exact_vector
 
@@ -122,6 +124,15 @@ class TestDirection:
         assert in_span(h, points)
         dots = [dot(h, x) for x in points]
         assert all(v >= 0 for v in dots) and any(v > 0 for v in dots)
+
+    def test_a_direction_failing_its_re_check_is_an_alarm_naming_the_node(self, monkeypatch):
+        """The geometry and martingale routes re-check a separating
+        direction in one place."""
+        monkeypatch.setattr(arbcheck.geometry, "check_ri_certificate", lambda cs, cert: False)
+        cs = ConditionalSupport(5, ((vec((1,)), Q(1, 2)), (vec((2,)), Q(1, 2))))
+        for find in (arbitrage_direction, lambda cs: support_function(cs, conditional_mean(cs))):
+            with pytest.raises(InternalError, match="node 5: separating direction failed"):
+                find(cs)
 
 
 class TestCertificateCheck:

@@ -52,7 +52,11 @@ def test_entries_that_are_not_rational_are_refused(call):
     (lambda: span_basis(None), "None is not a sequence of vectors"),
     (lambda: in_span((Q(1),), 5), "5 is not a sequence of vectors"),
     (lambda: in_span(None, V((1,))), "None is not a vector"),
-], ids=["span_basis-ints", "span_basis-None", "in_span-int", "in_span-None"])
+    # a generator would be used up by the dimension check, leaving no vectors
+    (lambda: span_basis(x for x in V((1,))), "generator .* is not a sequence of vectors"),
+    (lambda: in_span(vec((1,)), (x for x in V((1,)))), "generator .* is not a sequence"),
+], ids=["span_basis-ints", "span_basis-None", "in_span-int", "in_span-None",
+        "span_basis-generator", "in_span-generator"])
 def test_vectors_of_the_wrong_shape_are_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()
