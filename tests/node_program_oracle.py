@@ -1,0 +1,137 @@
+"""The node programs built in rational arithmetic, for the tests.
+
+Each of the four per-node formulations (``ri``, ``separation``,
+``support``, ``density``) is built here as ``arbcheck`` once built it:
+every coefficient a sum of ``Fraction``-style products over the
+support's atoms and basis. ``reference_node`` replays one node's
+geometry and martingale routes from these builders, and
+``shipped_node`` records the programs the package itself hands to
+``solve_lp`` on the same routes, so a test can hold the two equal
+program by program, and the outcomes read off them as well.
+"""
+
+import pytest
+
+import arbcheck.emm
+import arbcheck.geometry
+from arbcheck import Q
+from arbcheck.emm import one_step_density
+from arbcheck.errors import GeometryError
+from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
+from arbcheck.lp import Optimal, Unbounded, make_lp, solve_lp
+from arbcheck.rationals import dot
+from arbcheck.tree import conditional_mean
+
+ZERO = Q(0)
+ONE = Q(1)
+
+
+def mean(support):
+    """sum_i q_i x_i."""
+    acc = [ZERO] * support.d
+    for x, q in support.atoms:
+        for j, xj in enumerate(x):
+            acc[j] += q * xj
+    return tuple(acc)
+
+
+def combination(basis, coords):
+    """sum_k coords[k] * basis[k]."""
+    return tuple(sum((c * b for c, b in zip(coords, column)), ZERO) for column in zip(*basis))
+
+
+def ri_program(support):
+    pts = support.values()
+    n = len(pts)
+    rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True) for j in range(support.d)]
+    return make_lp(n, {}, rows, [ONE] * n)
+
+
+def separation_program(support):
+    basis = support.basis
+    inner = [[dot(b, x) for b in basis] for x in support.values()]
+    rows = [(dict(enumerate(-c for c in coeffs)), ZERO, False) for coeffs in inner]
+    for j in range(support.d):
+        col = {k: b[j] for k, b in enumerate(basis)}
+        rows.append((col, ONE, False))
+        rows.append(({k: -c for k, c in col.items()}, ONE, False))
+    objective = dict(enumerate(sum(column, ZERO) for column in zip(*inner)))
+    return make_lp(len(basis), objective, rows)
+
+
+def support_program(support, a):
+    basis = support.basis
+    r, n = len(basis), len(support.atoms)
+    rows = []
+    for i, (x, _) in enumerate(support.atoms):
+        row = {k: -dot(b, x) for k, b in enumerate(basis)}
+        row[r + i] = Q(-1)
+        rows.append((row, ZERO, False))
+    rows.append(({r + i: q for i, (_, q) in enumerate(support.atoms)}, ONE, False))
+    objective = {k: dot(b, a) for k, b in enumerate(basis)}
+    return make_lp(r + n, objective, rows, [None] * r + [ZERO] * n)
+
+
+def density_program(support, f):
+    n = len(support.atoms)
+    rows = [({i: ONE, n: Q(-1)}, ZERO, False) for i in range(n)]
+    rows += [({i: q * x[j] for i, (x, q) in enumerate(support.atoms) if x[j]}, ZERO, True)
+             for j in range(support.d)]
+    return make_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1))
+
+
+def reference_node(support, solved):
+    """(programs in solve order, conditional mean, ri certificate,
+    the one-step density or the GeometryError certificate). A program
+    equal to a key of ``solved`` is not solved again: its outcome is
+    the value there, as the solver is deterministic."""
+
+    def solve(lp):
+        outcome = solved.get(lp)
+        return solve_lp(lp) if outcome is None else outcome
+
+    programs = [ri_program(support)]
+    outcome = solve(programs[0])
+    if isinstance(outcome, Optimal):
+        total = sum(outcome.point, ZERO)
+        cert = InRi(tuple(w / total for w in outcome.point))
+    else:  # the origin is never outside the hull of zero atoms alone
+        programs.append(separation_program(support))
+        point = solve(programs[-1]).point
+        cert = NotInRi(max_norm_normalize(combination(support.basis, point)))
+    a = mean(support)
+    f = ONE  # s(a | T) = 0 when the span is {0}: no support program
+    if support.basis:
+        programs.append(support_program(support, a))
+        outcome = solve(programs[-1])
+        if isinstance(outcome, Unbounded):
+            h = combination(support.basis, outcome.ray)
+            return programs, a, cert, NotInRi(max_norm_normalize(h))
+        f = 1 / (1 + outcome.value)
+    programs.append(density_program(support, f))
+    g = solve(programs[-1]).point[:-1]
+    mass = sum((q * gi for (_, q), gi in zip(support.atoms, g)), ZERO)
+    return programs, a, cert, (support.node, f, g, tuple(gi / mass for gi in g))
+
+
+def shipped_node(support, solved):
+    """``reference_node``'s tuple from the package's own routes, with
+    every program it solves recorded on the way and its outcome put in
+    ``solved``."""
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        solved[lp] = outcome = solve_lp(lp)
+        return outcome
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arbcheck.geometry, "solve_lp", record)
+        patch.setattr(arbcheck.emm, "solve_lp", record)
+        cert = ri_conv_contains_origin(support)
+        try:
+            ds = one_step_density(support)
+            density = (ds.node, ds.scale, ds.raw, ds.normalized)
+        except GeometryError as exc:
+            density = exc.certificate
+    return programs, conditional_mean(support), cert, density

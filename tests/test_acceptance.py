@@ -37,6 +37,7 @@ from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
 from helpers import binomial, reweight, skewed_coin, support
 from lp_oracle import oracle_check, random_lp
+from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
 
 ZERO = Q(0)
@@ -112,6 +113,18 @@ def test_sweep_reports_are_pinned(sweep):
 def test_sweep_verdicts_are_pinned(sweep):
     records, _ = sweep
     assert _sweep_digest(records, arbitrage_witness=False) == SWEEP_VERDICTS_SHA256
+
+
+def test_sweep_node_programs_match_the_rational_reference(sweep):
+    """Every node program of the sweep, equal field by field to the one
+    built in rational arithmetic, and so are the mean, certificates and
+    density read off them."""
+    records, _ = sweep
+    for seed, tree, _ in records:
+        for nid in tree.non_leaves():
+            cs = conditional_support(tree, nid)
+            solved = {}
+            assert shipped_node(cs, solved) == reference_node(cs, solved), (seed, nid)
 
 
 def test_criterion_2_martingale_construction_exactness(sweep):

@@ -22,6 +22,7 @@ from arbcheck.rationals import dot
 from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
 from helpers import one_step, support, vec
 from lp_oracle import exact_vector
+from node_program_oracle import reference_node, shipped_node
 
 ZERO = Q(0)
 
@@ -314,3 +315,14 @@ class TestRiCheckAgreesWithReference:
     @given(_degenerate_one_step())
     def test_degenerate_supports(self, tree):
         _assert_ri_checks_agree(conditional_support(tree, 0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_degenerate_one_step())
+def test_degenerate_node_programs_match_the_rational_reference(tree):
+    """The node's programs, equal field by field to the ones built in
+    rational arithmetic, and so are the mean, certificates and density
+    read off them."""
+    cs = conditional_support(tree, 0)
+    solved = {}
+    assert shipped_node(cs, solved) == reference_node(cs, solved)
