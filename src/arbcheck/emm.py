@@ -16,11 +16,13 @@ separating certificate otherwise.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import separating_certificate
 from .linalg import combination, in_span
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
-from .rationals import ONE, Q, Rational, Vector, ZERO, dot
+from .rationals import ONE, Q, Rational, Vector, ZERO, int_row, rational_row
 from .tree import (
     ConditionalSupport,
     LeafDensity,
@@ -28,8 +30,11 @@ from .tree import (
     conditional_mean,
     conditional_support,
     density_process,
+    ensure_support,
     ensure_valid,
 )
+
+MINUS_ONE = Q(-1)
 
 
 def support_function(support: ConditionalSupport, a: Vector) -> Rational:
@@ -39,24 +44,28 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     T is compact exactly when the origin is in the relative interior of
     the atoms' hull; an unbounded program therefore signals a violated
     precondition and raises GeometryError for the owning node. The
-    directions are combinations of the support's span basis.
+    directions are combinations of the support's span basis, and each
+    coefficient is an integer sum over the support's integer atoms.
     """
-    basis = support.basis
-    if not in_span(a, basis):
+    if not in_span(a, ensure_support(support).basis):
         raise InputError("query vector outside the span of the atoms")
+    basis = support.int_basis
     r = len(basis)
     if r == 0:
         return ZERO  # span {0}: T = {0}
-    n = len(support.atoms)
+    rows_int, den = support.int_values
+    n = len(rows_int)
     # variables: y_1..y_r free (h = sum y_k b_k), then t_1..t_n >= 0
     rows = []
-    for i, (x, _) in enumerate(support.atoms):
-        row = {k: -dot(b, x) for k, b in enumerate(basis)}
-        row[r + i] = Q(-1)
+    for i, x in enumerate(rows_int):
+        row = {k: Q(-v, q * den) for k, (b, q) in enumerate(basis) if (v := sum(map(mul, b, x)))}
+        row[r + i] = MINUS_ONE
         rows.append((row, ZERO, False))  # t_i >= -(h, x_i)
     budget = {r + i: q for i, (_, q) in enumerate(support.atoms)}
     rows.append((budget, ONE, False))  # expected lifted loss <= 1
-    objective = {k: dot(b, a) for k, b in enumerate(basis)}
+    a_nums, a_den = int_row(a)
+    objective = {k: Q(v, q * a_den) for k, (b, q) in enumerate(basis)
+                 if (v := sum(map(mul, b, a_nums)))}
     outcome = solve_lp(make_lp(r + n, objective, rows, [None] * r + [ZERO] * n))
     if isinstance(outcome, Unbounded):
         # the ray's direction part certifies the origin outside the
@@ -96,27 +105,32 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     construction yields. A node without the origin in the relative
     interior of its support never gets here (``one_step_scale`` raises
     GeometryError first), so an infeasible program is an internal error.
+    The martingale rows and the mass are integer sums over the
+    support's integer atoms.
     """
     f = one_step_scale(support)
-    n = len(support.atoms)
-    d = support.d
+    rows_int, den = support.int_values
+    probs, prob_den = support.int_probs
+    n = len(rows_int)
+    den *= prob_den
     # variables: g_1..g_n, then the max bound u; all floored at f
-    rows = [({i: ONE, n: Q(-1)}, ZERO, False) for i in range(n)]  # g_i <= u
-    rows += [({i: q * x[j] for i, (x, q) in enumerate(support.atoms) if x[j]}, ZERO, True)
-             for j in range(d)]  # E[g * increment_j] = 0
+    rows = [({i: ONE, n: MINUS_ONE}, ZERO, False) for i in range(n)]  # g_i <= u
+    rows += [({i: Q(p * x[j], den) for i, (x, p) in enumerate(zip(rows_int, probs)) if x[j]},
+              ZERO, True) for j in range(support.d)]  # E[g * increment_j] = 0
     # minimize u; solve_lp re-checks the optimal point against the floors
     # and the martingale rows; build_emm re-checks the pasted density
-    outcome = solve_lp(make_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1)))
+    outcome = solve_lp(make_lp(n + 1, {n: MINUS_ONE}, rows, [f] * (n + 1)))
     if isinstance(outcome, Infeasible):
         raise InternalError("one-step density infeasible although the origin is interior")
     if isinstance(outcome, Unbounded):
         raise InternalError("one-step density program is bounded below by the floor")
     assert isinstance(outcome, Optimal)
     g = outcome.point[:n]
-    mass = sum((q * gi for (_, q), gi in zip(support.atoms, g)), ZERO)
+    g_nums, g_den = int_row(g)
+    mass = sum(map(mul, probs, g_nums))  # E[g], over prob_den * g_den
     if mass <= 0:
         raise InternalError("one-step density has non-positive conditional mass")
-    return OneStepDensity(support.node, f, g, tuple(gi / mass for gi in g))
+    return OneStepDensity(support.node, f, g, rational_row([v * prob_den for v in g_nums], mass))
 
 
 class MartingaleConstruction(Record):

@@ -7,7 +7,8 @@ weights writing the origin, or a separating direction h in the span
 with (h, x) >= 0 on every atom and > 0 on at least one.
 
 Every function takes the node's ConditionalSupport, whose constructor
-has checked the atoms and reduced their span once. The relative
+has checked the atoms, reduced their span and put both in integer form
+once; the programs and the re-check are built from those integers. The relative
 interior is always taken within that span. Directions are normalized
 in the max-norm (exact arithmetic has no square roots; every property
 used downstream is scale-invariant).
@@ -21,9 +22,9 @@ from typing import Optional, Union
 from .errors import InputError, InternalError, Record
 from .linalg import combination, in_span
 from .lp import Optimal, make_lp, solve_lp
-from .rationals import (ONE, Rational, Vector, ZERO, dot, int_row, is_exact_vector, rational_row,
+from .rationals import (ONE, Q, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row,
                         zero_vector)
-from .tree import ConditionalSupport
+from .tree import ConditionalSupport, ensure_support
 
 
 class InRi(Record):
@@ -56,22 +57,23 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
     is the zero vector); any positive optimum exhibits a separating
     direction.
     """
-    pts = support.values()
-    d = support.d
-    basis = support.basis
+    rows_int, den = ensure_support(support).int_values
+    basis = support.int_basis
     r = len(basis)
     if r == 0:
-        return ZERO, zero_vector(d)
-    # variables: y_1..y_r, h = sum_k y_k basis_k
-    inner = [[dot(b, x) for b in basis] for x in pts]  # (h, x_i) row coefficients
-    rows = [(dict(enumerate(-c for c in coeffs)), ZERO, False)  # (h, x_i) >= 0
-            for coeffs in inner]
-    for j in range(d):
-        col = {k: b[j] for k, b in enumerate(basis)}
+        return ZERO, zero_vector(support.d)
+    # variables: y_1..y_r, h = sum_k y_k basis_k; (b_k, x_i) is
+    # inner[i][k] / dens[k], an integer sum over one denominator
+    dens = [q * den for _, q in basis]
+    inner = [[sum(map(mul, b, x)) for b, _ in basis] for x in rows_int]
+    rows = [({k: Q(-v, q) for k, (v, q) in enumerate(zip(coeffs, dens)) if v}, ZERO, False)
+            for coeffs in inner]  # (h, x_i) >= 0
+    for j in range(support.d):
+        col = {k: b[j] for k, b in enumerate(support.basis) if b[j]}
         rows.append((col, ONE, False))  # h_j <= 1
         rows.append(({k: -c for k, c in col.items()}, ONE, False))  # -h_j <= 1
-    objective = dict(enumerate(sum(column, ZERO) for column in zip(*inner)))  # sum_i (h, x_i)
-    outcome = solve_lp(make_lp(r, objective, rows))
+    objective = {k: Q(v, q) for k, (v, q) in enumerate(zip(map(sum, zip(*inner)), dens)) if v}
+    outcome = solve_lp(make_lp(r, objective, rows))  # maximize sum_i (h, x_i)
     if not isinstance(outcome, Optimal):
         raise InternalError("separation program must be feasible and bounded")
     return outcome.value, combination(basis, outcome.point)
@@ -114,7 +116,7 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     sum, are re-checked here; otherwise the separating direction comes
     from ``arbitrage_direction``, which re-checks it.
     """
-    pts = support.values()
+    pts = ensure_support(support).values()
     n = len(pts)
     rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True)  # sum lambda_i x_i = 0
             for j in range(support.d)]
@@ -133,19 +135,20 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
 
 def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bool:
     """Exact re-verification of either certificate against the support's
-    atoms and, for a direction, its span basis, in integer sums: the
-    weights' numerators over one denominator against each coordinate's
-    integer column, or the direction's numerators against each atom's.
-    A certificate with an entry that is not a Rational fails it."""
-    pts = support.values()
+    atoms and, for a direction, its span basis, in integer sums over the
+    support's integer atoms: the weights' numerators over one
+    denominator against each coordinate's column, or the direction's
+    numerators against each atom. A certificate with an entry that is
+    not a Rational fails it."""
+    rows, _ = ensure_support(support).int_values
     if isinstance(cert, InRi):
         lam = cert.weights
-        if not is_exact_vector(lam, len(pts)):
+        if not is_exact_vector(lam, len(rows)):
             return False
         w, den = int_row(lam)
         if any(v <= 0 for v in w) or sum(w) != den:
             return False
-        return not any(sum(map(mul, w, int_row(column)[0])) for column in zip(*pts))
+        return not any(sum(map(mul, w, column)) for column in zip(*rows))
     if isinstance(cert, NotInRi):
         h = cert.direction
         if not is_exact_vector(h, support.d):
@@ -153,6 +156,6 @@ def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bo
         nums, den = int_row(h)
         if max(map(abs, nums), default=0) != den or not in_span(h, support.basis):
             return False
-        dots = [sum(map(mul, nums, int_row(x)[0])) for x in pts]
+        dots = [sum(map(mul, nums, x)) for x in rows]
         return all(v >= 0 for v in dots) and any(dots)
     return False

@@ -6,7 +6,8 @@ integer multiply-and-subtract plus one gcd (fraction-free elimination,
 Bareiss 1968). A span is scale-invariant, so rows carry no denominator.
 The vector conversions (``int_row``, ``rational_row``) and the row
 normalisation (``lowest_terms``) belong to ``rationals``; this module
-owns only the elimination. The leftmost-pivot rule with
+owns the elimination and ``combination``, which sums integer basis
+rows with rational coordinates. The leftmost-pivot rule with
 back-elimination gives an integer reduced row-echelon form; dividing
 each row by its pivot yields a basis that is canonical for the
 subspace spanned (independent of input order).
@@ -15,11 +16,12 @@ subspace spanned (independent of input order).
 from __future__ import annotations
 
 from collections import abc
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError
-from .rationals import Rational, Vector, ZERO, int_row, lowest_terms, rational_row
+from .rationals import Rational, Vector, int_row, lowest_terms, rational_row
 
 # (pivot column, integer row): the pivot entry is positive and the only
 # nonzero entry of its column among the rows of one echelon form
@@ -92,7 +94,13 @@ def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> boo
     return not any(_reduce(int_row(v)[0], _echelon(vectors)))
 
 
-def combination(basis: Sequence[Vector], coords: Sequence[Rational]) -> Vector:
-    """``sum_k coords[k] * basis[k]`` over a non-empty basis; coordinates
-    past the basis are ignored."""
-    return tuple(sum((c * b for c, b in zip(coords, column)), ZERO) for column in zip(*basis))
+def combination(basis: Sequence[tuple[Sequence[int], int]], coords: Sequence[Rational]) -> Vector:
+    """``sum_k coords[k] * basis[k]`` over a non-empty basis of integer
+    rows, each (numerators, denominator), as integer sums over one
+    denominator and one Rational per entry; coordinates past the basis
+    are ignored."""
+    nums, den = int_row(coords[:len(basis)])
+    row_den = lcm(*(q for _, q in basis))
+    scaled = [c * (row_den // q) for c, (_, q) in zip(nums, basis)]
+    columns = zip(*(row for row, _ in basis))
+    return rational_row([sum(map(mul, scaled, column)) for column in columns], den * row_den)

@@ -91,8 +91,8 @@ class LinearProgram(Record):
             raise InputError(f"{len(equalities)} equality flags for {m} rows")
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
-        int_objective = int_row(objective)
-        int_lower = int_row([ZERO if lo is None else lo for lo in lower])
+        int_objective = _int_field("the objective", objective)
+        int_lower = _int_field("the bounds", [ZERO if lo is None else lo for lo in lower])
         int_rows = []
         for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities)):
             if type(eq) is not bool:
@@ -136,21 +136,37 @@ class LinearProgram(Record):
         return len(self.rows)
 
 
-def _pairs(what: str, coeffs: Mapping[int, RationalLike]) -> tuple[tuple[int, Rational], ...]:
+def _int_field(what: str, values: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
+    """``int_row`` of a program's objective or bounds, with an
+    InputError that names the field."""
+    try:
+        return int_row(values)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
+def _pairs(coeffs: Mapping[int, RationalLike], row: Optional[int] = None
+           ) -> tuple[tuple[int, Rational], ...]:
     """The coerced nonzero (column, coefficient) pairs of a map, by
     column; InputError on anything but a map whose columns can be
-    ordered."""
+    ordered, naming ``row``, or the objective when that is None."""
     try:
         items = coeffs.items()
     except AttributeError:
-        raise InputError(f"{what} is {coeffs!r}, not a {{column: coefficient}} map") from None
+        raise InputError(f"{_name(row)} is {coeffs!r}, not a {{column: coefficient}} "
+                         "map") from None
     pairs = [(j, a) for j, c in items if (a := as_rational(c))]
     try:
         pairs.sort()
     except TypeError:
         bad = next(j for j in coeffs if type(j) is not int)
-        raise InputError(f"{what} has column {bad!r}, not an int") from None
+        raise InputError(f"{_name(row)} has column {bad!r}, not an int") from None
     return tuple(pairs)
+
+
+def _name(row: Optional[int]) -> str:
+    """How an error names ``row``, or the objective when that is None."""
+    return "the objective" if row is None else f"row {row}"
 
 
 def make_lp(
@@ -173,7 +189,7 @@ def make_lp(
     if not (lower is None or isinstance(lower, abc.Sequence)):
         raise InputError(f"bounds {lower!r} are not a sequence")
     obj = [ZERO] * n_vars
-    for j, a in _pairs("the objective", objective):
+    for j, a in _pairs(objective):
         if type(j) is not int or not 0 <= j < n_vars:
             raise InputError(f"the objective has column {j!r}: not an int, or outside "
                              f"0..{n_vars - 1}")
@@ -185,7 +201,7 @@ def make_lp(
         except (TypeError, ValueError):
             raise InputError(f"row {i} is {row!r}, not a (coefficients, rhs, is_equality) "
                              "triple") from None
-        pairs.append(_pairs(f"row {i}", coeffs))
+        pairs.append(_pairs(coeffs, i))
         rhs.append(as_rational(b))
         eqs.append(eq)
     lo = ([None] * n_vars if lower is None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import abc
 from math import gcd, lcm
 from typing import Sequence, Tuple, Union
 
@@ -121,7 +122,7 @@ def zero_vector(dim: int) -> Vector:
 def is_exact_vector(vector: Sequence[Rational], length: int) -> bool:
     """``vector`` is a sequence of ``length`` Rationals, so an exact
     re-check never compares a float or a string."""
-    if not (isinstance(vector, Sequence) and len(vector) == length):
+    if not (isinstance(vector, abc.Sequence) and len(vector) == length):
         return False
     for v in vector:  # faster than all() over a generator on short vectors
         if not isinstance(v, Rational):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from collections import abc
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import mul
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, Record
 from .linalg import span_basis
@@ -22,10 +23,11 @@ from .rationals import (
     ZERO,
     dot,
     format_rational,
+    int_row,
     parse_rational,
     parse_vector,
+    rational_row,
     vec_sub,
-    zero_vector,
 )
 
 
@@ -241,14 +243,26 @@ class ConditionalSupport(Record):
     atoms, a non-empty tuple of (tuple of Rationals, Rational > 0)
     pairs whose values share one dimension, refuses anything else, and
     builds the basis; copy and pickle rebuild it from the atoms. The
-    geometry and emm routes read both from here."""
+    geometry and emm routes read both from here.
 
-    __slots__ = ("node", "atoms", "basis")
+    The constructor also derives the integer form of the atoms and the
+    basis, which the routes build their programs and re-checks from:
+    ``int_values``, each value's numerators over one common
+    denominator, as (rows, denominator); ``int_probs``, the
+    probabilities' numerators over theirs, as (numerators,
+    denominator); and ``int_basis``, each basis row as (numerators,
+    denominator). Like the basis, they are outside ``_fields``, so
+    equality, hashing and pickling read only the node and the atoms."""
+
+    __slots__ = ("node", "atoms", "basis", "int_values", "int_probs", "int_basis")
     _fields = ("node", "atoms")
 
     node: int
     atoms: tuple[tuple[Vector, Rational], ...]
     basis: tuple[Vector, ...]
+    int_values: tuple[tuple[tuple[int, ...], ...], int]
+    int_probs: tuple[tuple[int, ...], int]
+    int_basis: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, node, atoms) -> None:
         if type(atoms) is not tuple or not atoms:
@@ -260,7 +274,13 @@ class ConditionalSupport(Record):
                     and isinstance(atom[1], Rational) and atom[1] > 0):
                 raise InputError(f"node {node}: an atom must be a pair (tuple of Rationals, "
                                  f"Rational > 0), got {atom!r}")
-        super().__init__(node, atoms, span_basis(tuple(x for x, _ in atoms)))
+        values = tuple(x for x, _ in atoms)
+        basis = span_basis(values)  # which also checks that the values share one dimension
+        d = len(values[0])
+        nums, den = int_row([v for x in values for v in x])
+        rows = tuple(nums[i * d:(i + 1) * d] for i in range(len(values)))
+        super().__init__(node, atoms, basis, (rows, den), int_row([q for _, q in atoms]),
+                         tuple(int_row(b) for b in basis))
 
     @property
     def d(self) -> int:
@@ -268,6 +288,13 @@ class ConditionalSupport(Record):
 
     def values(self) -> tuple[Vector, ...]:
         return tuple(x for x, _ in self.atoms)
+
+
+def ensure_support(support: ConditionalSupport) -> ConditionalSupport:
+    """The support, or InputError naming the type of anything else."""
+    if not isinstance(support, ConditionalSupport):
+        raise InputError(f"expected a ConditionalSupport, got {type(support).__name__}")
+    return support
 
 
 def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
@@ -294,12 +321,10 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
 
 
 def conditional_mean(support: ConditionalSupport) -> Vector:
-    mean = list(zero_vector(support.d))
-    for x, q in support.atoms:
-        for j, xj in enumerate(x):
-            if xj:
-                mean[j] += q * xj
-    return tuple(mean)
+    """sum_i q_i x_i, one Rational per entry from integer sums."""
+    rows, den = ensure_support(support).int_values
+    probs, prob_den = support.int_probs
+    return rational_row([sum(map(mul, probs, column)) for column in zip(*rows)], den * prob_den)
 
 
 # --- strategies and gains --------------------------------------------------
@@ -310,13 +335,13 @@ Strategy = Mapping[int, Vector]
 def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
     """Terminal gain per leaf: the sum over the path of the one-step
     inner products (strategy at the parent, price increment)."""
-    if not isinstance(strategy, Mapping):
+    if not isinstance(strategy, abc.Mapping):
         raise InputError("strategy is not a mapping from node id to vector")
     for nid in tree.non_leaves():
         if nid not in strategy:
             raise InputError(f"strategy missing at non-leaf node {nid}")
         vec = strategy[nid]
-        if not (isinstance(vec, Sequence) and len(vec) == tree.d
+        if not (isinstance(vec, abc.Sequence) and len(vec) == tree.d
                 and all(isinstance(v, Rational) for v in vec)):
             raise InputError(f"strategy at node {nid} is not {tree.d} Rationals")
     gain = {tree.root: ZERO}

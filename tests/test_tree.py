@@ -6,13 +6,21 @@ import pytest
 
 import arbcheck.tree
 from arbcheck import (
+    NotInRi,
     Q,
     ScenarioTree,
+    arbitrage_direction,
+    check_ri_certificate,
     conditional_mean,
     conditional_support,
     gains,
     leaf_probabilities,
+    one_step_density,
+    one_step_scale,
     path_probabilities,
+    ri_conv_contains_origin,
+    separation_optimum,
+    support_function,
     tree_from_json,
     tree_to_json,
     validate,
@@ -301,6 +309,38 @@ class TestSupports:
         cs = conditional_support(one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"]), 0)
         for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert twin == cs and twin.basis == cs.basis == ((Q(1), Q(0)), (Q(0), Q(1)))
+
+    def test_integer_forms_and_their_copies(self):
+        """The atoms' and the basis's integer forms, derived by the
+        constructor, rebuilt equal by copy and pickle."""
+        cs = ConditionalSupport(4, (((Q(1, 2), Q(0)), Q(1, 6)), ((Q(0), Q(1, 3)), Q(1, 2)),
+                                    ((Q(-1), Q(-1)), Q(1, 3))))
+        assert cs.int_values == (((3, 0), (0, 2), (-6, -6)), 6)
+        assert cs.int_probs == ((1, 3, 2), 6)
+        assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
+        line = ConditionalSupport(0, (((Q(1), Q(3, 2)), Q(1)),))
+        assert line.basis == ((Q(1), Q(3, 2)),) and line.int_basis == (((2, 3), 2),)
+        for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
+            assert twin == cs
+            assert (twin.int_values, twin.int_probs, twin.int_basis) \
+                == (cs.int_values, cs.int_probs, cs.int_basis)
+
+    @pytest.mark.parametrize("call", [
+        ri_conv_contains_origin,
+        lambda s: check_ri_certificate(s, NotInRi((Q(1),))),
+        arbitrage_direction,
+        separation_optimum,
+        lambda s: support_function(s, (Q(1),)),
+        one_step_density,
+        one_step_scale,
+        conditional_mean,
+    ], ids=["ri_conv_contains_origin", "check_ri_certificate", "arbitrage_direction",
+            "separation_optimum", "support_function", "one_step_density", "one_step_scale",
+            "conditional_mean"])
+    @pytest.mark.parametrize("bad", ["x", None, ((Q(1),), Q(1))])
+    def test_anything_but_a_support_is_refused(self, call, bad):
+        with pytest.raises(InputError, match="expected a ConditionalSupport"):
+            call(bad)
 
     def test_empty_or_mixed_atoms_rejected(self):
         with pytest.raises(InputError, match="at least one atom"):
