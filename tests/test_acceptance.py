@@ -39,6 +39,7 @@ from helpers import binomial, reweight, skewed_coin, support
 from lp_oracle import oracle_check, random_lp
 from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
+from tree_oracle import assert_tree_loops_match
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -125,6 +126,19 @@ def test_sweep_node_programs_match_the_rational_reference(sweep):
             cs = conditional_support(tree, nid)
             solved = {}
             assert shipped_node(cs, solved) == reference_node(cs, solved), (seed, nid)
+
+
+def test_sweep_tree_loops_match_the_rational_reference(sweep):
+    """Every sweep tree's strategy program, supports, gains and
+    martingale residuals, equal to the ones built in rational
+    arithmetic."""
+    records, _ = sweep
+    for seed, tree, rep in records:
+        density = rep.construction.density if rep.construction else None
+        try:
+            assert_tree_loops_match(tree, seed, rep.arbitrage, density)
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {exc}") from exc
 
 
 def test_criterion_2_martingale_construction_exactness(sweep):

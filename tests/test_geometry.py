@@ -23,6 +23,7 @@ from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_supp
 from helpers import one_step, support, vec
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
+from tree_oracle import assert_tree_loops_match
 
 ZERO = Q(0)
 
@@ -329,3 +330,12 @@ def test_degenerate_node_programs_match_the_rational_reference(tree):
     cs = conditional_support(tree, 0)
     solved = {}
     assert shipped_node(cs, solved) == reference_node(cs, solved)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          phases=[phase for phase in Phase if phase.name != "explain"])
+@given(_degenerate_one_step(), st.integers(0, 2**16))
+def test_degenerate_tree_loops_match_the_rational_reference(tree, seed):
+    """The tree's strategy program, support, gains and martingale
+    residuals, equal to the ones built in rational arithmetic."""
+    assert_tree_loops_match(tree, seed)
