@@ -31,7 +31,7 @@ from .tree import (
     conditional_support,
     density_process,
     ensure_support,
-    ensure_valid,
+    integer_form,
 )
 
 MINUS_ONE = Q(-1)
@@ -146,20 +146,20 @@ def build_emm(tree: ScenarioTree) -> MartingaleConstruction:
     carrying the first failing node's separating certificate.
 
     The leaf density is the path product of the normalized one-step
-    densities; its largest value is reported as the bound.
+    densities, each child taking the value at its atom's index; its
+    largest value is reported as the bound.
     """
-    ensure_valid(tree)
-    steps: dict[int, dict[Vector, Rational]] = {}
+    _, _, atom = integer_form(tree)  # which validates the tree first
     per_node = []
+    steps: dict[int, tuple[Rational, ...]] = {}
     for nid in tree.non_leaves():
-        support = conditional_support(tree, nid)
-        ds = one_step_density(support)
+        ds = one_step_density(conditional_support(tree, nid))
         per_node.append(ds)
-        steps[nid] = {x: gh for (x, _), gh in zip(support.atoms, ds.normalized)}
+        steps[nid] = ds.normalized
 
     path = {tree.root: ONE}
     for nd in tree.order[1:]:
-        path[nd.id] = path[nd.parent] * steps[nd.parent][tree.increment(nd.id)]
+        path[nd.id] = path[nd.parent] * steps[nd.parent][atom[nd.id]]
     z = {leaf: path[leaf] for leaf in tree.leaves()}
 
     density = LeafDensity.from_mapping(z)
@@ -180,21 +180,24 @@ def verify_martingale(
 
     Returns (all residuals zero, per-node residual vectors), where the
     residual at a node is the reweighted conditional expectation of the
-    one-step price increment.
+    one-step price increment. Each residual is an integer sum of the
+    children's weights q * Z over one denominator against the tree's
+    integer increments; a Rational is made only for a nonzero entry.
     """
-    ensure_valid(tree)
+    den, increment, _ = integer_form(tree)  # which validates the tree first
     zproc = density_process(tree, density)
+    zero = (ZERO,) * tree.d
     residuals: dict[int, Vector] = {}
     ok = True
     for nid in tree.non_leaves():
-        acc = [ZERO] * tree.d
-        for c in tree.children(nid):
-            w = tree.node(c).prob * zproc[c] / zproc[nid]
-            for j, diff in enumerate(tree.increment(c)):
-                if diff:
-                    acc[j] += w * diff
-        vec = tuple(acc)
-        residuals[nid] = vec
-        if any(vec):
+        kids = tree.children(nid)
+        weights, w_den = int_row([tree.node(c).prob * zproc[c] for c in kids])
+        sums = [sum(map(mul, weights, column)) for column in zip(*(increment[c] for c in kids))]
+        if any(sums):
             ok = False
+            z = zproc[nid]  # the weights' total, > 0
+            scale = w_den * den * int(z.numerator)
+            residuals[nid] = rational_row([v * int(z.denominator) for v in sums], scale)
+        else:
+            residuals[nid] = zero
     return ok, residuals

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 from collections import abc
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, Record
 from .linalg import span_basis
 from .rationals import (
     ONE,
+    Q,
     Rational,
     Vector,
     ZERO,
-    dot,
     format_rational,
     int_row,
     parse_rational,
@@ -85,14 +85,15 @@ class ScenarioTree(Record):
 
     Data derived from the nodes alone is computed once per tree, on
     first use, and kept in containers the constructor makes: each edge
-    increment, each node's ConditionalSupport, and a passing
-    ``ensure_valid``. No attribute can be assigned or deleted, so none
-    of it goes stale; copy and pickle rebuild the tree with them empty.
-    Nothing a route computes from that data (an LP outcome, a
-    certificate, a verdict) is kept."""
+    increment (``increment``), the integer form of a valid tree
+    (``integer_form``), each node's ConditionalSupport
+    (``conditional_support``), and a passing ``validate``. No attribute
+    can be assigned or deleted, so none of it goes stale; copy and
+    pickle rebuild the tree with them empty. Nothing a route computes
+    from that data (an LP outcome, a certificate, a verdict) is kept."""
 
     __slots__ = ("d", "horizon", "nodes", "root", "order", "_by_id", "_children",
-                 "_depth", "_increments", "_supports", "_passed")
+                 "_depth", "_increments", "_integer", "_supports", "_passed")
     _fields = ("d", "horizon", "nodes")
 
     def __init__(self, d: int, horizon: int, nodes: Iterable[Node]):
@@ -140,8 +141,9 @@ class ScenarioTree(Record):
         if len(order) != len(nodes):
             orphans = sorted(set(by_id) - set(depth))
             raise InputError(f"nodes unreachable from the root (cycle?): {orphans}")
-        # the per-tree caches: increments, supports, passed checks
-        super().__init__(d, horizon, nodes, root, tuple(order), by_id, kids, depth, {}, {}, set())
+        # the per-tree caches: increments, integer form, supports, passed checks
+        super().__init__(d, horizon, nodes, root, tuple(order), by_id, kids, depth, {}, [], {},
+                         set())
 
     # --- structure queries ----------------------------------------------
 
@@ -182,7 +184,8 @@ class ScenarioTree(Record):
 
 def validate(tree: ScenarioTree) -> list[Violation]:
     """Check the semantic invariants; violations are data, not failures.
-    Anything but a ScenarioTree raises InputError."""
+    A pass is recorded on the tree, so a later ``ensure_valid`` does not
+    validate it again. Anything but a ScenarioTree raises InputError."""
     if not isinstance(tree, ScenarioTree):
         raise InputError(f"expected a ScenarioTree, got {type(tree).__name__}")
     out: list[Violation] = []
@@ -214,22 +217,49 @@ def validate(tree: ScenarioTree) -> list[Violation]:
         dep = tree.depth(leaf)
         if dep != tree.horizon:
             flag(leaf, "leaf_depth", f"leaf at depth {dep}, horizon is {tree.horizon}")
+    if not out:
+        tree._passed.add("validate")
     return out
 
 
 def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
     """The tree, or InputError listing its violations, or naming the
-    type of anything but a ScenarioTree. A pass is recorded on the
-    tree, so later calls do not validate it again; a failure is not,
-    and raises on every call."""
+    type of anything but a ScenarioTree. A tree that ``validate`` has
+    passed is not validated again; a failure is not recorded, and
+    raises on every call."""
     if isinstance(tree, ScenarioTree) and "validate" in tree._passed:
         return tree
     violations = validate(tree)
     if violations:
         listing = "; ".join(str(v) for v in violations)
         raise InputError(f"invalid tree: {listing}")
-    tree._passed.add("validate")
     return tree
+
+
+def integer_form(tree: ScenarioTree) -> tuple[int, dict[int, tuple[int, ...]], dict[int, int]]:
+    """``(den, increment, atom)`` for a valid tree, derived from its
+    prices on the first call and kept on it: ``den`` is the lcm of the
+    denominators of all prices, ``increment[c]`` the numerators over
+    ``den`` of the increment on the edge into non-root node ``c``, and
+    ``atom[c]`` the index of that increment among the distinct ones
+    into ``c``'s siblings in order of first appearance, which is the
+    index of ``c``'s atom in its parent's ConditionalSupport. The
+    routes build their per-tree loops from it; InputError on an
+    invalid tree."""
+    ensure_valid(tree)
+    if not tree._integer:
+        d = tree.d
+        nums, den = int_row([v for nd in tree.order for v in nd.price])
+        price = {nd.id: nums[i * d:(i + 1) * d] for i, nd in enumerate(tree.order)}
+        increment: dict[int, tuple[int, ...]] = {}
+        atom: dict[int, int] = {}
+        for nid, kids in tree._children.items():
+            seen: dict[tuple[int, ...], int] = {}
+            for c in kids:
+                x = increment[c] = tuple(map(sub, price[c], price[nid]))
+                atom[c] = seen.setdefault(x, len(seen))
+        tree._integer.append((den, increment, atom))
+    return tree._integer[0]
 
 
 # --- conditional one-step structure ---------------------------------------
@@ -298,24 +328,27 @@ def ensure_support(support: ConditionalSupport) -> ConditionalSupport:
 
 
 def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
-    """The support at a non-leaf node, built on the first call for the
-    tree and the same object on every later one."""
+    """The support at a non-leaf node of a valid tree, built on the
+    first call for the tree and the same object on every later one. Its
+    children are grouped by integer increment, and each distinct atom's
+    value is made once."""
+    ensure_valid(tree)
     support = tree._supports.get(node_id)
     if support is not None:
         return support
     if tree.is_leaf(node_id):
         raise InputError(f"node {node_id} is a leaf; no one-step distribution there")
-    order: list[Vector] = []
-    weight: dict[Vector, Rational] = {}
+    den, increment, atom = integer_form(tree)
+    values: list[Vector] = []
+    probs: list[Rational] = []
     for c in tree.children(node_id):
-        delta = tree.increment(c)
-        prob = tree.node(c).prob
-        if delta in weight:
-            weight[delta] += prob
+        i = atom[c]
+        if i < len(values):
+            probs[i] += tree.node(c).prob
         else:
-            weight[delta] = prob
-            order.append(delta)
-    support = ConditionalSupport(node_id, tuple((x, weight[x]) for x in order))
+            values.append(rational_row(increment[c], den))
+            probs.append(tree.node(c).prob)
+    support = ConditionalSupport(node_id, tuple(zip(values, probs)))
     tree._supports[node_id] = support
     return support
 
@@ -333,21 +366,36 @@ Strategy = Mapping[int, Vector]
 
 
 def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
-    """Terminal gain per leaf: the sum over the path of the one-step
-    inner products (strategy at the parent, price increment)."""
+    """Terminal gain per leaf of a valid tree: the sum over the path of
+    the one-step inner products (strategy at the parent, price
+    increment)."""
+    nums, den = int_gains(tree, strategy)
+    return {leaf: Q(v, den) if v else ZERO for leaf, v in nums.items()}
+
+
+def int_gains(tree: ScenarioTree, strategy: Strategy) -> tuple[dict[int, int], int]:
+    """``gains`` as integer numerators over one positive denominator:
+    the strategy's entries over their common denominator, times the
+    tree's integer increments, summed down each path."""
+    ensure_valid(tree)
     if not isinstance(strategy, abc.Mapping):
         raise InputError("strategy is not a mapping from node id to vector")
-    for nid in tree.non_leaves():
+    d = tree.d
+    non_leaves = tree.non_leaves()
+    for nid in non_leaves:
         if nid not in strategy:
             raise InputError(f"strategy missing at non-leaf node {nid}")
         vec = strategy[nid]
-        if not (isinstance(vec, abc.Sequence) and len(vec) == tree.d
+        if not (isinstance(vec, abc.Sequence) and len(vec) == d
                 and all(isinstance(v, Rational) for v in vec)):
-            raise InputError(f"strategy at node {nid} is not {tree.d} Rationals")
-    gain = {tree.root: ZERO}
+            raise InputError(f"strategy at node {nid} is not {d} Rationals")
+    den, increment, _ = integer_form(tree)
+    nums, h_den = int_row([v for nid in non_leaves for v in strategy[nid]])
+    h = {nid: nums[i * d:(i + 1) * d] for i, nid in enumerate(non_leaves)}
+    gain = {tree.root: 0}
     for nd in tree.order[1:]:
-        gain[nd.id] = gain[nd.parent] + dot(strategy[nd.parent], tree.increment(nd.id))
-    return {leaf: gain[leaf] for leaf in tree.leaves()}
+        gain[nd.id] = gain[nd.parent] + sum(map(mul, h[nd.parent], increment[nd.id]))
+    return {leaf: gain[leaf] for leaf in tree.leaves()}, h_den * den
 
 
 # --- leaf densities ---------------------------------------------------------
@@ -370,7 +418,9 @@ class LeafDensity(Record):
 
 
 def path_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
-    """Probability of reaching each node (not only leaves)."""
+    """Probability of reaching each node (not only leaves) of a valid
+    tree."""
+    ensure_valid(tree)
     prob = {tree.root: tree.node(tree.root).prob}
     for nd in tree.order[1:]:
         prob[nd.id] = prob[nd.parent] * nd.prob
@@ -418,6 +468,10 @@ def density_process(tree: ScenarioTree, density: LeafDensity) -> dict[int, Ratio
 
 
 def tree_to_json(tree: ScenarioTree) -> dict:
+    """The documented JSON schema of any tree, an invalid one included;
+    InputError on anything but a ScenarioTree."""
+    if not isinstance(tree, ScenarioTree):
+        raise InputError(f"expected a ScenarioTree, got {type(tree).__name__}")
     return {
         "d": tree.d,
         "N": tree.horizon,

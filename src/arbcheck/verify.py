@@ -12,17 +12,12 @@ Every tree entry point rejects an invalid tree with InputError.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING, Optional
 
 from .emm import MartingaleConstruction, build_emm, one_step_scale
 from .errors import GeometryError, InputError, InternalError, Record
-from .geometry import (
-    InRi,
-    NotInRi,
-    RiCertificate,
-    max_norm_normalize,
-    ri_conv_contains_origin,
-)
+from .geometry import InRi, NotInRi, RiCertificate, ri_conv_contains_origin
 from .lp import Optimal, make_lp, solve_lp
 from .rationals import (
     ONE,
@@ -31,6 +26,8 @@ from .rationals import (
     Vector,
     ZERO,
     format_rational,
+    int_row,
+    rational_row,
 )
 from .tree import (
     LeafDensity,
@@ -40,7 +37,8 @@ from .tree import (
     _check_int,
     conditional_support,
     ensure_valid,
-    gains,
+    int_gains,
+    integer_form,
     path_probabilities,
 )
 
@@ -58,29 +56,40 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     when an arbitrage exists and 0 when none does. The zero strategy is
     the starting vertex, so the solve needs no phase 1. The optimizer,
     divided by its max-norm, is returned after an exact gains re-check.
+
+    The program is built from the tree's integer increments over their
+    denominator D: each objective entry is one integer sum of the
+    children's reach numerators times an increment coordinate, and each
+    leaf row entry is one ``Q(-v, D)`` per edge and asset. The witness
+    is normalized and re-checked in integers.
     """
     ensure_valid(tree)
+    d = tree.d
     non_leaves = tree.non_leaves()
-    col: dict[tuple[int, int], int] = {}
-    for nid in non_leaves:
-        for j in range(tree.d):
-            col[(nid, j)] = len(col)
-    nvars = len(col)
+    first = {nid: i * d for i, nid in enumerate(non_leaves)}  # column of (nid, 0)
+    nvars = len(non_leaves) * d
     if nvars == 0:
         return None  # horizon-zero tree: no strategies at all
+    den, increment, _ = integer_form(tree)
     reach = path_probabilities(tree)
 
-    # one pass from the root: the expected gain, and each node's gain
-    # coefficients negated
+    # the expected gain: node by node, the children's reach over one
+    # denominator against each coordinate of their increments
     objective: dict[int, Rational] = {}
+    for nid in non_leaves:
+        kids = tree.children(nid)
+        weights, reach_den = int_row([reach[c] for c in kids])
+        for j, column in enumerate(zip(*(increment[c] for c in kids))):
+            if v := sum(map(mul, weights, column)):
+                objective[first[nid] + j] = Q(v, reach_den * den)
+    # one pass from the root: each node's gain coefficients negated
     loss: dict[int, dict[int, Rational]] = {tree.root: {}}
     for nd in tree.order[1:]:
         row = dict(loss[nd.parent])
-        for j, diff in enumerate(tree.increment(nd.id)):
-            if diff:
-                k = col[(nd.parent, j)]
-                objective[k] = objective.get(k, ZERO) + reach[nd.id] * diff
-                row[k] = -diff
+        k = first[nd.parent]
+        for j, v in enumerate(increment[nd.id]):
+            if v:
+                row[k + j] = Q(-v, den)
         loss[nd.id] = row
 
     rows = [(loss[leaf], ZERO, False) for leaf in tree.leaves()]  # terminal gain >= 0
@@ -90,13 +99,11 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
         raise InternalError("arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
         return None
-    point = max_norm_normalize(outcome.point)
-    strategy = {
-        nid: tuple(point[col[(nid, j)]] for j in range(tree.d))
-        for nid in non_leaves
-    }
-    g = gains(tree, strategy)
-    if any(v < 0 for v in g.values()) or not any(v > 0 for v in g.values()):
+    nums, _ = int_row(outcome.point)
+    point = rational_row(nums, max(map(abs, nums)))  # max-norm 1
+    strategy = {nid: point[k:k + d] for nid, k in first.items()}
+    g, _ = int_gains(tree, strategy)
+    if any(v < 0 for v in g.values()) or not any(g.values()):
         raise InternalError("arbitrage witness failed the exact gains re-check")
     return strategy
 

@@ -25,7 +25,8 @@ from arbcheck.lp import (
     make_lp,
     solve_lp,
 )
-from arbcheck.rationals import Rational, dot
+from arbcheck.rationals import Rational
+from helpers import dot
 
 ZERO = Q(0)
 

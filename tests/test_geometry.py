@@ -18,9 +18,8 @@ from arbcheck.geometry import (
     separation_optimum,
 )
 from arbcheck.linalg import in_span
-from arbcheck.rationals import dot
 from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
-from helpers import one_step, support, vec
+from helpers import dot, one_step, support, vec
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
 from tree_oracle import assert_tree_loops_match
@@ -210,6 +209,9 @@ def test_scaling_preserves_verdict():
 
 _entries = st.builds(Q, st.integers(-9, 9) | st.integers(-10**12, 10**12),
                      st.integers(1, 10**12))
+# every phase but explain, which on a failure traces every line of every
+# solve and takes minutes and over a gigabyte of memory to do so
+_NO_EXPLAIN = [phase for phase in Phase if phase.name != "explain"]
 
 
 @st.composite
@@ -233,7 +235,7 @@ def _degenerate_one_step(draw):
     return one_step(deltas, [Q(m, sum(masses)) for m in masses])
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
 @given(_degenerate_one_step())
 def test_degenerate_nodes(tree):
     """On supports with repeated increments merged (as
@@ -312,16 +314,13 @@ class TestRiCheckAgreesWithReference:
         for points in _dichotomy_points():
             _assert_ri_checks_agree(support(points))
 
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
     @given(_degenerate_one_step())
     def test_degenerate_supports(self, tree):
         _assert_ri_checks_agree(conditional_support(tree, 0))
 
 
-# without the explain phase, which on a failure traces every line of
-# every solve and takes minutes and over a gigabyte of memory to do so
-@settings(max_examples=200, derandomize=True, deadline=None,
-          phases=[phase for phase in Phase if phase.name != "explain"])
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
 @given(_degenerate_one_step())
 def test_degenerate_node_programs_match_the_rational_reference(tree):
     """The node's programs, equal field by field to the ones built in
@@ -332,8 +331,7 @@ def test_degenerate_node_programs_match_the_rational_reference(tree):
     assert shipped_node(cs, solved) == reference_node(cs, solved)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None,
-          phases=[phase for phase in Phase if phase.name != "explain"])
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
 @given(_degenerate_one_step(), st.integers(0, 2**16))
 def test_degenerate_tree_loops_match_the_rational_reference(tree, seed):
     """The tree's strategy program, support, gains and martingale

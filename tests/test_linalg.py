@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from arbcheck import Q, in_span, span_basis
@@ -112,7 +112,10 @@ def _points_and_queries(draw):
     return points, draw(vector), combination
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+# without the explain phase, which on a failure traces every line of
+# every elimination and can take minutes to do so
+@settings(max_examples=300, derandomize=True, deadline=None,
+          phases=[phase for phase in Phase if phase.name != "explain"])
 @given(_points_and_queries())
 def test_integer_kernel_matches_rational_oracle(case):
     points, free, combination = case

@@ -34,6 +34,7 @@ from arbcheck.tree import (
     check_density,
     density_process,
     ensure_valid,
+    integer_form,
 )
 from helpers import (
     binomial,
@@ -162,11 +163,14 @@ class TestImmutable:
         ensure_valid(t)
         t.increment(3)
         conditional_support(t, 0)
+        assert t._integer
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin is not t and twin == t and hash(twin) == hash(t)
             assert twin.order == t.order and twin.children(0) == (1, 2)
-            assert twin._increments == {} and twin._supports == {} and not twin._passed
+            assert twin._increments == {} and twin._integer == [] and twin._supports == {}
+            assert not twin._passed
             assert conditional_support(twin, 0) == conditional_support(t, 0)
+            assert integer_form(twin) == integer_form(t)
 
 
 class TestValidation:
@@ -230,6 +234,73 @@ class TestValidation:
             with pytest.raises(InputError, match="prob_sum"):
                 ensure_valid(bad)
         assert len(calls) == 3
+
+    def test_a_passing_validate_is_recorded(self, monkeypatch):
+        good, bad = skewed_coin(), one_step([1, -1], ["1/4", "1/4"])
+        assert validate(good) == [] and validate(bad) != []
+        calls = count_calls(monkeypatch, arbcheck.tree, "validate")
+        assert ensure_valid(good) is good
+        assert calls == []  # the pass above is not repeated
+        with pytest.raises(InputError, match="prob_sum"):
+            ensure_valid(bad)
+        assert len(calls) == 1  # the failure above recorded nothing
+
+
+def half_mass():
+    """A one-step tree whose child probabilities sum to 1/2."""
+    return one_step([1, -1], ["1/4", "1/4"])
+
+
+class TestTreeFunctionsRefuseBadTrees:
+    """Anything but a tree is refused by name, and an invalid tree by its
+    violations, before any of the tree's data is read."""
+
+    @staticmethod
+    def refused(call):
+        with pytest.raises(InputError, match="expected a ScenarioTree"):
+            call("x")
+        with pytest.raises(InputError, match="prob_sum"):
+            call(half_mass())
+
+    def test_conditional_support(self):
+        self.refused(lambda t: conditional_support(t, 0))
+
+    def test_gains(self):
+        self.refused(lambda t: gains(t, {0: (Q(1),)}))
+
+    def test_path_probabilities(self):
+        self.refused(path_probabilities)
+
+    def test_leaf_probabilities(self):
+        self.refused(leaf_probabilities)
+
+    def test_tree_to_json(self):
+        with pytest.raises(InputError, match="expected a ScenarioTree"):
+            tree_to_json("x")
+        t = half_mass()  # an invalid tree is still written out
+        assert tree_from_json(tree_to_json(t)) == t
+
+
+class TestIntegerForm:
+    def test_prices_over_one_denominator(self):
+        t = build(2, ((Q(1, 2), 0), [
+            ("1/2", ((Q(3, 2), Q(1, 3)), [])),
+            ("1/4", ((Q(-1, 2), 0), [])),
+            ("1/4", ((Q(3, 2), Q(1, 3)), [])),
+        ]))
+        den, increment, atom = integer_form(t)
+        assert den == 6
+        assert increment == {1: (6, 2), 2: (-6, 0), 3: (6, 2)}
+        assert atom == {1: 0, 2: 1, 3: 0}
+        assert integer_form(t) is t._integer[0]
+        cs = conditional_support(t, 0)
+        assert cs.atoms == (((Q(1), Q(1, 3)), Q(3, 4)), ((Q(-1), Q(0)), Q(1, 4)))
+
+    def test_invalid_trees_have_none(self):
+        with pytest.raises(InputError, match="prob_sum"):
+            integer_form(half_mass())
+        with pytest.raises(InputError, match="expected a ScenarioTree"):
+            integer_form("x")
 
 
 class TestJson:
