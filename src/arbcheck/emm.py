@@ -27,11 +27,11 @@ from .tree import (
     ConditionalSupport,
     LeafDensity,
     ScenarioTree,
+    _integer_form,
     conditional_mean,
     conditional_support,
     density_process,
     ensure_support,
-    integer_form,
 )
 
 MINUS_ONE = Q(-1)
@@ -149,7 +149,7 @@ def build_emm(tree: ScenarioTree) -> MartingaleConstruction:
     densities, each child taking the value at its atom's index; its
     largest value is reported as the bound.
     """
-    _, _, atom = integer_form(tree)  # which validates the tree first
+    _, _, atom = _integer_form(tree)  # which validates the tree first
     per_node = []
     steps: dict[int, tuple[Rational, ...]] = {}
     for nid in tree.non_leaves():
@@ -184,7 +184,7 @@ def verify_martingale(
     children's weights q * Z over one denominator against the tree's
     integer increments; a Rational is made only for a nonzero entry.
     """
-    den, increment, _ = integer_form(tree)  # which validates the tree first
+    den, increment, _ = _integer_form(tree)  # which validates the tree first
     zproc = density_process(tree, density)
     zero = (ZERO,) * tree.d
     residuals: dict[int, Vector] = {}

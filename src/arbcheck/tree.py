@@ -27,7 +27,6 @@ from .rationals import (
     parse_rational,
     parse_vector,
     rational_row,
-    vec_sub,
 )
 
 
@@ -84,16 +83,16 @@ class ScenarioTree(Record):
     bottom-up pass one loop over its reverse.
 
     Data derived from the nodes alone is computed once per tree, on
-    first use, and kept in containers the constructor makes: each edge
-    increment (``increment``), the integer form of a valid tree
-    (``integer_form``), each node's ConditionalSupport
-    (``conditional_support``), and a passing ``validate``. No attribute
+    first use, and kept in containers the constructor makes: the integer
+    form of a valid tree (``_integer_form``), each node's
+    ConditionalSupport (``conditional_support``, whose atoms are the
+    values ``increment`` returns), and a passing ``validate``. No attribute
     can be assigned or deleted, so none of it goes stale; copy and
     pickle rebuild the tree with them empty. Nothing a route computes
     from that data (an LP outcome, a certificate, a verdict) is kept."""
 
     __slots__ = ("d", "horizon", "nodes", "root", "order", "_by_id", "_children",
-                 "_depth", "_increments", "_integer", "_supports", "_passed")
+                 "_depth", "_integer", "_supports", "_passed")
     _fields = ("d", "horizon", "nodes")
 
     def __init__(self, d: int, horizon: int, nodes: Iterable[Node]):
@@ -141,9 +140,8 @@ class ScenarioTree(Record):
         if len(order) != len(nodes):
             orphans = sorted(set(by_id) - set(depth))
             raise InputError(f"nodes unreachable from the root (cycle?): {orphans}")
-        # the per-tree caches: increments, integer form, supports, passed checks
-        super().__init__(d, horizon, nodes, root, tuple(order), by_id, kids, depth, {}, [], {},
-                         set())
+        # the per-tree caches: integer form, supports, passed checks
+        super().__init__(d, horizon, nodes, root, tuple(order), by_id, kids, depth, [], {}, set())
 
     # --- structure queries ----------------------------------------------
 
@@ -165,15 +163,14 @@ class ScenarioTree(Record):
         return self._depth[node_id]
 
     def increment(self, node_id: int) -> Vector:
-        """Price change on the edge into a non-root node."""
-        delta = self._increments.get(node_id)
-        if delta is None:
-            nd = self.node(node_id)
-            if nd.parent is None:
-                raise InputError(f"node {node_id} is the root; no edge leads into it")
-            delta = vec_sub(nd.price, self._by_id[nd.parent].price)
-            self._increments[node_id] = delta
-        return delta
+        """Price change on the edge into a non-root node of a valid tree:
+        the value of the node's atom in its parent's ConditionalSupport,
+        so the same object on every call."""
+        nd = self.node(node_id)
+        if nd.parent is None:
+            raise InputError(f"node {node_id} is the root; no edge leads into it")
+        _, _, atom = _integer_form(self)
+        return conditional_support(self, nd.parent).atoms[atom[node_id]][0]
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes if not self._children[nd.id])
@@ -236,7 +233,7 @@ def ensure_valid(tree: ScenarioTree) -> ScenarioTree:
     return tree
 
 
-def integer_form(tree: ScenarioTree) -> tuple[int, dict[int, tuple[int, ...]], dict[int, int]]:
+def _integer_form(tree: ScenarioTree) -> tuple[int, dict[int, tuple[int, ...]], dict[int, int]]:
     """``(den, increment, atom)`` for a valid tree, derived from its
     prices on the first call and kept on it: ``den`` is the lcm of the
     denominators of all prices, ``increment[c]`` the numerators over
@@ -244,8 +241,9 @@ def integer_form(tree: ScenarioTree) -> tuple[int, dict[int, tuple[int, ...]], d
     ``atom[c]`` the index of that increment among the distinct ones
     into ``c``'s siblings in order of first appearance, which is the
     index of ``c``'s atom in its parent's ConditionalSupport. The
-    routes build their per-tree loops from it; InputError on an
-    invalid tree."""
+    routes build their per-tree loops from it and must not mutate the
+    mappings, which are the tree's own; InputError on an invalid
+    tree."""
     ensure_valid(tree)
     if not tree._integer:
         d = tree.d
@@ -338,7 +336,7 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
         return support
     if tree.is_leaf(node_id):
         raise InputError(f"node {node_id} is a leaf; no one-step distribution there")
-    den, increment, atom = integer_form(tree)
+    den, increment, atom = _integer_form(tree)
     values: list[Vector] = []
     probs: list[Rational] = []
     for c in tree.children(node_id):
@@ -389,7 +387,7 @@ def int_gains(tree: ScenarioTree, strategy: Strategy) -> tuple[dict[int, int], i
         if not (isinstance(vec, abc.Sequence) and len(vec) == d
                 and all(isinstance(v, Rational) for v in vec)):
             raise InputError(f"strategy at node {nid} is not {d} Rationals")
-    den, increment, _ = integer_form(tree)
+    den, increment, _ = _integer_form(tree)
     nums, h_den = int_row([v for nid in non_leaves for v in strategy[nid]])
     h = {nid: nums[i * d:(i + 1) * d] for i, nid in enumerate(non_leaves)}
     gain = {tree.root: 0}

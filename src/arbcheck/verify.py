@@ -35,10 +35,10 @@ from .tree import (
     ScenarioTree,
     Strategy,
     _check_int,
+    _integer_form,
     conditional_support,
     ensure_valid,
     int_gains,
-    integer_form,
     path_probabilities,
 )
 
@@ -70,7 +70,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     nvars = len(non_leaves) * d
     if nvars == 0:
         return None  # horizon-zero tree: no strategies at all
-    den, increment, _ = integer_form(tree)
+    den, increment, _ = _integer_form(tree)
     reach = path_probabilities(tree)
 
     # the expected gain: node by node, the children's reach over one

@@ -10,12 +10,6 @@ def vec(values):
     return tuple(as_rational(v) for v in values)
 
 
-def dot(u, v):
-    """sum_j u_j * v_j in rational arithmetic, for the reference oracles."""
-    assert len(u) == len(v), (u, v)
-    return sum((a * b for a, b in zip(u, v)), Q(0))
-
-
 def _price(value):
     if not isinstance(value, (list, tuple)):
         value = (value,)

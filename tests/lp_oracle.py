@@ -25,8 +25,7 @@ from arbcheck.lp import (
     make_lp,
     solve_lp,
 )
-from arbcheck.rationals import Rational
-from helpers import dot
+from arbcheck.rationals import Rational, dot
 
 ZERO = Q(0)
 

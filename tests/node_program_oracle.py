@@ -19,8 +19,8 @@ from arbcheck.emm import one_step_density
 from arbcheck.errors import GeometryError
 from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
 from arbcheck.lp import Optimal, Unbounded, make_lp, solve_lp
+from arbcheck.rationals import dot
 from arbcheck.tree import conditional_mean
-from helpers import dot
 
 ZERO = Q(0)
 ONE = Q(1)

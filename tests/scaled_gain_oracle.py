@@ -12,7 +12,7 @@ from arbcheck.emm import one_step_scale
 from arbcheck.errors import InternalError
 from arbcheck.linalg import span_basis
 from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
-from arbcheck.rationals import ONE, Q, Rational, ZERO
+from arbcheck.rationals import ONE, Q, Rational, ZERO, dot
 from arbcheck.tree import (
     ScenarioTree,
     conditional_mean,
@@ -20,7 +20,6 @@ from arbcheck.tree import (
     ensure_valid,
     path_probabilities,
 )
-from helpers import dot
 from lp_oracle import dense_lp
 
 

@@ -18,8 +18,9 @@ from arbcheck.geometry import (
     separation_optimum,
 )
 from arbcheck.linalg import in_span
+from arbcheck.rationals import dot
 from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
-from helpers import dot, one_step, support, vec
+from helpers import one_step, support, vec
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
 from tree_oracle import assert_tree_loops_match

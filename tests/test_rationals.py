@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from arbcheck import Q, as_rational, format_rational, parse_rational
 from arbcheck.errors import InputError
-from arbcheck.rationals import (ZERO, int_row, lowest_terms, parse_vector, rational_row, vec_sub,
-                                zero_vector)
+from arbcheck.rationals import (ZERO, dot, int_row, lowest_terms, parse_vector, rational_row,
+                                vec_sub, zero_vector)
 from helpers import vec
 
 
@@ -75,6 +75,7 @@ def test_vector_ops():
     u = vec([1, "1/2", -3])
     v = vec(["1/3", 2, 0])
     assert vec_sub(u, v) == vec(["2/3", "-3/2", -3])
+    assert dot(u, v) == Q(4, 3)
     assert zero_vector(3) == (Q(0),) * 3
 
 

@@ -33,8 +33,8 @@ from arbcheck.tree import (
     Node,
     check_density,
     density_process,
+    _integer_form,
     ensure_valid,
-    integer_form,
 )
 from helpers import (
     binomial,
@@ -167,10 +167,10 @@ class TestImmutable:
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin is not t and twin == t and hash(twin) == hash(t)
             assert twin.order == t.order and twin.children(0) == (1, 2)
-            assert twin._increments == {} and twin._integer == [] and twin._supports == {}
+            assert twin._integer == [] and twin._supports == {}
             assert not twin._passed
             assert conditional_support(twin, 0) == conditional_support(t, 0)
-            assert integer_form(twin) == integer_form(t)
+            assert _integer_form(twin) == _integer_form(t)
 
 
 class TestValidation:
@@ -288,19 +288,24 @@ class TestIntegerForm:
             ("1/4", ((Q(-1, 2), 0), [])),
             ("1/4", ((Q(3, 2), Q(1, 3)), [])),
         ]))
-        den, increment, atom = integer_form(t)
+        den, increment, atom = _integer_form(t)
         assert den == 6
         assert increment == {1: (6, 2), 2: (-6, 0), 3: (6, 2)}
         assert atom == {1: 0, 2: 1, 3: 0}
-        assert integer_form(t) is t._integer[0]
+        assert _integer_form(t) is t._integer[0]
         cs = conditional_support(t, 0)
         assert cs.atoms == (((Q(1), Q(1, 3)), Q(3, 4)), ((Q(-1), Q(0)), Q(1, 4)))
+        # each increment is its atom's value: equal increments are one object
+        assert t.increment(1) is t.increment(3) is cs.atoms[0][0]
+        assert t.increment(2) is cs.atoms[1][0]
 
     def test_invalid_trees_have_none(self):
         with pytest.raises(InputError, match="prob_sum"):
-            integer_form(half_mass())
+            _integer_form(half_mass())
+        with pytest.raises(InputError, match="prob_sum"):
+            half_mass().increment(1)
         with pytest.raises(InputError, match="expected a ScenarioTree"):
-            integer_form("x")
+            _integer_form("x")
 
 
 class TestJson:

@@ -19,9 +19,8 @@ import pytest
 import arbcheck.verify
 from arbcheck import Q, conditional_support, gains as shipped_gains, verify_martingale
 from arbcheck.lp import make_lp
-from arbcheck.rationals import vec_sub
+from arbcheck.rationals import dot, vec_sub
 from arbcheck.tree import LeafDensity
-from helpers import dot
 
 ZERO = Q(0)
 ONE = Q(1)
