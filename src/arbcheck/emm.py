@@ -16,13 +16,14 @@ separating certificate otherwise.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import separating_certificate
 from .linalg import combination, in_span
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
-from .rationals import ONE, Q, Rational, Vector, ZERO, int_row, rational_row
+from .rationals import ONE, Rational, Vector, ZERO, int_row, rational_row
 from .tree import (
     ConditionalSupport,
     LeafDensity,
@@ -33,8 +34,6 @@ from .tree import (
     density_process,
     ensure_support,
 )
-
-MINUS_ONE = Q(-1)
 
 
 def support_function(support: ConditionalSupport, a: Vector) -> Rational:
@@ -55,17 +54,23 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
         return ZERO  # span {0}: T = {0}
     rows_int, den = support.int_values
     n = len(rows_int)
-    # variables: y_1..y_r free (h = sum y_k b_k), then t_1..t_n >= 0
+    # variables: y_1..y_r free (h = sum y_k b_k), then t_1..t_n >= 0; over
+    # the lcm L of the basis rows' denominators, basis row k is
+    # scale[k] * b_k / L
+    big = lcm(*(q for _, q in basis))
+    scale = [big // q for _, q in basis]
     rows = []
     for i, x in enumerate(rows_int):
-        row = {k: Q(-v, q * den) for k, (b, q) in enumerate(basis) if (v := sum(map(mul, b, x)))}
-        row[r + i] = MINUS_ONE
-        rows.append((row, ZERO, False))  # t_i >= -(h, x_i)
-    budget = {r + i: q for i, (_, q) in enumerate(support.atoms)}
-    rows.append((budget, ONE, False))  # expected lifted loss <= 1
+        row = {k: -s * v for k, ((b, _), s) in enumerate(zip(basis, scale))
+               if (v := sum(map(mul, b, x)))}
+        row[r + i] = -big * den
+        rows.append((row, 0, False, big * den))  # t_i >= -(h, x_i)
+    probs, prob_den = support.int_probs
+    budget = {r + i: p for i, p in enumerate(probs)}
+    rows.append((budget, prob_den, False, prob_den))  # expected lifted loss <= 1
     a_nums, a_den = int_row(a)
-    objective = {k: Q(v, q * a_den) for k, (b, q) in enumerate(basis)
-                 if (v := sum(map(mul, b, a_nums)))}
+    objective = ({k: s * v for k, ((b, _), s) in enumerate(zip(basis, scale))
+                  if (v := sum(map(mul, b, a_nums)))}, big * a_den)
     outcome = solve_lp(make_lp(r + n, objective, rows, [None] * r + [ZERO] * n))
     if isinstance(outcome, Unbounded):
         # the ray's direction part certifies the origin outside the
@@ -114,12 +119,12 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     n = len(rows_int)
     den *= prob_den
     # variables: g_1..g_n, then the max bound u; all floored at f
-    rows = [({i: ONE, n: MINUS_ONE}, ZERO, False) for i in range(n)]  # g_i <= u
-    rows += [({i: Q(p * x[j], den) for i, (x, p) in enumerate(zip(rows_int, probs)) if x[j]},
-              ZERO, True) for j in range(support.d)]  # E[g * increment_j] = 0
+    rows = [({i: 1, n: -1}, 0, False, 1) for i in range(n)]  # g_i <= u
+    rows += [({i: p * x[j] for i, (x, p) in enumerate(zip(rows_int, probs)) if x[j]},
+              0, True, den) for j in range(support.d)]  # E[g * increment_j] = 0
     # minimize u; solve_lp re-checks the optimal point against the floors
     # and the martingale rows; build_emm re-checks the pasted density
-    outcome = solve_lp(make_lp(n + 1, {n: MINUS_ONE}, rows, [f] * (n + 1)))
+    outcome = solve_lp(make_lp(n + 1, ({n: -1}, 1), rows, [f] * (n + 1)))
     if isinstance(outcome, Infeasible):
         raise InternalError("one-step density infeasible although the origin is interior")
     if isinstance(outcome, Unbounded):

@@ -16,13 +16,14 @@ every property used downstream is scale-invariant).
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
 from .linalg import combination, in_span
 from .lp import Optimal, make_lp, solve_lp
-from .rationals import (ONE, Q, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row,
+from .rationals import (ONE, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row,
                         zero_vector)
 from .tree import ConditionalSupport, ensure_support
 
@@ -62,17 +63,19 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
     r = len(basis)
     if r == 0:
         return ZERO, zero_vector(support.d)
-    # variables: y_1..y_r, h = sum_k y_k basis_k; (b_k, x_i) is
-    # inner[i][k] / dens[k], an integer sum over one denominator
-    dens = [q * den for _, q in basis]
-    inner = [[sum(map(mul, b, x)) for b, _ in basis] for x in rows_int]
-    rows = [({k: Q(-v, q) for k, (v, q) in enumerate(zip(coeffs, dens)) if v}, ZERO, False)
+    # variables: y_1..y_r, h = sum_k y_k basis_k; over the lcm L of the
+    # basis rows' denominators, basis row k is scale[k] * b_k / L, and
+    # (b_k, x_i) is inner[i][k] / (L * den), an integer sum
+    big = lcm(*(q for _, q in basis))
+    scale = [big // q for _, q in basis]
+    inner = [[s * sum(map(mul, b, x)) for (b, _), s in zip(basis, scale)] for x in rows_int]
+    rows = [({k: -v for k, v in enumerate(coeffs) if v}, 0, False, big * den)
             for coeffs in inner]  # (h, x_i) >= 0
     for j in range(support.d):
-        col = {k: b[j] for k, b in enumerate(support.basis) if b[j]}
-        rows.append((col, ONE, False))  # h_j <= 1
-        rows.append(({k: -c for k, c in col.items()}, ONE, False))  # -h_j <= 1
-    objective = {k: Q(v, q) for k, (v, q) in enumerate(zip(map(sum, zip(*inner)), dens)) if v}
+        col = {k: s * b[j] for k, ((b, _), s) in enumerate(zip(basis, scale)) if b[j]}
+        rows.append((col, big, False, big))  # h_j <= 1
+        rows.append(({k: -c for k, c in col.items()}, big, False, big))  # -h_j <= 1
+    objective = ({k: v for k, v in enumerate(map(sum, zip(*inner))) if v}, big * den)
     outcome = solve_lp(make_lp(r, objective, rows))  # maximize sum_i (h, x_i)
     if not isinstance(outcome, Optimal):
         raise InternalError("separation program must be feasible and bounded")
@@ -116,10 +119,10 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     sum, are re-checked here; otherwise the separating direction comes
     from ``arbitrage_direction``, which re-checks it.
     """
-    pts = ensure_support(support).values()
-    n = len(pts)
-    rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True)  # sum lambda_i x_i = 0
-            for j in range(support.d)]
+    rows_int, den = ensure_support(support).int_values
+    n = len(rows_int)
+    rows = [({i: x[j] for i, x in enumerate(rows_int) if x[j]}, 0, True, den)
+            for j in range(support.d)]  # sum lambda_i x_i = 0
     outcome = solve_lp(make_lp(n, {}, rows, [ONE] * n))
     if isinstance(outcome, Optimal):
         weights, _ = int_row(outcome.point)

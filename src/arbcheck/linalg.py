@@ -3,7 +3,10 @@
 Rows are reduced as Python ints, as in the simplex tableau: a vector is
 scaled by the lcm of its denominators, and each elimination is an
 integer multiply-and-subtract plus one gcd (fraction-free elimination,
-Bareiss 1968). A span is scale-invariant, so rows carry no denominator.
+Bareiss 1968). A span is scale-invariant, so rows carry no denominator;
+``span_basis`` also takes points already in integer form and then
+returns the basis in integer form, so a caller that holds integer rows
+makes no Rational on the way in or out.
 The vector conversions (``int_row``, ``rational_row``) and the row
 normalisation (``lowest_terms``) belong to ``rationals``; this module
 owns the elimination and ``combination``, which sums integer basis
@@ -18,7 +21,7 @@ from __future__ import annotations
 from collections import abc
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Sequence, Union
 
 from .errors import InputError
 from .rationals import Rational, Vector, int_row, lowest_terms, rational_row
@@ -61,37 +64,53 @@ def _reduce(row: Sequence[int], rows: _Echelon) -> Sequence[int]:
     return row
 
 
-def _echelon(vectors: Sequence[Sequence[Rational]]) -> _Echelon:
-    """Reduced integer echelon rows of the span, sorted by pivot column."""
-    rows: _Echelon = []
-    for v in vectors:
-        row = _reduce(int_row(v)[0], rows)
+def _echelon(rows: Sequence[Sequence[int]]) -> _Echelon:
+    """Reduced integer echelon rows of the span of integer rows, sorted
+    by pivot column: the one reduction every basis and membership test
+    runs."""
+    out: _Echelon = []
+    for row in rows:
+        row = _reduce(row, out)
         piv = next((j for j, a in enumerate(row) if a), None)
         if piv is None:
             continue
         row = lowest_terms(row, piv)
-        for k, (q, other) in enumerate(rows):
+        for k, (q, other) in enumerate(out):
             if other[piv]:
-                rows[k] = (q, _eliminate(other, row, piv))
-        rows.append((piv, row))
-        rows.sort(key=lambda item: item[0])
-    return rows
+                out[k] = (q, _eliminate(other, row, piv))
+        out.append((piv, row))
+        out.sort(key=lambda item: item[0])
+    return out
 
 
-def span_basis(points: Sequence[Sequence[Rational]]) -> tuple[Vector, ...]:
+def span_basis(points: Union[Sequence[Sequence[Rational]], tuple[Sequence[Sequence[int]], int]]
+               ) -> Union[tuple[Vector, ...], tuple[tuple[tuple[int, ...], int], ...]]:
     """Reduced row-echelon basis of the linear span of the given points.
 
     Zero vectors contribute nothing; an empty input (or all-zero input)
-    yields the empty basis.
+    yields the empty basis. ``points`` is a sequence of Rational
+    vectors, and the basis comes back as Rational vectors; or it is the
+    integer form of such a sequence, a pair (rows, den) of int rows
+    over an int den > 0 as in ``ConditionalSupport.int_values``, and
+    then the basis comes back in integer form as well, each row as
+    (numerators, denominator) with its pivot entry as the denominator,
+    with no Rational made on the way.
     """
+    if type(points) is tuple and len(points) == 2 and type(points[1]) is int:
+        rows, den = points
+        _common_dim(rows)
+        if den <= 0 or any(type(a) is not int for row in rows for a in row):
+            raise InputError(f"{points!r} is not int rows over an int denominator > 0")
+        return tuple([(tuple(row), row[piv]) for piv, row in _echelon(rows)])
     _common_dim(points)
-    return tuple(rational_row(row, row[piv]) for piv, row in _echelon(points))
+    return tuple([rational_row(row, row[piv])
+                  for piv, row in _echelon([int_row(v)[0] for v in points])])
 
 
 def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> bool:
     """True iff v is an exact rational combination of the given vectors."""
     _common_dim(vectors, v)
-    return not any(_reduce(int_row(v)[0], _echelon(vectors)))
+    return not any(_reduce(int_row(v)[0], _echelon([int_row(u)[0] for u in vectors])))
 
 
 def combination(basis: Sequence[tuple[Sequence[int], int]], coords: Sequence[Rational]) -> Vector:

@@ -4,26 +4,30 @@ Problems are maximizations subject to rows ``A x <= b`` (equality rows
 flagged) and per-variable bounds: each variable is either free or
 bounded below. A program is built by ``make_lp`` from a
 ``{column: coefficient}`` map for the objective and one such map per
-row, and keeps each row as its nonzero ``(column, coefficient)`` pairs
-in column order. The solver is a two-phase primal simplex with Bland's
+row, or from the integer form of either: int numerators over one
+positive int denominator, which is how the routes hand it their rows,
+so that no Rational is made on the way in. The program keeps that
+integer form as its state, each row as its nonzero ``(column,
+numerator)`` pairs in column order over one row denominator, in lowest
+terms; its ``objective``, ``rows`` and ``rhs`` are Rational views made
+when read. The solver is a two-phase primal simplex with Bland's
 anti-cycling rule and exact pivots, so it terminates on every input and
 its certificates are bit-exact. Every variable has one tableau column;
 a free one enters with either sign of reduced cost and, once basic,
-never leaves. Each program derives the integer form of its objective,
-rows and bounds once, when it is built, in the one pass that checks
-them; the tableau is filled from it, with lower bounds shifted out in
-integers, and keeps each row as Python ints over one positive row
-denominator (fraction-free pivoting: an integer multiply-and-subtract
-and one gcd per touched row), so set-up and pivots never touch the
-rational scalar type. The vector conversions (``int_row``,
-``rational_row``) and the row normalisation (``lowest_terms``) belong
-to ``rationals``; this module owns the one pass over each sparse row,
-the tableau and its elimination. Each outcome is read off the tableau
-as integer numerators over one denominator and re-checked in integers;
-a Rational is made only for each nonzero entry returned, and for an
-optimum's value, from the objective's integer row. No pivot budget
-cuts a solve short: a basis revisited between two moves of the
-objective, which Bland's rule rules out, raises InternalError instead.
+never leaves. The tableau is filled from the integer rows, with lower
+bounds shifted out in integers, and keeps each row as Python ints over
+one positive row denominator (fraction-free pivoting: an integer
+multiply-and-subtract and one gcd per touched row), so set-up and
+pivots never touch the rational scalar type. The vector conversions
+(``int_row``, ``rational_row``) and the row normalisation
+(``lowest_terms``) belong to ``rationals``; this module owns the one
+pass over each sparse row, the tableau and its elimination. Each
+outcome is read off the tableau as integer numerators over one
+denominator and re-checked in integers; a Rational is made only for
+each nonzero entry returned, and for an optimum's value, from the
+objective's integer row. No pivot budget cuts a solve short: a basis
+revisited between two moves of the objective, which Bland's rule rules
+out, raises InternalError instead.
 
 Every outcome is re-verified before it leaves ``solve_lp``:
 
@@ -38,8 +42,10 @@ Every outcome is re-verified before it leaves ``solve_lp``:
   proof of infeasibility.
 
 Each re-check reads only the program and the vector. The public
-``check_feasible``, ``check_ray`` and ``check_farkas`` refuse a vector
-that is not exact, bring it to one common denominator and hand its
+``check_feasible``, ``check_ray`` and ``check_farkas``, like
+``solve_lp``, raise InputError on anything but a LinearProgram
+(``ensure_program``); they answer False on a vector that is not exact,
+and otherwise bring it to one common denominator and hand its
 numerators to a private integer core, which compares integer sums over
 the rows' nonzeros; ``solve_lp`` runs the same cores on the numerators
 it read off.
@@ -62,26 +68,30 @@ from .rationals import (ZERO, Q, Rational, RationalLike, Vector, as_rational, in
 
 class LinearProgram(Record):
     """maximize objective . x  s.t.  rows[i] . x (<= or ==) rhs[i],
-    x_j >= lower[j] where lower[j] is not None. Row i is a tuple of
-    (column, coefficient) pairs, int columns rising inside 0..n_vars-1,
-    each with a nonzero coefficient; an absent column is zero. Every
-    number must be a Rational and every flag a bool. Also derived,
-    outside ``_fields``: ``int_objective``, the objective's numerators
+    x_j >= lower[j] where lower[j] is not None. The constructor takes
+    those five fields: row i is a tuple of (column, coefficient) pairs,
+    int columns rising inside 0..n_vars-1, each with a nonzero
+    coefficient; an absent column is zero. Every number must be a
+    Rational and every flag a bool.
+
+    The program keeps its integer form, derived in the one pass that
+    checks each number: ``int_objective``, the objective's numerators
     over their common denominator; ``int_rows[i]``, row i's ((column,
-    numerator) pairs, rhs numerator, positive denominator); and
-    ``int_lower``, the bound numerators (0 where free) over their common
-    denominator. Each number's numerator and denominator are read once,
-    in the pass that checks it."""
+    numerator) pairs, rhs numerator, positive denominator) in lowest
+    terms; ``equalities``; ``lower``; and ``int_lower``, the bound
+    numerators (0 where free) over their common denominator.
+    ``objective``, ``rows`` and ``rhs`` are Rational views of it, made
+    each time they are read; the program compares, hashes, prints and
+    pickles by them, ``equalities`` and ``lower``."""
 
-    __slots__ = ("objective", "rows", "rhs", "equalities", "lower",
-                 "int_objective", "int_rows", "int_lower")
-    _fields = __slots__[:5]
+    __slots__ = ("int_objective", "int_rows", "equalities", "lower", "int_lower")
+    _fields = ("objective", "rows", "rhs", "equalities", "lower")
 
-    objective: Vector
-    rows: tuple[tuple[tuple[int, Rational], ...], ...]
-    rhs: Vector
+    int_objective: tuple[tuple[int, ...], int]
+    int_rows: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
     equalities: tuple[bool, ...]
     lower: tuple[Optional[Rational], ...]
+    int_lower: tuple[tuple[int, ...], int]
 
     def __init__(self, objective, rows, rhs, equalities, lower) -> None:
         n, m = len(objective), len(rows)
@@ -92,48 +102,48 @@ class LinearProgram(Record):
         if len(lower) != n:
             raise InputError(f"{len(lower)} bounds for {n} variables")
         int_objective = _int_field("the objective", objective)
-        int_lower = _int_field("the bounds", [ZERO if lo is None else lo for lo in lower])
-        int_rows = []
-        for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities)):
-            if type(eq) is not bool:
-                raise InputError(f"equality flag {i} is {eq!r}, not a bool")
-            if not isinstance(b, Rational):
-                raise InputError(f"right-hand side {i} holds {b!r}, not a Rational")
-            parts, dens, last = [], [int(b.denominator)], -1
-            for pair in row:
-                try:
-                    j, a = pair
-                except (TypeError, ValueError):
-                    raise InputError(f"row {i} holds {pair!r}, not a (column, coefficient) "
-                                     "pair") from None
-                if type(j) is not int:
-                    raise InputError(f"row {i} has column {j!r}, not an int")
-                if not last < j < n:
-                    after = f" after column {last}" if last >= 0 else ""
-                    raise InputError(f"row {i} has column {j}{after}: not rising, or outside "
-                                     f"0..{n - 1}")
-                if not isinstance(a, Rational):
-                    raise InputError(f"row {i} holds {a!r}, not a Rational")
-                p = int(a.numerator)
-                if not p:
-                    raise InputError(f"row {i} has a zero coefficient in column {j}")
-                q = int(a.denominator)
-                parts.append((j, p, q))
-                dens.append(q)
-                last = j
-            den = lcm(*dens)
-            int_rows.append((tuple([(j, p * (den // q)) for j, p, q in parts]),
-                             int(b.numerator) * (den // dens[0]), den))
-        super().__init__(objective, rows, rhs, equalities, lower,
-                         int_objective, tuple(int_rows), int_lower)
+        int_lower = _int_lower(lower)
+        int_rows = tuple([_rational_row(i, row, b, eq, n)
+                          for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities))])
+        super().__init__(int_objective, int_rows, tuple(equalities), tuple(lower), int_lower)
+
+    @classmethod
+    def _of(cls, int_objective, int_rows, equalities, lower) -> "LinearProgram":
+        """The program with this integer form, built without the
+        constructor's pass over Rational fields."""
+        n = len(int_objective[0])
+        if len(lower) != n:
+            raise InputError(f"{len(lower)} bounds for {n} variables")
+        lp = cls.__new__(cls)
+        Record.__init__(lp, int_objective, int_rows, equalities, lower, _int_lower(lower))
+        return lp
+
+    @property
+    def objective(self) -> Vector:
+        return rational_row(*self.int_objective)
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
+        return tuple([tuple([(j, Q(a, den)) for j, a in nz]) for nz, _, den in self.int_rows])
+
+    @property
+    def rhs(self) -> Vector:
+        return tuple([Q(b, den) if b else ZERO for _, b, den in self.int_rows])
 
     @property
     def n_vars(self) -> int:
-        return len(self.objective)
+        return len(self.int_objective[0])
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
+
+
+def ensure_program(lp: LinearProgram) -> LinearProgram:
+    """The program, or InputError naming the type of anything else."""
+    if not isinstance(lp, LinearProgram):
+        raise InputError(f"expected a LinearProgram, got {type(lp).__name__}")
+    return lp
 
 
 def _int_field(what: str, values: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
@@ -143,6 +153,97 @@ def _int_field(what: str, values: Sequence[Rational]) -> tuple[tuple[int, ...], 
         return int_row(values)
     except InputError as exc:
         raise InputError(f"{what}: {exc}") from None
+
+
+def _int_lower(lower: Sequence[Optional[Rational]]) -> tuple[tuple[int, ...], int]:
+    return _int_field("the bounds", [ZERO if lo is None else lo for lo in lower])
+
+
+def _check_flag(i: int, eq) -> None:
+    if type(eq) is not bool:
+        raise InputError(f"equality flag {i} is {eq!r}, not a bool")
+
+
+def _rational_row(i: int, pairs, b: Rational, eq: bool, n: int):
+    """Row ``i`` of an ``n``-variable program in integer form, from its
+    Rational (column, coefficient) pairs and right-hand side ``b``: the
+    numerators over the lcm of their denominators, each read once. The
+    constructor and ``make_lp``'s triples share it, so they refuse the
+    same rows with the same InputError."""
+    _check_flag(i, eq)
+    if not isinstance(b, Rational):
+        raise InputError(f"right-hand side {i} holds {b!r}, not a Rational")
+    parts, dens, last = [], [int(b.denominator)], -1
+    for pair in pairs:
+        try:
+            j, a = pair
+        except (TypeError, ValueError):
+            raise InputError(f"row {i} holds {pair!r}, not a (column, coefficient) "
+                             "pair") from None
+        if type(j) is not int:
+            raise InputError(f"row {i} has column {j!r}, not an int")
+        if not last < j < n:
+            after = f" after column {last}" if last >= 0 else ""
+            raise InputError(f"row {i} has column {j}{after}: not rising, or outside "
+                             f"0..{n - 1}")
+        if not isinstance(a, Rational):
+            raise InputError(f"row {i} holds {a!r}, not a Rational")
+        p = int(a.numerator)
+        if not p:
+            raise InputError(f"row {i} has a zero coefficient in column {j}")
+        q = int(a.denominator)
+        parts.append((j, p, q))
+        dens.append(q)
+        last = j
+    den = lcm(*dens)
+    return (tuple([(j, p * (den // q)) for j, p, q in parts]),
+            int(b.numerator) * (den // dens[0]), den)
+
+
+def _integer_row(i: int, coeffs, b: int, eq: bool, den: int, n: int):
+    """Row ``i`` from its integer form, ``{column: numerator}`` and
+    ``b`` over ``den``, divided by the gcd of its numerators and
+    ``den``: what ``_rational_row`` gives for the same numbers."""
+    _check_flag(i, eq)
+    _check_den(f"row {i}", den)
+    if type(b) is not int:
+        raise InputError(f"right-hand side {i} holds {b!r}, not an int numerator")
+    pairs = _int_pairs(coeffs, n, i)
+    g = gcd(b, den, *[a for _, a in pairs])
+    if g > 1:
+        return tuple([(j, a // g) for j, a in pairs]), b // g, den // g
+    return pairs, b, den
+
+
+def _check_den(what: str, den) -> None:
+    if type(den) is not int or den <= 0:
+        raise InputError(f"{what} has denominator {den!r}, not an int > 0")
+
+
+def _int_pairs(coeffs: Mapping[int, int], n: int, row: Optional[int]
+               ) -> tuple[tuple[int, int], ...]:
+    """The nonzero (column, numerator) pairs of an integer map, by
+    column; InputError on anything but a map of int numerators whose
+    int columns lie inside 0..n-1, naming ``row``, or the objective when
+    that is None."""
+    try:
+        items = coeffs.items()
+    except AttributeError:
+        raise InputError(f"{_name(row)} is {coeffs!r}, not a {{column: numerator}} "
+                         "map") from None
+    pairs = []
+    for j, a in items:
+        if type(a) is not int:
+            raise InputError(f"{_name(row)} holds {a!r}, not an int numerator")
+        if type(j) is not int:
+            raise InputError(f"{_name(row)} has column {j!r}, not an int")
+        if a:
+            pairs.append((j, a))
+    pairs.sort()
+    if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < n):
+        bad = pairs[0][0] if pairs[0][0] < 0 else pairs[-1][0]
+        raise InputError(f"{_name(row)} has column {bad}: outside 0..{n - 1}")
+    return tuple(pairs)
 
 
 def _pairs(coeffs: Mapping[int, RationalLike], row: Optional[int] = None
@@ -169,16 +270,24 @@ def _name(row: Optional[int]) -> str:
     return "the objective" if row is None else f"row {row}"
 
 
+IntObjective = tuple[Mapping[int, int], int]
+IntRow = tuple[Mapping[int, int], int, bool, int]
+
+
 def make_lp(
     n_vars: int,
-    objective: Mapping[int, RationalLike],
-    rows: Sequence[tuple[Mapping[int, RationalLike], RationalLike, bool]],
+    objective: Union[Mapping[int, RationalLike], IntObjective],
+    rows: Sequence[Union[tuple[Mapping[int, RationalLike], RationalLike, bool], IntRow]],
     lower: Optional[Sequence[Optional[RationalLike]]] = None,
 ) -> LinearProgram:
-    """Coerce raw numbers into a LinearProgram, which checks its shape.
-    The objective is one {column: coefficient} map, ``rows`` a sequence
-    of (coefficients, rhs, is_equality) triples and ``lower``, when
-    given, a sequence. An absent column or a zero entry is ZERO; a count
+    """Build a LinearProgram from sparse rows. The objective is one
+    {column: coefficient} map, or its integer form ({column: numerator},
+    den); each row is a (coefficients, rhs, is_equality) triple, or its
+    integer form ({column: numerator}, rhs numerator, is_equality, den);
+    ``lower``, when given, is a sequence. Numbers in a map or triple are
+    coerced to Rationals; an integer form holds ints over an int den > 0
+    and makes none, and gives the program that the same numbers as
+    Rationals give. An absent column or a zero entry is zero; a count
     that is not an int >= 0, a column outside 0..n_vars-1 or that is not
     an int, a map that is not a mapping, or rows or bounds of another
     shape, raises InputError."""
@@ -188,25 +297,43 @@ def make_lp(
         raise InputError(f"rows {rows!r} are not a sequence of triples")
     if not (lower is None or isinstance(lower, abc.Sequence)):
         raise InputError(f"bounds {lower!r} are not a sequence")
-    obj = [ZERO] * n_vars
-    for j, a in _pairs(objective):
-        if type(j) is not int or not 0 <= j < n_vars:
-            raise InputError(f"the objective has column {j!r}: not an int, or outside "
-                             f"0..{n_vars - 1}")
-        obj[j] = a
-    pairs, rhs, eqs = [], [], []
+    if type(objective) is tuple:
+        try:
+            coeffs, den = objective
+        except ValueError:
+            raise InputError(f"the objective is {objective!r}, not a ({{column: numerator}}, "
+                             "den) pair") from None
+        _check_den("the objective", den)
+        nums = [0] * n_vars
+        for j, a in _int_pairs(coeffs, n_vars, None):
+            nums[j] = a
+        g = gcd(den, *nums)
+        int_objective = tuple([a // g for a in nums]), den // g
+    else:
+        obj = [ZERO] * n_vars
+        for j, a in _pairs(objective):
+            if type(j) is not int or not 0 <= j < n_vars:
+                raise InputError(f"the objective has column {j!r}: not an int, or outside "
+                                 f"0..{n_vars - 1}")
+            obj[j] = a
+        int_objective = _int_field("the objective", obj)
+    int_rows, eqs = [], []
     for i, row in enumerate(rows):
         try:
-            coeffs, b, eq = row
+            coeffs, b, eq, *den = row
+            if len(den) > 1:
+                raise ValueError
         except (TypeError, ValueError):
             raise InputError(f"row {i} is {row!r}, not a (coefficients, rhs, is_equality) "
-                             "triple") from None
-        pairs.append(_pairs(coeffs, i))
-        rhs.append(as_rational(b))
+                             "triple or its integer form with a den") from None
+        if den:
+            int_rows.append(_integer_row(i, coeffs, b, eq, den[0], n_vars))
+        else:
+            int_rows.append(_rational_row(i, _pairs(coeffs, i), as_rational(b), eq, n_vars))
         eqs.append(eq)
     lo = ([None] * n_vars if lower is None
           else [None if v is None else as_rational(v) for v in lower])
-    return LinearProgram(tuple(obj), tuple(pairs), tuple(rhs), tuple(eqs), tuple(lo))
+    return LinearProgram._of(int_objective, tuple(int_rows), tuple(eqs), tuple(lo))
 
 
 class Optimal(Record):
@@ -278,19 +405,21 @@ def _bounded(lp: LinearProgram) -> list[int]:
 
 
 def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
-    return is_exact_vector(point, lp.n_vars) and _holds(lp, *int_row(point))
+    """``point`` meets every row and bound; InputError on anything but a
+    LinearProgram, False on a vector that is not exact."""
+    return is_exact_vector(point, ensure_program(lp).n_vars) and _holds(lp, *int_row(point))
 
 
 def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
     """Feasible recession direction with strictly positive objective growth."""
-    return is_exact_vector(ray, lp.n_vars) and _is_ray(lp, int_row(ray)[0])
+    return is_exact_vector(ray, ensure_program(lp).n_vars) and _is_ray(lp, int_row(ray)[0])
 
 
 def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
     """Over the extended row system: the declared rows, then, kept
     implicit here, the row -x_j <= -lower_j of each bounded column j in
     increasing j."""
-    return (is_exact_vector(certificate, lp.n_rows + len(_bounded(lp)))
+    return (is_exact_vector(certificate, ensure_program(lp).n_rows + len(_bounded(lp)))
             and _is_farkas(lp, int_row(certificate)[0]))
 
 
@@ -537,5 +666,6 @@ class _Simplex:
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
-    """Solve exactly; outcome is deterministic for a fixed input."""
-    return _Simplex(lp).run()
+    """Solve exactly; outcome is deterministic for a fixed input.
+    InputError on anything but a LinearProgram."""
+    return _Simplex(ensure_program(lp)).run()

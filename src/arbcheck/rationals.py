@@ -64,9 +64,13 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    """The "p/q" wire format. A numerator or denominator longer than the
-    int-str digit limit, which parse_rational would refuse to read back,
-    is an InputError on either backend (mpq's str() has no limit)."""
+    """The "p/q" wire format of a Rational; InputError on anything else,
+    an int or a float included. A numerator or denominator longer than
+    the int-str digit limit, which parse_rational would refuse to read
+    back, is an InputError on either backend (mpq's str() has no
+    limit)."""
+    if not isinstance(value, Rational):
+        raise InputError(f"{value!r} is not a Rational")
     try:
         text = str(value)
     except ValueError:  # Fraction: int.__str__ past the limit

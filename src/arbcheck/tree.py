@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import abc
+from math import gcd
 from operator import mul, sub
 from typing import Iterable, Mapping, Optional
 
@@ -279,8 +280,11 @@ class ConditionalSupport(Record):
     denominator, as (rows, denominator); ``int_probs``, the
     probabilities' numerators over theirs, as (numerators,
     denominator); and ``int_basis``, each basis row as (numerators,
-    denominator). Like the basis, they are outside ``_fields``, so
-    equality, hashing and pickling read only the node and the atoms."""
+    denominator), the integer echelon rows that ``span_basis`` reduces
+    ``int_values`` to, of which ``basis`` is the Rational view. Like the
+    basis, they are outside ``_fields``, so equality, hashing and
+    pickling read only the node and the atoms. ``conditional_support``
+    derives the same fields from the tree's integer form instead."""
 
     __slots__ = ("node", "atoms", "basis", "int_values", "int_probs", "int_basis")
     _fields = ("node", "atoms")
@@ -302,13 +306,26 @@ class ConditionalSupport(Record):
                     and isinstance(atom[1], Rational) and atom[1] > 0):
                 raise InputError(f"node {node}: an atom must be a pair (tuple of Rationals, "
                                  f"Rational > 0), got {atom!r}")
-        values = tuple(x for x, _ in atoms)
-        basis = span_basis(values)  # which also checks that the values share one dimension
-        d = len(values[0])
-        nums, den = int_row([v for x in values for v in x])
-        rows = tuple(nums[i * d:(i + 1) * d] for i in range(len(values)))
-        super().__init__(node, atoms, basis, (rows, den), int_row([q for _, q in atoms]),
-                         tuple(int_row(b) for b in basis))
+        dims = {len(x) for x, _ in atoms}
+        if len(dims) > 1:
+            raise InputError(f"node {node}: atom values of mixed dimensions: {sorted(dims)}")
+        d = dims.pop()
+        nums, den = int_row([v for x, _ in atoms for v in x])
+        rows = tuple(nums[i * d:(i + 1) * d] for i in range(len(atoms)))
+        self._derive(node, atoms, (rows, den), int_row([q for _, q in atoms]))
+
+    @classmethod
+    def _of(cls, node: int, atoms, int_values, int_probs) -> "ConditionalSupport":
+        """The support with these atoms and their integer form, which
+        the caller vouches for, built without the constructor's checks."""
+        support = cls.__new__(cls)
+        support._derive(node, atoms, int_values, int_probs)
+        return support
+
+    def _derive(self, node, atoms, int_values, int_probs) -> None:
+        int_basis = span_basis(int_values)  # integer rows in, integer rows out
+        basis = tuple([rational_row(row, q) for row, q in int_basis])
+        super().__init__(node, atoms, basis, int_values, int_probs, int_basis)
 
     @property
     def d(self) -> int:
@@ -329,7 +346,11 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
     """The support at a non-leaf node of a valid tree, built on the
     first call for the tree and the same object on every later one. Its
     children are grouped by integer increment, and each distinct atom's
-    value is made once."""
+    value is made once. The support's integer form comes from the
+    tree's, with no Rational read back: ``int_values`` are the distinct
+    increments over D divided by their one gcd with D, and ``int_basis``
+    the echelon rows ``span_basis`` reduces them to; the fields equal
+    the ones ``ConditionalSupport(node, atoms)`` derives."""
     ensure_valid(tree)
     support = tree._supports.get(node_id)
     if support is not None:
@@ -337,16 +358,20 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
     if tree.is_leaf(node_id):
         raise InputError(f"node {node_id} is a leaf; no one-step distribution there")
     den, increment, atom = _integer_form(tree)
-    values: list[Vector] = []
+    rows: list[tuple[int, ...]] = []
     probs: list[Rational] = []
     for c in tree.children(node_id):
         i = atom[c]
-        if i < len(values):
+        if i < len(rows):
             probs[i] += tree.node(c).prob
         else:
-            values.append(rational_row(increment[c], den))
+            rows.append(increment[c])
             probs.append(tree.node(c).prob)
-    support = ConditionalSupport(node_id, tuple(zip(values, probs)))
+    g = gcd(den, *[v for x in rows for v in x])  # the values over their own denominator
+    if g > 1:
+        rows, den = [tuple([v // g for v in x]) for x in rows], den // g
+    atoms = tuple([(rational_row(x, den), q) for x, q in zip(rows, probs)])
+    support = ConditionalSupport._of(node_id, atoms, (tuple(rows), den), int_row(probs))
     tree._supports[node_id] = support
     return support
 
@@ -453,9 +478,10 @@ def check_density(tree: ScenarioTree, density: LeafDensity) -> None:
 
 
 def density_process(tree: ScenarioTree, density: LeafDensity) -> dict[int, Rational]:
-    """Per-node conditional expectation of the leaf density: z itself on
-    leaves, probability-weighted child averages going up."""
-    check_density(tree, density)
+    """Per-node conditional expectation of the leaf density on a valid
+    tree: z itself on leaves, probability-weighted child averages going
+    up."""
+    check_density(ensure_valid(tree), density)
     z = density.as_dict()
     for nd in reversed(tree.order[1:]):  # every node before its parent
         z[nd.parent] = z.get(nd.parent, ZERO) + nd.prob * z[nd.id]

@@ -12,6 +12,7 @@ Every tree entry point rejects an invalid tree with InputError.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Optional
 
@@ -58,10 +59,11 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     divided by its max-norm, is returned after an exact gains re-check.
 
     The program is built from the tree's integer increments over their
-    denominator D: each objective entry is one integer sum of the
-    children's reach numerators times an increment coordinate, and each
-    leaf row entry is one ``Q(-v, D)`` per edge and asset. The witness
-    is normalized and re-checked in integers.
+    denominator D, in ``make_lp``'s integer form: each objective entry
+    is one integer sum of the children's reach numerators times an
+    increment coordinate, all over one denominator, and each leaf row
+    holds the increments' numerators over D, negated. The witness is
+    normalized and re-checked in integers.
     """
     ensure_valid(tree)
     d = tree.d
@@ -74,27 +76,30 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     reach = path_probabilities(tree)
 
     # the expected gain: node by node, the children's reach over one
-    # denominator against each coordinate of their increments
-    objective: dict[int, Rational] = {}
+    # denominator against each coordinate of their increments, then
+    # every entry over the lcm of those denominators
+    gain = []  # (column, numerator, denominator) of each nonzero entry
     for nid in non_leaves:
         kids = tree.children(nid)
         weights, reach_den = int_row([reach[c] for c in kids])
         for j, column in enumerate(zip(*(increment[c] for c in kids))):
             if v := sum(map(mul, weights, column)):
-                objective[first[nid] + j] = Q(v, reach_den * den)
-    # one pass from the root: each node's gain coefficients negated
-    loss: dict[int, dict[int, Rational]] = {tree.root: {}}
+                gain.append((first[nid] + j, v, reach_den))
+    common = lcm(*(q for _, _, q in gain))
+    objective = {k: v * (common // q) for k, v, q in gain}
+    # one pass from the root: each node's gain numerators over D negated
+    loss: dict[int, dict[int, int]] = {tree.root: {}}
     for nd in tree.order[1:]:
         row = dict(loss[nd.parent])
         k = first[nd.parent]
         for j, v in enumerate(increment[nd.id]):
             if v:
-                row[k + j] = Q(-v, den)
+                row[k + j] = -v
         loss[nd.id] = row
 
-    rows = [(loss[leaf], ZERO, False) for leaf in tree.leaves()]  # terminal gain >= 0
-    rows.append((objective, ONE, False))  # the budget E[gain] <= 1
-    outcome = solve_lp(make_lp(nvars, objective, rows))
+    rows = [(loss[leaf], 0, False, den) for leaf in tree.leaves()]  # terminal gain >= 0
+    rows.append((objective, common * den, False, common * den))  # the budget E[gain] <= 1
+    outcome = solve_lp(make_lp(nvars, (objective, common * den), rows))
     if not isinstance(outcome, Optimal) or outcome.value not in (0, 1):
         raise InternalError("arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
@@ -157,6 +162,8 @@ class TreeParams(Record):
 
 
 def _check_params(params: TreeParams) -> None:
+    if not isinstance(params, TreeParams):
+        raise InputError(f"expected TreeParams, got {type(params).__name__}")
     for name, hi in (("assets", 4), ("steps", 5), ("max_branching", 5), ("max_denominator", 16)):
         value = getattr(params, name)
         _check_int(value, name)
@@ -359,6 +366,10 @@ def construction_to_json(construction: MartingaleConstruction) -> dict:
 
 
 def report_to_json(report: EquivalenceReport) -> dict:
+    """The report's JSON form; InputError on anything but an
+    EquivalenceReport."""
+    if not isinstance(report, EquivalenceReport):
+        raise InputError(f"expected an EquivalenceReport, got {type(report).__name__}")
     return {
         "verdict_na_strategy": report.verdict_na_strategy,
         "verdict_geometry": report.verdict_geometry,

@@ -115,6 +115,16 @@ def support(points):
     return ConditionalSupport(0, tuple((x, Q(1, len(pts))) for x in pts))
 
 
+def assert_support_matches_constructor(cs):
+    """``cs``, as ``conditional_support`` built it from the tree's
+    integer form, equal derived field by derived field to the support
+    that ``ConditionalSupport`` builds from its node and atoms."""
+    twin = ConditionalSupport(cs.node, cs.atoms)
+    assert twin == cs
+    for name in ("basis", "int_values", "int_probs", "int_basis"):
+        assert getattr(cs, name) == getattr(twin, name), (cs.node, name)
+
+
 def count_calls(monkeypatch, module, name):
     """Replace ``module.name`` by a wrapper that records the arguments of
     each call in the returned list."""

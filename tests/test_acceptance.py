@@ -35,7 +35,7 @@ from arbcheck.geometry import (
 )
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
-from helpers import binomial, reweight, skewed_coin, support
+from helpers import assert_support_matches_constructor, binomial, reweight, skewed_coin, support
 from lp_oracle import oracle_check, random_lp
 from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
@@ -126,6 +126,16 @@ def test_sweep_node_programs_match_the_rational_reference(sweep):
             cs = conditional_support(tree, nid)
             solved = {}
             assert shipped_node(cs, solved) == reference_node(cs, solved), (seed, nid)
+
+
+def test_sweep_supports_match_the_constructor(sweep):
+    """Every sweep node's support, built from the tree's integer form,
+    has the derived fields that ConditionalSupport derives from its
+    atoms."""
+    records, _ = sweep
+    for _, tree, _ in records:
+        for nid in tree.non_leaves():
+            assert_support_matches_constructor(conditional_support(tree, nid))
 
 
 def test_sweep_tree_loops_match_the_rational_reference(sweep):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from arbcheck import Q, in_span, span_basis
 from arbcheck.errors import InputError
+from arbcheck.rationals import int_row, rational_row
 from helpers import vec
 from linalg_oracle import rref_basis, rref_in_span
 
@@ -122,3 +123,30 @@ def test_integer_kernel_matches_rational_oracle(case):
     assert span_basis(points) == rref_basis(points)
     assert in_span(free, points) == rref_in_span(free, points)
     assert in_span(combination, points) and rref_in_span(combination, points)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          phases=[phase for phase in Phase if phase.name != "explain"])
+@given(_points_and_queries())
+def test_integer_form_in_gives_the_basis_in_integer_form(case):
+    """The points' numerators over one denominator give each basis row
+    as (numerators, pivot entry), whose Rational view is the basis."""
+    points, _, _ = case
+    d = len(points[0]) if points else 1
+    nums, den = int_row([c for p in points for c in p])
+    rows = tuple(nums[i * d:(i + 1) * d] for i in range(len(points)))
+    int_basis = span_basis((rows, den))
+    assert tuple(rational_row(row, q) for row, q in int_basis) == span_basis(points)
+    for row, q in int_basis:
+        assert all(type(a) is int for a in row) and q == next(a for a in row if a) > 0
+
+
+@pytest.mark.parametrize("points, message", [
+    ((((1, 2), (2, 4)), 0), "not int rows over an int denominator > 0"),
+    ((((1, 2), (Q(2), 4)), 3), "not int rows over an int denominator > 0"),
+    ((((1, True),), 3), "not int rows over an int denominator > 0"),
+    ((((1, 2), (1,)), 3), "mixed dimensions"),
+])
+def test_malformed_integer_form_is_refused(points, message):
+    with pytest.raises(InputError, match=message):
+        span_basis(points)

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arbcheck import Q, format_rational
 from arbcheck.errors import InputError, InternalError
@@ -396,6 +398,104 @@ class TestDerivedIntegerRows:
     def test_repr_names_only_the_declared_fields(self):
         names = re.findall(r"(\w+)=", repr(self._lp()))
         assert names == ["objective", "rows", "rhs", "equalities", "lower"]
+
+
+@st.composite
+def _integer_program(draw):
+    """``make_lp`` arguments in integer form, and the same numbers as
+    Rational maps and triples. Each den and numerator is a multiple of
+    one drawn factor, so they often share it; zero entries, zero and
+    negative right-hand sides and empty rows are common."""
+    n = draw(st.integers(0, 4))
+    factor = draw(st.sampled_from([1, 2, 3, 6, 10**9 + 7]))
+    dens = st.integers(1, 12).map(lambda q: q * factor)
+    nums = st.integers(-6, 6).map(lambda a: a * factor)
+    maps = st.dictionaries(st.integers(0, n - 1), nums, max_size=n) if n else st.just({})
+
+    def rational(coeffs, den):
+        return {j: Q(a, den) for j, a in coeffs.items()}
+
+    coeffs, den = draw(maps), draw(dens)
+    objective = ((coeffs, den), rational(coeffs, den))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs, b, eq, den = draw(maps), draw(nums), draw(st.booleans()), draw(dens)
+        rows.append(((coeffs, b, eq, den), (rational(coeffs, den), Q(b, den), eq)))
+    lower = draw(st.lists(st.none() | st.builds(Q, st.integers(-3, 3), st.integers(1, 4)),
+                          min_size=n, max_size=n))
+    return n, objective, rows, lower
+
+
+class TestIntegerForm:
+    """``make_lp``'s integer rows and objective give the program the
+    same numbers as Rationals give, and malformed ones are refused."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_integer_program())
+    def test_equals_the_rational_form(self, program):
+        n, (int_obj, obj), rows, lower = program
+        ints = make_lp(n, int_obj, [row for row, _ in rows], lower)
+        rats = make_lp(n, obj, [row for _, row in rows], lower)
+        assert ints == rats and hash(ints) == hash(rats)
+        assert ints.int_rows == rats.int_rows
+        assert ints.int_objective == rats.int_objective
+        assert ints.int_lower == rats.int_lower
+
+    def test_reduced_by_one_gcd(self):
+        lp = make_lp(3, ({0: 4, 1: 0, 2: -6}, 8),
+                     [({0: 6, 2: 0}, -9, False, 12), ({}, 0, True, 5), ({1: 2}, 4, False, 2)])
+        assert lp.int_objective == ((2, 0, -3), 4)
+        assert lp.int_rows == ((((0, 2),), -3, 4), ((), 0, 1), (((1, 1),), 2, 1))
+        assert lp.objective == (Q(1, 2), Q(0), Q(-3, 4))
+        assert lp.rows == (((0, Q(1, 2)),), (), ((1, Q(1)),))
+        assert lp.rhs == (Q(-3, 4), Q(0), Q(2))
+
+    def test_mixes_with_rational_rows(self):
+        mixed = make_lp(2, {1: 1}, [({0: 1}, 3, False, 2), ({0: Q(1, 2)}, Q(3, 2), False)])
+        assert mixed.int_rows[0] == mixed.int_rows[1] == (((0, 1),), 3, 2)
+
+    @pytest.mark.parametrize("objective, rows, message", [
+        ({}, [({0: 1}, 0, False, 0)], "row 0 has denominator 0, not an int > 0"),
+        ({}, [({0: 1}, 0, False, -3)], "row 0 has denominator -3"),
+        ({}, [({0: 1}, 0, False, True)], "row 0 has denominator True"),
+        ({}, [({0: 1}, 0, False, 2.0)], "row 0 has denominator 2.0"),
+        ({}, [({0: True}, 0, False, 1)], "row 0 holds True, not an int numerator"),
+        ({}, [({0: Q(1, 2)}, 0, False, 1)], "row 0 holds .*, not an int numerator"),
+        ({}, [({0: 0.5}, 0, False, 1)], "row 0 holds 0.5, not an int numerator"),
+        ({}, [({0: "1"}, 0, False, 1)], "row 0 holds '1', not an int numerator"),
+        ({}, [({0: 1}, True, False, 1)], "right-hand side 0 holds True, not an int numerator"),
+        ({}, [({0: 1}, Q(1), False, 1)], "right-hand side 0 holds .*, not an int numerator"),
+        ({}, [({0: 1}, 0, 1, 1)], "equality flag 0 is 1, not a bool"),
+        ({}, [({2: 1}, 0, False, 1)], "row 0 has column 2: outside 0..1"),
+        ({}, [({-1: 1, 1: 1}, 0, False, 1)], "row 0 has column -1: outside 0..1"),
+        ({}, [({True: 1}, 0, False, 1)], "row 0 has column True, not an int"),
+        ({}, [({"a": 0}, 0, False, 1)], "row 0 has column 'a', not an int"),
+        ({}, [([1], 0, False, 1)], "row 0 is \\[1\\], not a \\{column: numerator\\} map"),
+        ({}, [({0: 1}, 0, False, 1, 1)], "row 0 is .*, not a .*triple"),
+        (({0: 1}, 0), [], "the objective has denominator 0"),
+        (({0: 1.0}, 1), [], "the objective holds 1.0, not an int numerator"),
+        (({5: 1}, 1), [], "the objective has column 5: outside 0..1"),
+        (({0: 1},), [], "the objective is .*, not a \\(\\{column: numerator\\}, den\\) pair"),
+    ])
+    def test_malformed_integer_rows_are_refused(self, objective, rows, message):
+        with pytest.raises(InputError, match=message):
+            make_lp(2, objective, rows)
+
+
+class TestProgramGuard:
+    """The solver and the re-checks refuse anything but a program, and
+    the re-checks still answer False on a vector that is not exact."""
+
+    @pytest.mark.parametrize("call", [
+        solve_lp,
+        lambda lp: check_feasible(lp, (Q(1),)),
+        lambda lp: check_ray(lp, (Q(1),)),
+        lambda lp: check_farkas(lp, (Q(1),)),
+    ], ids=["solve_lp", "check_feasible", "check_ray", "check_farkas"])
+    @pytest.mark.parametrize("bad", ["x", None, ((Q(1),), ())])
+    def test_anything_but_a_program_is_refused(self, call, bad):
+        with pytest.raises(InputError, match="expected a LinearProgram"):
+            call(bad)
 
 
 class TestSparseLp:

@@ -39,18 +39,27 @@ def test_parse_rejects(bad):
         parse_rational(bad)
 
 
-class _UnlimitedStr:
-    """Stands in for gmpy2's mpq, whose str() ignores the digit limit."""
+def _unlimited_str():
+    """A Rational whose str() ignores the digit limit, as gmpy2's mpq's
+    does (format_rational refuses anything but a Rational), where the
+    scalar type makes subclasses; on an mpq backend, whose own str() has
+    no limit, Q(1, 10**4300 + 1) is one already."""
+    try:
+        class UnlimitedStr(Q):
+            def __str__(self):
+                return "1/" + "3" * 5000
 
-    def __str__(self):
-        return "1/" + "3" * 5000
+        value = UnlimitedStr(1, 3)
+    except TypeError:  # gmpy2's mpq is no base class
+        return ()
+    return (value,) if type(value) is UnlimitedStr else ()
 
 
 def test_format_rejects_past_digit_limit():
     # each part may use the whole limit (4300 digits by default)
     edge = Q(-(10**4300 - 1), 10**4299)
     assert parse_rational(format_rational(edge)) == edge
-    for value in (Q(10**4300), Q(1, 10**4300 + 1), _UnlimitedStr()):
+    for value in (Q(10**4300), Q(1, 10**4300 + 1), *_unlimited_str()):
         with pytest.raises(InputError, match="digit limit"):
             format_rational(value)
 

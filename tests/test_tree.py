@@ -37,6 +37,7 @@ from arbcheck.tree import (
     ensure_valid,
 )
 from helpers import (
+    assert_support_matches_constructor,
     binomial,
     build,
     count_calls,
@@ -400,6 +401,17 @@ class TestSupports:
             assert twin == cs
             assert (twin.int_values, twin.int_probs, twin.int_basis) \
                 == (cs.int_values, cs.int_probs, cs.int_basis)
+
+    def test_integer_form_from_the_tree(self):
+        """The tree's increments over its common denominator D, divided
+        by their gcd with D: the prices here are over 6, the values over 2."""
+        t = one_step([(1, Q(1, 2)), (-1, 0), (-1, 0)], ["1/4", "1/4", "1/2"],
+                     root=(Q(1, 6), Q(1, 3)))
+        cs = conditional_support(t, 0)
+        assert cs.int_values == (((2, 1), (-2, 0)), 2)
+        assert cs.int_probs == ((1, 3), 4)
+        assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
+        assert_support_matches_constructor(cs)
 
     @pytest.mark.parametrize("call", [
         ri_conv_contains_origin,

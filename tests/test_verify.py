@@ -117,9 +117,11 @@ class TestEquivalenceReport:
         assert all(v >= 0 for v in g.values()) and any(v > 0 for v in g.values())
 
     def test_each_support_is_reduced_once(self, monkeypatch):
-        # span_basis and in_span look _echelon up at call time; a call
-        # on a node's basis is not one on its atoms, which all differ
-        # from their basis ((1,),)
+        # every reduction runs the integer echelon kernel, which
+        # span_basis and in_span look up at call time; a support's atoms
+        # reach it as their integer rows, and a call on a node's basis is
+        # not one on its atoms, whose rows all differ from the basis row
+        # (1,)
         calls = count_calls(monkeypatch, arbcheck.linalg, "_echelon")
         tree = build(1, (0, [
             ("1/2", (2, [("1/2", (3, [])), ("1/2", (5, []))])),
@@ -127,11 +129,13 @@ class TestEquivalenceReport:
         ]))
         rep = equivalence_report(tree)
         assert {type(c) for c in rep.certificates.values()} == {InRi, NotInRi}
-        reduced = [tuple(map(tuple, vectors)) for (vectors,) in calls]
+        reduced = [tuple(map(tuple, rows)) for (rows,) in calls]
+        assert all(type(a) is int for rows in reduced for row in rows for a in row)
         for nid in tree.non_leaves():
             support = conditional_support(tree, nid)
-            assert support.values() != support.basis
-            assert reduced.count(support.values()) == 1
+            rows, _ = support.int_values
+            assert rows != tuple(row for row, _ in support.int_basis)
+            assert reduced.count(rows) == 1
 
     def test_rejects_invalid_tree(self):
         from arbcheck.tree import Node, ScenarioTree
