@@ -46,7 +46,7 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
     directions are combinations of the support's span basis, and each
     coefficient is an integer sum over the support's integer atoms.
     """
-    if not in_span(a, ensure_support(support).basis):
+    if not in_span(a, ensure_support(support).int_basis):
         raise InputError("query vector outside the span of the atoms")
     basis = support.int_basis
     r = len(basis)

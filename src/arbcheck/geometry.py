@@ -123,7 +123,7 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     n = len(rows_int)
     rows = [({i: x[j] for i, x in enumerate(rows_int) if x[j]}, 0, True, den)
             for j in range(support.d)]  # sum lambda_i x_i = 0
-    outcome = solve_lp(make_lp(n, {}, rows, [ONE] * n))
+    outcome = solve_lp(make_lp(n, ({}, 1), rows, [ONE] * n))
     if isinstance(outcome, Optimal):
         weights, _ = int_row(outcome.point)
         cert = InRi(rational_row(weights, sum(weights)))
@@ -157,7 +157,7 @@ def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bo
         if not is_exact_vector(h, support.d):
             return False
         nums, den = int_row(h)
-        if max(map(abs, nums), default=0) != den or not in_span(h, support.basis):
+        if max(map(abs, nums), default=0) != den or not in_span(h, support.int_basis):
             return False
         dots = [sum(map(mul, nums, x)) for x in rows]
         return all(v >= 0 for v in dots) and any(dots)

@@ -107,10 +107,21 @@ def span_basis(points: Union[Sequence[Sequence[Rational]], tuple[Sequence[Sequen
                   for piv, row in _echelon([int_row(v)[0] for v in points])])
 
 
-def in_span(v: Sequence[Rational], vectors: Sequence[Sequence[Rational]]) -> bool:
-    """True iff v is an exact rational combination of the given vectors."""
-    _common_dim(vectors, v)
-    return not any(_reduce(int_row(v)[0], _echelon([int_row(u)[0] for u in vectors])))
+def in_span(v: Sequence[Rational], vectors: Sequence) -> bool:
+    """True iff v is an exact rational combination of the given vectors,
+    Rational ones or a basis in ``span_basis``'s integer form (as
+    ``ConditionalSupport.int_basis``), which is not reduced again."""
+    if vectors and type(vectors) is tuple and all(
+            type(p) is tuple and len(p) == 2 and type(p[0]) is tuple for p in vectors):
+        rows = [row for row, _ in vectors]
+        _common_dim(rows, v)
+        if any(type(a) is not int for row in rows for a in row) or not all(map(any, rows)):
+            raise InputError(f"{vectors!r} is not a basis of nonzero int rows")
+        echelon = [(next(j for j, a in enumerate(row) if a), row) for row in rows]
+    else:
+        _common_dim(vectors, v)
+        echelon = _echelon([int_row(u)[0] for u in vectors])
+    return not any(_reduce(int_row(v)[0], echelon))
 
 
 def combination(basis: Sequence[tuple[Sequence[int], int]], coords: Sequence[Rational]) -> Vector:

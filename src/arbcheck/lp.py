@@ -17,8 +17,9 @@ a free one enters with either sign of reduced cost and, once basic,
 never leaves. The tableau is filled from the integer rows, with lower
 bounds shifted out in integers, and keeps each row as Python ints over
 one positive row denominator (fraction-free pivoting: an integer
-multiply-and-subtract and one gcd per touched row), so set-up and
-pivots never touch the rational scalar type. The vector conversions
+multiply-and-subtract by multipliers divided by their gcd, and one gcd
+per touched row), so set-up and pivots never touch the rational scalar
+type. The vector conversions
 (``int_row``, ``rational_row``) and the row normalisation
 (``lowest_terms``) belong to ``rationals``; this module owns the one
 pass over each sparse row, the tableau and its elimination. Each
@@ -156,7 +157,10 @@ def _int_field(what: str, values: Sequence[Rational]) -> tuple[tuple[int, ...], 
 
 
 def _int_lower(lower: Sequence[Optional[Rational]]) -> tuple[tuple[int, ...], int]:
-    return _int_field("the bounds", [ZERO if lo is None else lo for lo in lower])
+    """``int_row`` of the bounds, 0 where free, reading no ZERO."""
+    nums, den = _int_field("the bounds", [lo for lo in lower if lo is not None])
+    bounded = iter(nums)
+    return tuple([0 if lo is None else next(bounded) for lo in lower]), den
 
 
 def _check_flag(i: int, eq) -> None:
@@ -428,6 +432,10 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
     ``col``) that clears ``row / den`` in that column; returns the new
     (numerators, denominator) reduced to lowest terms."""
     f = row[col]
+    g = gcd(f, p)  # the same new row, from smaller multipliers
+    if g > 1:
+        f //= g
+        p //= g
     new = [a * p - f * b for a, b in zip(row, prow)]
     den *= p
     g = gcd(*new, den)

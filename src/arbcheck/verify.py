@@ -58,6 +58,11 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     the starting vertex, so the solve needs no phase 1. The optimizer,
     divided by its max-norm, is returned after an exact gains re-check.
 
+    Each node's d columns come before its parent's (reversed
+    ``tree.order``), so Bland's rule enters the sparse columns near the
+    leaves first: the leaf rows hold their paths' columns, and such
+    rows eliminated children-first take no fill-in (Parter 1961).
+
     The program is built from the tree's integer increments over their
     denominator D, in ``make_lp``'s integer form: each objective entry
     is one integer sum of the children's reach numerators times an
@@ -67,7 +72,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     """
     ensure_valid(tree)
     d = tree.d
-    non_leaves = tree.non_leaves()
+    non_leaves = [nd.id for nd in reversed(tree.order) if tree._children[nd.id]]
     first = {nid: i * d for i, nid in enumerate(non_leaves)}  # column of (nid, 0)
     nvars = len(non_leaves) * d
     if nvars == 0:

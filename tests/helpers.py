@@ -1,6 +1,6 @@
 """Hand-built scenario trees shared across test modules."""
 
-from arbcheck import Q, ScenarioTree
+from arbcheck import Q, ScenarioTree, in_span
 from arbcheck.rationals import as_rational
 from arbcheck.tree import ConditionalSupport, Node, density_process
 
@@ -113,6 +113,17 @@ def support(points):
     an InRi certificate has one weight per point."""
     pts = tuple(tuple(p) for p in points)
     return ConditionalSupport(0, tuple((x, Q(1, len(pts))) for x in pts))
+
+
+def assert_in_span_forms_agree(cs):
+    """``in_span`` against ``cs.int_basis`` and against ``cs.basis``
+    gives one answer for each atom value, each unit vector, the all-ones
+    vector and the sum of the values."""
+    d = cs.d
+    units = [tuple(Q(int(i == j)) for j in range(d)) for i in range(d)]
+    total = tuple(sum(column, Q(0)) for column in zip(*cs.values()))
+    for query in [*cs.values(), *units, (Q(1),) * d, total]:
+        assert in_span(query, cs.int_basis) == in_span(query, cs.basis), query
 
 
 def assert_support_matches_constructor(cs):

@@ -13,6 +13,9 @@ import time
 
 import pytest
 
+import arbcheck.emm
+import arbcheck.geometry
+import arbcheck.verify
 from arbcheck import (
     Q,
     build_emm,
@@ -33,9 +36,12 @@ from arbcheck.geometry import (
     ri_conv_contains_origin,
     separation_optimum,
 )
+from arbcheck.lp import solve_lp
+from arbcheck.rationals import int_row
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
-from helpers import assert_support_matches_constructor, binomial, reweight, skewed_coin, support
+from helpers import (assert_in_span_forms_agree, assert_support_matches_constructor, binomial,
+                     reweight, skewed_coin, support)
 from lp_oracle import oracle_check, random_lp
 from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
@@ -48,7 +54,7 @@ SWEEP_SIZE = 1000
 SWEEP_BUDGET_SECONDS = 300.0
 # sha256 of the sweep's report_to_json lines; pins every verdict, witness
 # and certificate the routes return, pivot for pivot
-SWEEP_REPORTS_SHA256 = "933a59437538328b465205eb28d1ab47b42cd8bada624f771a52c3f8c5296845"
+SWEEP_REPORTS_SHA256 = "6fbb796a9723edb182a94cda795257b7c2186fed60aa67213d2ba24e8b37a167"
 # the same lines with each arbitrage witness reduced to whether it is
 # present; pins everything but the strategy route's choice of witness
 SWEEP_VERDICTS_SHA256 = "aa596a3c6acab3f1ca55576953b3bb0206b25fe10692cbb75be14cdf28878b04"
@@ -136,6 +142,35 @@ def test_sweep_supports_match_the_constructor(sweep):
     for _, tree, _ in records:
         for nid in tree.non_leaves():
             assert_support_matches_constructor(conditional_support(tree, nid))
+
+
+def test_sweep_supports_answer_in_span_in_both_forms(sweep):
+    """On every sweep support, ``in_span`` against the integer basis
+    answers as against the rational basis."""
+    records, _ = sweep
+    for _, tree, _ in records:
+        for nid in tree.non_leaves():
+            assert_in_span_forms_agree(conditional_support(tree, nid))
+
+
+def test_sweep_programs_hold_their_integer_bounds(sweep):
+    """Every program the sweep's routes hand to ``solve_lp`` holds
+    ``int_row`` of its bounds, 0 where free, as ``int_lower``."""
+    records, _ = sweep
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (arbcheck.verify, arbcheck.geometry, arbcheck.emm):
+            patch.setattr(module, "solve_lp", record)
+        for _, tree, _ in records:
+            equivalence_report(tree)
+    assert {type(lo) for lp in programs for lo in lp.lower} > {type(None)}
+    for lp in programs:
+        assert lp.int_lower == int_row([ZERO if lo is None else lo for lo in lp.lower])
 
 
 def test_sweep_tree_loops_match_the_rational_reference(sweep):

@@ -20,7 +20,8 @@ from arbcheck.geometry import (
 from arbcheck.linalg import in_span
 from arbcheck.rationals import dot
 from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
-from helpers import assert_support_matches_constructor, one_step, support, vec
+from helpers import (assert_in_span_forms_agree, assert_support_matches_constructor, one_step,
+                     support, vec)
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
 from tree_oracle import assert_tree_loops_match
@@ -339,6 +340,14 @@ def test_degenerate_supports_match_the_constructor(tree):
     rank, the support built from the tree's integer form has the derived
     fields that ConditionalSupport derives from its atoms."""
     assert_support_matches_constructor(conditional_support(tree, 0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
+@given(_degenerate_one_step())
+def test_degenerate_supports_answer_in_span_in_both_forms(tree):
+    """With zero atoms and spans of low rank, ``in_span`` against the
+    integer basis answers as against the rational basis."""
+    assert_in_span_forms_agree(conditional_support(tree, 0))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)

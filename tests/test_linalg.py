@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from arbcheck import Q, in_span, span_basis
 from arbcheck.errors import InputError
 from arbcheck.rationals import int_row, rational_row
-from helpers import vec
+from arbcheck.tree import ConditionalSupport
+from helpers import assert_in_span_forms_agree, vec
 from linalg_oracle import rref_basis, rref_in_span
 
 
@@ -36,6 +37,36 @@ def test_in_span():
     assert in_span(vec((0, 0, 0)), vecs)
     assert not in_span(vec((1, 0, 0)), vecs)
     assert in_span(vec((0, 0)), [])
+
+
+def test_in_span_against_an_integer_basis():
+    """``span_basis``'s integer form is reduced against as it stands."""
+    basis = span_basis((((2, 2, 0), (0, 3, 3)), 1))
+    assert basis == (((1, 0, -1), 1), ((0, 1, 1), 1))
+    assert in_span(vec((1, 2, 1)), basis)
+    assert in_span(vec(("1/2", "-1/3", "-5/6")), basis)
+    assert not in_span(vec((1, 0, 0)), basis)
+
+
+def test_in_span_against_the_empty_integer_basis():
+    """A support whose atoms are all 0 spans {0}: its integer basis is
+    empty and accepts only the zero vector."""
+    cs = ConditionalSupport(0, ((vec((0, 0)), Q(1, 2)), (vec((0, 0)), Q(1, 2))))
+    assert cs.int_basis == ()
+    assert in_span(vec((0, 0)), cs.int_basis)
+    assert not in_span(vec((1, 0)), cs.int_basis)
+    assert not in_span(vec((0, "1/3")), cs.int_basis)
+    assert_in_span_forms_agree(cs)
+
+
+@pytest.mark.parametrize("basis, message", [
+    ((((1, 0), 1), ((0, Q(1)), 1)), "not a basis of nonzero int rows"),
+    ((((1, 0), 1), ((0, 0), 1)), "not a basis of nonzero int rows"),
+    ((((1, 0, 0), 1),), "mixed dimensions"),
+])
+def test_malformed_integer_basis_is_refused(basis, message):
+    with pytest.raises(InputError, match=message):
+        in_span(vec((1, 0)), basis)
 
 
 @pytest.mark.parametrize("call", [

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import arbcheck.linalg
+import arbcheck.verify
 from arbcheck import (
     Q,
     build_emm,
@@ -19,8 +20,8 @@ from arbcheck import (
 )
 from arbcheck.errors import GeometryError, InputError, Record
 from arbcheck.geometry import InRi, NotInRi
-from arbcheck.lp import Infeasible, Unbounded
-from arbcheck.tree import LeafDensity, Node, Violation
+from arbcheck.lp import Infeasible, Optimal, Unbounded
+from arbcheck.tree import LeafDensity, Node, ScenarioTree, Violation
 from arbcheck.verify import (
     MODES,
     TreeParams,
@@ -33,6 +34,7 @@ from arbcheck.verify import (
 )
 from density_oracle import find_martingale_density
 from scaled_gain_oracle import scaled_gain_lp
+from tree_oracle import assert_tree_loops_match, shipped_strategy_program
 from helpers import (
     binomial,
     build,
@@ -63,19 +65,38 @@ class TestFindArbitrage:
         assert gains(localized_arbitrage(), strat) == \
             {3: Q(1), 4: Q(2), 5: ZERO, 6: ZERO}
 
-    def test_witness_over_several_nodes_has_max_norm_one(self):
-        # only node 2 (increments +2 and +3) is a one-step arbitrage, but
-        # the witness also trades at the root and at node 1; the max-norm
-        # is taken over all of them
+    def test_witness_over_several_nodes_has_max_norm_one(self, monkeypatch):
+        # only node 2 (increments +2 and +3) is a one-step arbitrage, and
+        # a one-node witness always exists, so the solver is stood in for
+        # by one whose optimizer also trades at the root and at node 1;
+        # the columns are children-first (node 2, node 1, the root), and
+        # the max-norm is taken over every traded node
         t = build(1, (0, [
             ("1/2", (1, [("1/2", (0, [])), ("1/2", (3, []))])),
             ("1/2", (-1, [("1/2", (1, [])), ("1/2", (2, []))])),
         ]))
+        monkeypatch.setattr(arbcheck.verify, "solve_lp",
+                            lambda lp: Optimal((Q(4), Q(1), Q(2)), Q(1)))
         strat = find_arbitrage(t)
-        assert sum(1 for vec in strat.values() if any(vec)) > 1
-        assert max(abs(c) for vec in strat.values() for c in vec) == 1
+        assert strat == {0: (Q(1, 2),), 1: (Q(1, 4),), 2: (Q(1),)}
         g = gains(t, strat)
         assert all(v >= 0 for v in g.values()) and any(v > 0 for v in g.values())
+
+    def test_columns_are_children_first_whatever_the_ids(self):
+        # the ids are not breadth-first: node 7 is the parent of nodes 1
+        # and 4, so numbering the non-leaves by id, or in reverse, would
+        # not put every node before its parent
+        nodes = [Node(0, None, Q(1), (Q(0),)), Node(7, 0, Q(1), (Q(1),)),
+                 Node(1, 7, Q(1, 2), (Q(2),)), Node(4, 7, Q(1, 2), (Q(0),)),
+                 Node(2, 1, Q(1, 2), (Q(3),)), Node(3, 1, Q(1, 2), (Q(4),)),
+                 Node(5, 4, Q(1, 2), (Q(1),)), Node(6, 4, Q(1, 2), (Q(-1),))]
+        tree = ScenarioTree(1, 3, nodes)
+        lp = shipped_strategy_program(tree)
+        # columns: node 4, node 1, node 7, the root; the leaf rows follow
+        # the leaves by id, 2 and 3 under node 1, 5 and 6 under node 4
+        assert [tuple(j for j, _ in row) for row in lp.rows[:4]] == \
+            [(1, 2, 3), (1, 2, 3), (0, 2, 3), (0, 2, 3)]
+        assert_tree_loops_match(tree, 0, find_arbitrage(tree))
 
     def test_horizon_zero(self):
         assert find_arbitrage(single_chain(0)) is None
@@ -136,6 +157,19 @@ class TestEquivalenceReport:
             rows, _ = support.int_values
             assert rows != tuple(row for row, _ in support.int_basis)
             assert reduced.count(rows) == 1
+
+    def test_no_basis_is_reduced_again(self, monkeypatch):
+        # check_ri_certificate and support_function test span membership
+        # against each support's integer echelon rows as they stand, so
+        # the echelon kernel runs once per support, when it is built
+        calls = count_calls(monkeypatch, arbcheck.linalg, "_echelon")
+        tree = build(1, (0, [
+            ("1/2", (2, [("1/2", (3, [])), ("1/2", (5, []))])),
+            ("1/2", (-1, [("1/2", (0, [])), ("1/2", (-3, []))])),
+        ]))
+        rep = equivalence_report(tree)
+        assert {type(c) for c in rep.certificates.values()} == {InRi, NotInRi}
+        assert len(calls) == len(tree.non_leaves())
 
     def test_rejects_invalid_tree(self):
         from arbcheck.tree import Node, ScenarioTree

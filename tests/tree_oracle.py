@@ -40,9 +40,12 @@ def _reach(tree):
 
 def strategy_program(tree):
     """``find_arbitrage``'s program: maximize the expected gain over
-    leaf gains >= 0 and the budget E[gain] <= 1."""
+    leaf gains >= 0 and the budget E[gain] <= 1, with each node's
+    columns numbered before its parent's."""
     col = {}
-    for nid in tree.non_leaves():
+    for nid in reversed([nd.id for nd in tree.order]):
+        if not tree.children(nid):
+            continue
         for j in range(tree.d):
             col[(nid, j)] = len(col)
     reach = _reach(tree)
