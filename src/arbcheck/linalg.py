@@ -1,19 +1,19 @@
 """Exact linear algebra: span bases and membership tests.
 
-Rows are reduced as Python ints, as in the simplex tableau: a vector is
-scaled by the lcm of its denominators, and each elimination is an
-integer multiply-and-subtract plus one gcd (fraction-free elimination,
-Bareiss 1968). A span is scale-invariant, so rows carry no denominator;
-``span_basis`` also takes points already in integer form and then
-returns the basis in integer form, so a caller that holds integer rows
-makes no Rational on the way in or out.
-The vector conversions (``int_row``, ``rational_row``) and the row
+Rows are reduced as Python ints, as in the simplex tableau: each
+elimination is an integer multiply-and-subtract plus one gcd
+(fraction-free elimination, Bareiss 1968). A span is scale-invariant,
+so rows carry no denominator. ``span_basis`` takes points in integer
+form, ``(rows, den)`` as a support's ``int_values`` holds them, and
+returns each basis row as ``(row, pivot entry)``; ``in_span`` reduces a
+Rational vector, by way of ``int_row``, against such a basis. The
+vector conversions (``int_row``, ``rational_row``) and the row
 normalisation (``lowest_terms``) belong to ``rationals``; this module
-owns the elimination and ``combination``, which sums integer basis
-rows with rational coordinates. The leftmost-pivot rule with
-back-elimination gives an integer reduced row-echelon form; dividing
-each row by its pivot yields a basis that is canonical for the
-subspace spanned (independent of input order).
+owns the elimination and ``combination``, which sums integer basis rows
+with rational coordinates. The leftmost-pivot rule with back-elimination
+gives an integer reduced row-echelon form; dividing each row by its
+pivot yields a basis that is canonical for the subspace spanned
+(independent of input order).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import abc
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
 from .rationals import Rational, Vector, int_row, lowest_terms, rational_row
@@ -83,44 +83,39 @@ def _echelon(rows: Sequence[Sequence[int]]) -> _Echelon:
     return out
 
 
-def span_basis(points: Union[Sequence[Sequence[Rational]], tuple[Sequence[Sequence[int]], int]]
-               ) -> Union[tuple[Vector, ...], tuple[tuple[tuple[int, ...], int], ...]]:
+def span_basis(points: tuple[Sequence[Sequence[int]], int]
+               ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Reduced row-echelon basis of the linear span of the given points.
 
-    Zero vectors contribute nothing; an empty input (or all-zero input)
-    yields the empty basis. ``points`` is a sequence of Rational
-    vectors, and the basis comes back as Rational vectors; or it is the
-    integer form of such a sequence, a pair (rows, den) of int rows
-    over an int den > 0 as in ``ConditionalSupport.int_values``, and
-    then the basis comes back in integer form as well, each row as
-    (numerators, denominator) with its pivot entry as the denominator,
-    with no Rational made on the way.
+    ``points`` is their integer form, a pair (rows, den) of int rows
+    over an int den > 0, as in ``ConditionalSupport.int_values``. Each
+    basis row comes back as (numerators, pivot entry): its Rational
+    view ``rational_row(row, pivot)`` has 1 at the pivot. Zero rows
+    contribute nothing; no rows, or only zero rows, give the empty
+    basis.
     """
-    if type(points) is tuple and len(points) == 2 and type(points[1]) is int:
+    try:
         rows, den = points
-        _common_dim(rows)
-        if den <= 0 or any(type(a) is not int for row in rows for a in row):
-            raise InputError(f"{points!r} is not int rows over an int denominator > 0")
-        return tuple([(tuple(row), row[piv]) for piv, row in _echelon(rows)])
-    _common_dim(points)
-    return tuple([rational_row(row, row[piv])
-                  for piv, row in _echelon([int_row(v)[0] for v in points])])
+    except (TypeError, ValueError):
+        raise InputError(f"{points!r} is not a (rows, den) pair") from None
+    _common_dim(rows)
+    if type(den) is not int or den <= 0 or any(type(a) is not int for row in rows for a in row):
+        raise InputError(f"{points!r} is not int rows over an int denominator > 0")
+    return tuple([(tuple(row), row[piv]) for piv, row in _echelon(rows)])
 
 
-def in_span(v: Sequence[Rational], vectors: Sequence) -> bool:
-    """True iff v is an exact rational combination of the given vectors,
-    Rational ones or a basis in ``span_basis``'s integer form (as
-    ``ConditionalSupport.int_basis``), which is not reduced again."""
-    if vectors and type(vectors) is tuple and all(
-            type(p) is tuple and len(p) == 2 and type(p[0]) is tuple for p in vectors):
-        rows = [row for row, _ in vectors]
-        _common_dim(rows, v)
-        if any(type(a) is not int for row in rows for a in row) or not all(map(any, rows)):
-            raise InputError(f"{vectors!r} is not a basis of nonzero int rows")
-        echelon = [(next(j for j, a in enumerate(row) if a), row) for row in rows]
-    else:
-        _common_dim(vectors, v)
-        echelon = _echelon([int_row(u)[0] for u in vectors])
+def in_span(v: Sequence[Rational], basis: Sequence[tuple[Sequence[int], int]]) -> bool:
+    """True iff the Rational vector v is an exact rational combination
+    of the rows of ``basis``, a basis in ``span_basis``'s integer form
+    (as ``ConditionalSupport.int_basis``), which is not reduced again."""
+    try:
+        rows = [row for row, _ in basis]
+    except (TypeError, ValueError):
+        raise InputError(f"{basis!r} is not a basis of (row, pivot) pairs") from None
+    _common_dim(rows, v)
+    if any(type(a) is not int for row in rows for a in row) or not all(map(any, rows)):
+        raise InputError(f"{basis!r} is not a basis of nonzero int rows")
+    echelon = [(next(j for j, a in enumerate(row) if a), row) for row in rows]
     return not any(_reduce(int_row(v)[0], echelon))
 
 

@@ -2,33 +2,30 @@
 
 Problems are maximizations subject to rows ``A x <= b`` (equality rows
 flagged) and per-variable bounds: each variable is either free or
-bounded below. A program is built by ``make_lp`` from a
-``{column: coefficient}`` map for the objective and one such map per
-row, or from the integer form of either: int numerators over one
-positive int denominator, which is how the routes hand it their rows,
-so that no Rational is made on the way in. The program keeps that
-integer form as its state, each row as its nonzero ``(column,
-numerator)`` pairs in column order over one row denominator, in lowest
-terms; its ``objective``, ``rows`` and ``rhs`` are Rational views made
-when read. The solver is a two-phase primal simplex with Bland's
-anti-cycling rule and exact pivots, so it terminates on every input and
-its certificates are bit-exact. Every variable has one tableau column;
-a free one enters with either sign of reduced cost and, once basic,
-never leaves. The tableau is filled from the integer rows, with lower
-bounds shifted out in integers, and keeps each row as Python ints over
-one positive row denominator (fraction-free pivoting: an integer
-multiply-and-subtract by multipliers divided by their gcd, and one gcd
-per touched row), so set-up and pivots never touch the rational scalar
-type. The vector conversions
-(``int_row``, ``rational_row``) and the row normalisation
-(``lowest_terms``) belong to ``rationals``; this module owns the one
-pass over each sparse row, the tableau and its elimination. Each
-outcome is read off the tableau as integer numerators over one
-denominator and re-checked in integers; a Rational is made only for
-each nonzero entry returned, and for an optimum's value, from the
-objective's integer row. No pivot budget cuts a solve short: a basis
-revisited between two moves of the objective, which Bland's rule rules
-out, raises InternalError instead.
+bounded below. ``make_lp`` builds a program from the integer form the
+routes write, int numerators over one positive int denominator for the
+objective and for each row, so no Rational is made on the way in; each
+bound is a Rational or None. The program keeps each row as its nonzero
+``(column, numerator)`` pairs in column order over its denominator, in
+lowest terms; ``objective``, ``rows`` and ``rhs`` are Rational views
+made when read. The solver is a two-phase primal simplex with
+Bland's anti-cycling rule and exact pivots, so it terminates on every
+input and its certificates are bit-exact. Every variable has one
+tableau column; a free one enters with either sign of reduced cost and,
+once basic, never leaves. The tableau is filled from the integer rows,
+with lower bounds shifted out in integers, and keeps each row as Python
+ints over one positive row denominator (fraction-free pivoting: an
+integer multiply-and-subtract by multipliers divided by their gcd, and
+one gcd per touched row), so set-up and pivots never touch the rational
+scalar type. The vector conversions (``int_row``, ``rational_row``) and
+the row normalisation (``lowest_terms``) belong to ``rationals``; this
+module owns the one pass over each sparse row, the tableau and its
+elimination. Each outcome is read off the tableau as integer numerators
+over one denominator and re-checked in integers; a Rational is made
+only for each nonzero entry returned, and for an optimum's value, from
+the objective's integer row. No pivot budget cuts a solve short: a
+basis revisited between two moves of the objective, which Bland's rule
+rules out, raises InternalError instead.
 
 Every outcome is re-verified before it leaves ``solve_lp``:
 
@@ -63,30 +60,27 @@ from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
-from .rationals import (ZERO, Q, Rational, RationalLike, Vector, as_rational, int_row,
-                        is_exact_vector, lowest_terms, rational_row)
+from .rationals import (ZERO, Q, Rational, Vector, int_row, is_exact_vector, lowest_terms,
+                        rational_row)
 
 
 class LinearProgram(Record):
     """maximize objective . x  s.t.  rows[i] . x (<= or ==) rhs[i],
-    x_j >= lower[j] where lower[j] is not None. The constructor takes
-    those five fields: row i is a tuple of (column, coefficient) pairs,
-    int columns rising inside 0..n_vars-1, each with a nonzero
-    coefficient; an absent column is zero. Every number must be a
-    Rational and every flag a bool.
-
-    The program keeps its integer form, derived in the one pass that
-    checks each number: ``int_objective``, the objective's numerators
-    over their common denominator; ``int_rows[i]``, row i's ((column,
-    numerator) pairs, rhs numerator, positive denominator) in lowest
-    terms; ``equalities``; ``lower``; and ``int_lower``, the bound
-    numerators (0 where free) over their common denominator.
-    ``objective``, ``rows`` and ``rhs`` are Rational views of it, made
-    each time they are read; the program compares, hashes, prints and
-    pickles by them, ``equalities`` and ``lower``."""
+    x_j >= lower[j] where lower[j] is not None, held in integer form.
+    The constructor takes its four fields: ``int_objective``, one int
+    numerator per variable over one den, as (numerators, den);
+    ``int_rows``, row i as ((column, numerator) pairs, rhs numerator,
+    den), int columns rising inside 0..n_vars-1 with nonzero int
+    numerators; ``equalities``, one bool per row; and ``lower``, one
+    Rational or None per variable. Each den is an int > 0. Anything
+    else raises InputError. It puts the objective and each row in
+    lowest terms, so programs of the same numbers compare, hash, print
+    and pickle alike, and derives ``int_lower``, the bound numerators
+    (0 where free) over their common denominator. ``objective``,
+    ``rows`` and ``rhs`` are Rational views, made when read."""
 
     __slots__ = ("int_objective", "int_rows", "equalities", "lower", "int_lower")
-    _fields = ("objective", "rows", "rhs", "equalities", "lower")
+    _fields = ("int_objective", "int_rows", "equalities", "lower")
 
     int_objective: tuple[tuple[int, ...], int]
     int_rows: tuple[tuple[tuple[tuple[int, int], ...], int, int], ...]
@@ -94,30 +88,21 @@ class LinearProgram(Record):
     lower: tuple[Optional[Rational], ...]
     int_lower: tuple[tuple[int, ...], int]
 
-    def __init__(self, objective, rows, rhs, equalities, lower) -> None:
-        n, m = len(objective), len(rows)
-        if len(rhs) != m:
-            raise InputError(f"{len(rhs)} right-hand sides for {m} rows")
-        if len(equalities) != m:
-            raise InputError(f"{len(equalities)} equality flags for {m} rows")
-        if len(lower) != n:
-            raise InputError(f"{len(lower)} bounds for {n} variables")
-        int_objective = _int_field("the objective", objective)
-        int_lower = _int_lower(lower)
-        int_rows = tuple([_rational_row(i, row, b, eq, n)
-                          for i, (row, b, eq) in enumerate(zip(rows, rhs, equalities))])
-        super().__init__(int_objective, int_rows, tuple(equalities), tuple(lower), int_lower)
-
-    @classmethod
-    def _of(cls, int_objective, int_rows, equalities, lower) -> "LinearProgram":
-        """The program with this integer form, built without the
-        constructor's pass over Rational fields."""
-        n = len(int_objective[0])
-        if len(lower) != n:
-            raise InputError(f"{len(lower)} bounds for {n} variables")
-        lp = cls.__new__(cls)
-        Record.__init__(lp, int_objective, int_rows, equalities, lower, _int_lower(lower))
-        return lp
+    def __init__(self, int_objective, int_rows, equalities, lower) -> None:
+        try:
+            nums, den = int_objective
+            n, m, n_flags, n_bounds = len(nums), len(int_rows), len(equalities), len(lower)
+        except (TypeError, ValueError):
+            raise InputError("a program takes (numerators, den) and sequences of rows, "
+                             "equality flags and bounds") from None
+        if n_flags != m:
+            raise InputError(f"{n_flags} equality flags for {m} rows")
+        if n_bounds != n:
+            raise InputError(f"{n_bounds} bounds for {n} variables")
+        super().__init__(_objective(nums, den),
+                         tuple([_row(i, row, eq, n)
+                                for i, (row, eq) in enumerate(zip(int_rows, equalities))]),
+                         tuple(equalities), tuple(lower), _int_lower(lower))
 
     @property
     def objective(self) -> Vector:
@@ -147,197 +132,133 @@ def ensure_program(lp: LinearProgram) -> LinearProgram:
     return lp
 
 
-def _int_field(what: str, values: Sequence[Rational]) -> tuple[tuple[int, ...], int]:
-    """``int_row`` of a program's objective or bounds, with an
-    InputError that names the field."""
-    try:
-        return int_row(values)
-    except InputError as exc:
-        raise InputError(f"{what}: {exc}") from None
-
-
-def _int_lower(lower: Sequence[Optional[Rational]]) -> tuple[tuple[int, ...], int]:
-    """``int_row`` of the bounds, 0 where free, reading no ZERO."""
-    nums, den = _int_field("the bounds", [lo for lo in lower if lo is not None])
-    bounded = iter(nums)
-    return tuple([0 if lo is None else next(bounded) for lo in lower]), den
-
-
-def _check_flag(i: int, eq) -> None:
-    if type(eq) is not bool:
-        raise InputError(f"equality flag {i} is {eq!r}, not a bool")
-
-
-def _rational_row(i: int, pairs, b: Rational, eq: bool, n: int):
-    """Row ``i`` of an ``n``-variable program in integer form, from its
-    Rational (column, coefficient) pairs and right-hand side ``b``: the
-    numerators over the lcm of their denominators, each read once. The
-    constructor and ``make_lp``'s triples share it, so they refuse the
-    same rows with the same InputError."""
-    _check_flag(i, eq)
-    if not isinstance(b, Rational):
-        raise InputError(f"right-hand side {i} holds {b!r}, not a Rational")
-    parts, dens, last = [], [int(b.denominator)], -1
-    for pair in pairs:
-        try:
-            j, a = pair
-        except (TypeError, ValueError):
-            raise InputError(f"row {i} holds {pair!r}, not a (column, coefficient) "
-                             "pair") from None
-        if type(j) is not int:
-            raise InputError(f"row {i} has column {j!r}, not an int")
-        if not last < j < n:
-            after = f" after column {last}" if last >= 0 else ""
-            raise InputError(f"row {i} has column {j}{after}: not rising, or outside "
-                             f"0..{n - 1}")
-        if not isinstance(a, Rational):
-            raise InputError(f"row {i} holds {a!r}, not a Rational")
-        p = int(a.numerator)
-        if not p:
-            raise InputError(f"row {i} has a zero coefficient in column {j}")
-        q = int(a.denominator)
-        parts.append((j, p, q))
-        dens.append(q)
-        last = j
-    den = lcm(*dens)
-    return (tuple([(j, p * (den // q)) for j, p, q in parts]),
-            int(b.numerator) * (den // dens[0]), den)
-
-
-def _integer_row(i: int, coeffs, b: int, eq: bool, den: int, n: int):
-    """Row ``i`` from its integer form, ``{column: numerator}`` and
-    ``b`` over ``den``, divided by the gcd of its numerators and
-    ``den``: what ``_rational_row`` gives for the same numbers."""
-    _check_flag(i, eq)
-    _check_den(f"row {i}", den)
-    if type(b) is not int:
-        raise InputError(f"right-hand side {i} holds {b!r}, not an int numerator")
-    pairs = _int_pairs(coeffs, n, i)
-    g = gcd(b, den, *[a for _, a in pairs])
-    if g > 1:
-        return tuple([(j, a // g) for j, a in pairs]), b // g, den // g
-    return pairs, b, den
-
-
 def _check_den(what: str, den) -> None:
     if type(den) is not int or den <= 0:
         raise InputError(f"{what} has denominator {den!r}, not an int > 0")
 
 
-def _int_pairs(coeffs: Mapping[int, int], n: int, row: Optional[int]
-               ) -> tuple[tuple[int, int], ...]:
-    """The nonzero (column, numerator) pairs of an integer map, by
-    column; InputError on anything but a map of int numerators whose
-    int columns lie inside 0..n-1, naming ``row``, or the objective when
-    that is None."""
-    try:
-        items = coeffs.items()
-    except AttributeError:
-        raise InputError(f"{_name(row)} is {coeffs!r}, not a {{column: numerator}} "
-                         "map") from None
-    pairs = []
-    for j, a in items:
+def _objective(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The objective's numerators over ``den``, checked and in lowest terms."""
+    _check_den("the objective", den)
+    for a in nums:
         if type(a) is not int:
-            raise InputError(f"{_name(row)} holds {a!r}, not an int numerator")
-        if type(j) is not int:
-            raise InputError(f"{_name(row)} has column {j!r}, not an int")
-        if a:
-            pairs.append((j, a))
-    pairs.sort()
-    if pairs and not (0 <= pairs[0][0] and pairs[-1][0] < n):
-        bad = pairs[0][0] if pairs[0][0] < 0 else pairs[-1][0]
-        raise InputError(f"{_name(row)} has column {bad}: outside 0..{n - 1}")
-    return tuple(pairs)
+            raise InputError(f"the objective holds {a!r}, not an int numerator")
+    g = gcd(den, *nums)
+    return (tuple([a // g for a in nums]), den // g) if g > 1 else (tuple(nums), den)
 
 
-def _pairs(coeffs: Mapping[int, RationalLike], row: Optional[int] = None
-           ) -> tuple[tuple[int, Rational], ...]:
-    """The coerced nonzero (column, coefficient) pairs of a map, by
-    column; InputError on anything but a map whose columns can be
-    ordered, naming ``row``, or the objective when that is None."""
+def _int_lower(lower: Sequence[Optional[Rational]]) -> tuple[tuple[int, ...], int]:
+    """``int_row`` of the bounds, 0 where free, reading no ZERO."""
+    try:
+        nums, den = int_row([lo for lo in lower if lo is not None])
+    except InputError as exc:
+        raise InputError(f"the bounds: {exc}") from None
+    bounded = iter(nums)
+    return tuple([0 if lo is None else next(bounded) for lo in lower]), den
+
+
+def _row(i: int, row, eq, n: int):
+    """Row ``i`` of an ``n``-variable program, ((column, numerator)
+    pairs, rhs numerator, den), checked in one pass over its pairs and
+    divided by the gcd of its numerators and den."""
+    try:
+        pairs, b, den = row
+        pairs = tuple(pairs)
+    except (TypeError, ValueError):
+        raise InputError(f"row {i} is {row!r}, not a ((column, numerator) pairs, rhs, den) "
+                         "triple") from None
+    if type(eq) is not bool:
+        raise InputError(f"equality flag {i} is {eq!r}, not a bool")
+    _check_den(f"row {i}", den)
+    if type(b) is not int:
+        raise InputError(f"right-hand side {i} holds {b!r}, not an int numerator")
+    g, last = gcd(b, den), -1
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2:
+            raise InputError(f"row {i} holds {pair!r}, not a (column, numerator) pair")
+        j, a = pair
+        if type(j) is not int or not last < j < n or type(a) is not int or not a:
+            raise _bad_entry(f"row {i}", j, a, last, n)
+        last = j
+        if g > 1:
+            g = gcd(g, a)
+    if g > 1:
+        return tuple([(j, a // g) for j, a in pairs]), b // g, den // g
+    return pairs, b, den
+
+
+def _bad_entry(where: str, j, a, last: int, n: int) -> InputError:
+    """The InputError for the entry ``a`` in column ``j`` of a row
+    whose previous column is ``last``."""
+    if type(j) is not int:
+        return InputError(f"{where} has column {j!r}, not an int")
+    if not 0 <= j < n:
+        return InputError(f"{where} has column {j}: outside 0..{n - 1}")
+    if j <= last:
+        return InputError(f"{where} has column {j} after column {last}: not rising")
+    if type(a) is not int:
+        return InputError(f"{where} holds {a!r}, not an int numerator")
+    return InputError(f"{where} has a zero coefficient in column {j}")
+
+
+def _pairs(coeffs: Mapping[int, int], where: str) -> list[tuple[int, int]]:
+    """The nonzero (column, numerator) items of a map, by column, for
+    the program to check. A zero entry reaches no program, so its column
+    and numerator are checked here."""
     try:
         items = coeffs.items()
     except AttributeError:
-        raise InputError(f"{_name(row)} is {coeffs!r}, not a {{column: coefficient}} "
-                         "map") from None
-    pairs = [(j, a) for j, c in items if (a := as_rational(c))]
+        raise InputError(f"{where} is {coeffs!r}, not a {{column: numerator}} map") from None
+    pairs = [item for item in items if item[1]]
+    if len(pairs) < len(coeffs):
+        for j, a in items:
+            if not a and type(a) is not int:
+                raise InputError(f"{where} holds {a!r}, not an int numerator")
+            if not a and type(j) is not int:
+                raise InputError(f"{where} has column {j!r}, not an int")
     try:
         pairs.sort()
     except TypeError:
-        bad = next(j for j in coeffs if type(j) is not int)
-        raise InputError(f"{_name(row)} has column {bad!r}, not an int") from None
-    return tuple(pairs)
+        bad = next(j for j, _ in pairs if type(j) is not int)
+        raise InputError(f"{where} has column {bad!r}, not an int") from None
+    return pairs
 
 
-def _name(row: Optional[int]) -> str:
-    """How an error names ``row``, or the objective when that is None."""
-    return "the objective" if row is None else f"row {row}"
-
-
-IntObjective = tuple[Mapping[int, int], int]
-IntRow = tuple[Mapping[int, int], int, bool, int]
-
-
-def make_lp(
-    n_vars: int,
-    objective: Union[Mapping[int, RationalLike], IntObjective],
-    rows: Sequence[Union[tuple[Mapping[int, RationalLike], RationalLike, bool], IntRow]],
-    lower: Optional[Sequence[Optional[RationalLike]]] = None,
-) -> LinearProgram:
-    """Build a LinearProgram from sparse rows. The objective is one
-    {column: coefficient} map, or its integer form ({column: numerator},
-    den); each row is a (coefficients, rhs, is_equality) triple, or its
-    integer form ({column: numerator}, rhs numerator, is_equality, den);
-    ``lower``, when given, is a sequence. Numbers in a map or triple are
-    coerced to Rationals; an integer form holds ints over an int den > 0
-    and makes none, and gives the program that the same numbers as
-    Rationals give. An absent column or a zero entry is zero; a count
-    that is not an int >= 0, a column outside 0..n_vars-1 or that is not
-    an int, a map that is not a mapping, or rows or bounds of another
-    shape, raises InputError."""
+def make_lp(n_vars: int, objective: tuple[Mapping[int, int], int],
+            rows: Sequence[tuple[Mapping[int, int], int, bool, int]],
+            lower: Optional[Sequence[Optional[Rational]]] = None) -> LinearProgram:
+    """Build a LinearProgram from sparse integer rows: the objective as
+    ({column: numerator}, den), each row as ({column: numerator}, rhs
+    numerator, is_equality, den), int numerators over an int den > 0,
+    and ``lower``, when given, as one Rational or None per variable. An
+    absent column or a zero entry is zero. Any other count, column,
+    numerator or shape (a Rational map, a row without its den) raises
+    InputError."""
     if type(n_vars) is not int or n_vars < 0:
         raise InputError(f"variable count {n_vars!r} is not an int >= 0")
     if not isinstance(rows, abc.Sequence):
-        raise InputError(f"rows {rows!r} are not a sequence of triples")
+        raise InputError(f"rows {rows!r} are not a sequence of integer rows")
     if not (lower is None or isinstance(lower, abc.Sequence)):
         raise InputError(f"bounds {lower!r} are not a sequence")
-    if type(objective) is tuple:
-        try:
-            coeffs, den = objective
-        except ValueError:
-            raise InputError(f"the objective is {objective!r}, not a ({{column: numerator}}, "
-                             "den) pair") from None
-        _check_den("the objective", den)
-        nums = [0] * n_vars
-        for j, a in _int_pairs(coeffs, n_vars, None):
-            nums[j] = a
-        g = gcd(den, *nums)
-        int_objective = tuple([a // g for a in nums]), den // g
-    else:
-        obj = [ZERO] * n_vars
-        for j, a in _pairs(objective):
-            if type(j) is not int or not 0 <= j < n_vars:
-                raise InputError(f"the objective has column {j!r}: not an int, or outside "
-                                 f"0..{n_vars - 1}")
-            obj[j] = a
-        int_objective = _int_field("the objective", obj)
+    if type(objective) is not tuple or len(objective) != 2:
+        raise InputError(f"the objective is {objective!r}, not a ({{column: numerator}}, den) "
+                         "pair")
+    coeffs, den = objective
+    nums = [0] * n_vars
+    for j, a in _pairs(coeffs, "the objective"):
+        if type(j) is not int or not 0 <= j < n_vars:
+            raise _bad_entry("the objective", j, a, -1, n_vars)
+        nums[j] = a
     int_rows, eqs = [], []
     for i, row in enumerate(rows):
         try:
-            coeffs, b, eq, *den = row
-            if len(den) > 1:
-                raise ValueError
+            coeffs, b, eq, row_den = row
         except (TypeError, ValueError):
-            raise InputError(f"row {i} is {row!r}, not a (coefficients, rhs, is_equality) "
-                             "triple or its integer form with a den") from None
-        if den:
-            int_rows.append(_integer_row(i, coeffs, b, eq, den[0], n_vars))
-        else:
-            int_rows.append(_rational_row(i, _pairs(coeffs, i), as_rational(b), eq, n_vars))
+            raise InputError(f"row {i} is {row!r}, not a ({{column: numerator}}, rhs, "
+                             "is_equality, den) row") from None
+        int_rows.append((_pairs(coeffs, f"row {i}"), b, row_den))
         eqs.append(eq)
-    lo = ([None] * n_vars if lower is None
-          else [None if v is None else as_rational(v) for v in lower])
-    return LinearProgram._of(int_objective, tuple(int_rows), tuple(eqs), tuple(lo))
+    return LinearProgram((nums, den), int_rows, eqs, [None] * n_vars if lower is None else lower)
 
 
 class Optimal(Record):

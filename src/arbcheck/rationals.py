@@ -103,22 +103,6 @@ def parse_vector(items: Sequence[str]) -> Vector:
     return tuple(parse_rational(s) for s in items)
 
 
-def dot(u: Sequence[Rational], v: Sequence[Rational]) -> Rational:
-    if len(u) != len(v):
-        raise InputError(f"dimension mismatch in dot product: {len(u)} vs {len(v)}")
-    total = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            total += a * b
-    return total
-
-
-def vec_sub(u: Sequence[Rational], v: Sequence[Rational]) -> Vector:
-    if len(u) != len(v):
-        raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def zero_vector(dim: int) -> Vector:
     return (ZERO,) * dim
 

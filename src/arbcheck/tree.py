@@ -267,31 +267,29 @@ def _integer_form(tree: ScenarioTree) -> tuple[int, dict[int, tuple[int, ...]], 
 class ConditionalSupport(Record):
     """Atoms (x, q) of the one-step conditional increment distribution at
     a non-leaf node: distinct increment values with their summed
-    transition probabilities, and the reduced row-echelon basis of the
-    linear span of the values. The constructor takes the node and the
+    transition probabilities. The constructor takes the node and the
     atoms, a non-empty tuple of (tuple of Rationals, Rational > 0)
-    pairs whose values share one dimension, refuses anything else, and
-    builds the basis; copy and pickle rebuild it from the atoms. The
-    geometry and emm routes read both from here.
+    pairs whose values share one dimension, and refuses anything else;
+    copy and pickle rebuild a support from them.
 
-    The constructor also derives the integer form of the atoms and the
-    basis, which the routes build their programs and re-checks from:
-    ``int_values``, each value's numerators over one common
-    denominator, as (rows, denominator); ``int_probs``, the
-    probabilities' numerators over theirs, as (numerators,
-    denominator); and ``int_basis``, each basis row as (numerators,
-    denominator), the integer echelon rows that ``span_basis`` reduces
-    ``int_values`` to, of which ``basis`` is the Rational view. Like the
-    basis, they are outside ``_fields``, so equality, hashing and
-    pickling read only the node and the atoms. ``conditional_support``
-    derives the same fields from the tree's integer form instead."""
+    The constructor also derives the integer form of the atoms and of
+    the span of their values, which the geometry and emm routes build
+    their programs and re-checks from: ``int_values``, each value's
+    numerators over one common denominator, as (rows, denominator);
+    ``int_probs``, the probabilities' numerators over theirs, as
+    (numerators, denominator); and ``int_basis``, each row of the
+    reduced row-echelon basis of the span as (numerators, denominator),
+    the integer echelon rows that ``span_basis`` reduces ``int_values``
+    to. ``basis`` is their Rational view, made each time it is read.
+    These are outside ``_fields``, so equality, hashing and pickling
+    read only the node and the atoms. ``conditional_support`` derives
+    the same fields from the tree's integer form instead."""
 
-    __slots__ = ("node", "atoms", "basis", "int_values", "int_probs", "int_basis")
+    __slots__ = ("node", "atoms", "int_values", "int_probs", "int_basis")
     _fields = ("node", "atoms")
 
     node: int
     atoms: tuple[tuple[Vector, Rational], ...]
-    basis: tuple[Vector, ...]
     int_values: tuple[tuple[tuple[int, ...], ...], int]
     int_probs: tuple[tuple[int, ...], int]
     int_basis: tuple[tuple[tuple[int, ...], int], ...]
@@ -311,21 +309,21 @@ class ConditionalSupport(Record):
             raise InputError(f"node {node}: atom values of mixed dimensions: {sorted(dims)}")
         d = dims.pop()
         nums, den = int_row([v for x, _ in atoms for v in x])
-        rows = tuple(nums[i * d:(i + 1) * d] for i in range(len(atoms)))
-        self._derive(node, atoms, (rows, den), int_row([q for _, q in atoms]))
+        int_values = tuple(nums[i * d:(i + 1) * d] for i in range(len(atoms))), den
+        super().__init__(node, atoms, int_values, int_row([q for _, q in atoms]),
+                         span_basis(int_values))
 
     @classmethod
     def _of(cls, node: int, atoms, int_values, int_probs) -> "ConditionalSupport":
         """The support with these atoms and their integer form, which
         the caller vouches for, built without the constructor's checks."""
         support = cls.__new__(cls)
-        support._derive(node, atoms, int_values, int_probs)
+        Record.__init__(support, node, atoms, int_values, int_probs, span_basis(int_values))
         return support
 
-    def _derive(self, node, atoms, int_values, int_probs) -> None:
-        int_basis = span_basis(int_values)  # integer rows in, integer rows out
-        basis = tuple([rational_row(row, q) for row, q in int_basis])
-        super().__init__(node, atoms, basis, int_values, int_probs, int_basis)
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple([rational_row(row, q) for row, q in self.int_basis])
 
     @property
     def d(self) -> int:

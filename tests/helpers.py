@@ -1,13 +1,34 @@
-"""Hand-built scenario trees shared across test modules."""
+"""Hand-built scenario trees and rational vector helpers shared across
+test modules."""
 
 from arbcheck import Q, ScenarioTree, in_span
-from arbcheck.rationals import as_rational
+from arbcheck.errors import InputError
+from arbcheck.rationals import ZERO, as_rational
 from arbcheck.tree import ConditionalSupport, Node, density_process
+from linalg_oracle import rref_in_span
 
 
 def vec(values):
     """Exact rational tuple from ints, "p/q" strings or rationals."""
     return tuple(as_rational(v) for v in values)
+
+
+def dot(u, v):
+    """The inner product of two Rational vectors, summed in Rationals."""
+    if len(u) != len(v):
+        raise InputError(f"dimension mismatch in dot product: {len(u)} vs {len(v)}")
+    total = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            total += a * b
+    return total
+
+
+def vec_sub(u, v):
+    """``u - v`` entry by entry."""
+    if len(u) != len(v):
+        raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def _price(value):
@@ -115,15 +136,16 @@ def support(points):
     return ConditionalSupport(0, tuple((x, Q(1, len(pts))) for x in pts))
 
 
-def assert_in_span_forms_agree(cs):
-    """``in_span`` against ``cs.int_basis`` and against ``cs.basis``
-    gives one answer for each atom value, each unit vector, the all-ones
-    vector and the sum of the values."""
+def assert_in_span_matches_reference(cs):
+    """``in_span`` against ``cs.int_basis`` answers as the rational
+    reference ``rref_in_span`` against the atom values, for each atom
+    value, each unit vector, the all-ones vector and the sum of the
+    values."""
     d = cs.d
     units = [tuple(Q(int(i == j)) for j in range(d)) for i in range(d)]
     total = tuple(sum(column, Q(0)) for column in zip(*cs.values()))
     for query in [*cs.values(), *units, (Q(1),) * d, total]:
-        assert in_span(query, cs.int_basis) == in_span(query, cs.basis), query
+        assert in_span(query, cs.int_basis) == rref_in_span(query, cs.values()), query
 
 
 def assert_support_matches_constructor(cs):

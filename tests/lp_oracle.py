@@ -25,20 +25,44 @@ from arbcheck.lp import (
     make_lp,
     solve_lp,
 )
-from arbcheck.rationals import Rational, dot
+from arbcheck.rationals import Rational, as_rational, int_row
+from helpers import dot
 
 ZERO = Q(0)
 
 
+def _integer(coeffs, *rest):
+    """A {column: coefficient} map and the numbers after it, Rational-
+    like, in ``make_lp``'s integer form: the map's numerators, then the
+    numbers', then their one denominator, from ``int_row``."""
+    nums, den = int_row([as_rational(c) for c in (*coeffs.values(), *rest)])
+    return dict(zip(coeffs, nums)), *nums[len(coeffs):], den
+
+
+def rational_lp(n_vars, objective, rows, lower=None):
+    """``make_lp`` from Rational-like numbers (Rationals, ints or "p/q"
+    strings): the objective as one {column: coefficient} map and each
+    row as a (coefficients, rhs, is_equality) triple. Each map and row
+    is brought to the integer form by ``int_row``; the flags pass as
+    they stand, and the bounds are coerced to Rationals."""
+    int_rows = []
+    for coeffs, b, eq in rows:
+        int_coeffs, int_b, den = _integer(coeffs, b)
+        int_rows.append((int_coeffs, int_b, eq, den))
+    if lower is not None:
+        lower = [None if lo is None else as_rational(lo) for lo in lower]
+    return make_lp(n_vars, _integer(objective), int_rows, lower)
+
+
 def dense_lp(objective, rows, rhs, equalities=None, lower=None):
-    """``make_lp`` over dense rows: one coefficient per variable in the
-    objective and in each row, the right-hand sides and equality flags
-    as separate sequences (every row an inequality when omitted)."""
+    """``rational_lp`` over dense rows: one coefficient per variable in
+    the objective and in each row, the right-hand sides and equality
+    flags as separate sequences (every row an inequality when omitted)."""
     if equalities is None:
         equalities = [False] * len(rows)
-    return make_lp(len(objective), dict(enumerate(objective)),
-                   [(dict(enumerate(row)), b, eq) for row, b, eq in zip(rows, rhs, equalities)],
-                   lower)
+    return rational_lp(len(objective), dict(enumerate(objective)),
+                       [(dict(enumerate(row)), b, eq) for row, b, eq in zip(rows, rhs, equalities)],
+                       lower)
 
 
 def dense_rows(lp):

@@ -18,9 +18,10 @@ from arbcheck import Q
 from arbcheck.emm import one_step_density
 from arbcheck.errors import GeometryError
 from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
-from arbcheck.lp import Optimal, Unbounded, make_lp, solve_lp
-from arbcheck.rationals import dot
+from arbcheck.lp import Optimal, Unbounded, solve_lp
 from arbcheck.tree import conditional_mean
+from helpers import dot
+from lp_oracle import rational_lp
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -44,7 +45,7 @@ def ri_program(support):
     pts = support.values()
     n = len(pts)
     rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True) for j in range(support.d)]
-    return make_lp(n, {}, rows, [ONE] * n)
+    return rational_lp(n, {}, rows, [ONE] * n)
 
 
 def separation_program(support):
@@ -56,7 +57,7 @@ def separation_program(support):
         rows.append((col, ONE, False))
         rows.append(({k: -c for k, c in col.items()}, ONE, False))
     objective = dict(enumerate(sum(column, ZERO) for column in zip(*inner)))
-    return make_lp(len(basis), objective, rows)
+    return rational_lp(len(basis), objective, rows)
 
 
 def support_program(support, a):
@@ -69,7 +70,7 @@ def support_program(support, a):
         rows.append((row, ZERO, False))
     rows.append(({r + i: q for i, (_, q) in enumerate(support.atoms)}, ONE, False))
     objective = {k: dot(b, a) for k, b in enumerate(basis)}
-    return make_lp(r + n, objective, rows, [None] * r + [ZERO] * n)
+    return rational_lp(r + n, objective, rows, [None] * r + [ZERO] * n)
 
 
 def density_program(support, f):
@@ -77,7 +78,7 @@ def density_program(support, f):
     rows = [({i: ONE, n: Q(-1)}, ZERO, False) for i in range(n)]
     rows += [({i: q * x[j] for i, (x, q) in enumerate(support.atoms) if x[j]}, ZERO, True)
              for j in range(support.d)]
-    return make_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1))
+    return rational_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1))
 
 
 def reference_node(support, solved):

@@ -10,9 +10,8 @@ from typing import Optional
 
 from arbcheck.emm import one_step_scale
 from arbcheck.errors import InternalError
-from arbcheck.linalg import span_basis
 from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
-from arbcheck.rationals import ONE, Q, Rational, ZERO, dot
+from arbcheck.rationals import ONE, Q, Rational, ZERO
 from arbcheck.tree import (
     ScenarioTree,
     conditional_mean,
@@ -20,6 +19,7 @@ from arbcheck.tree import (
     ensure_valid,
     path_probabilities,
 )
+from helpers import dot
 from lp_oracle import dense_lp
 
 
@@ -37,7 +37,7 @@ def scaled_gain_lp(tree: ScenarioTree) -> Rational:
     blocks = []  # (node, support, basis, floor)
     for nid in tree.non_leaves():
         support = conditional_support(tree, nid)
-        basis = span_basis(support.values())
+        basis = support.basis
         if not basis:
             # a deterministic zero step contributes nothing anywhere
             one_step_scale(support)  # still enforce the precondition

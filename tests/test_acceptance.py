@@ -40,8 +40,8 @@ from arbcheck.lp import solve_lp
 from arbcheck.rationals import int_row
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
-from helpers import (assert_in_span_forms_agree, assert_support_matches_constructor, binomial,
-                     reweight, skewed_coin, support)
+from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor,
+                     binomial, reweight, skewed_coin, support)
 from lp_oracle import oracle_check, random_lp
 from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
@@ -146,11 +146,11 @@ def test_sweep_supports_match_the_constructor(sweep):
 
 def test_sweep_supports_answer_in_span_in_both_forms(sweep):
     """On every sweep support, ``in_span`` against the integer basis
-    answers as against the rational basis."""
+    answers as the rational reference does against the atom values."""
     records, _ = sweep
     for _, tree, _ in records:
         for nid in tree.non_leaves():
-            assert_in_span_forms_agree(conditional_support(tree, nid))
+            assert_in_span_matches_reference(conditional_support(tree, nid))
 
 
 def test_sweep_programs_hold_their_integer_bounds(sweep):

@@ -81,10 +81,13 @@ BAD_CALLS = {
     "format_rational": [lambda: format_rational(0.5), lambda: format_rational("x"),
                         lambda: format_rational(1), lambda: format_rational(None)],
     "gains": [lambda: gains("x", {}), lambda: gains(skewed_coin(), "x")],
-    "in_span": [lambda: in_span("x", []), lambda: in_span((Q(1),), None)],
+    "in_span": [lambda: in_span("x", []), lambda: in_span((Q(1),), None),
+                lambda: in_span((Q(1),), [(Q(1),)])],
     "leaf_probabilities": [lambda: leaf_probabilities("x")],
-    "make_lp": [lambda: make_lp("x", {}, []), lambda: make_lp(1, {}, [({0: 1}, 0, False, 0)]),
-                lambda: make_lp(1, ({0: 0.5}, 1), [])],
+    "make_lp": [lambda: make_lp("x", ({}, 1), []),
+                lambda: make_lp(1, ({}, 1), [({0: 1}, 0, False, 0)]),
+                lambda: make_lp(1, ({0: 0.5}, 1), []), lambda: make_lp(1, {0: Q(1)}, []),
+                lambda: make_lp(1, ({}, 1), [({0: Q(1)}, Q(0), False)])],
     "one_step_density": [lambda: one_step_density("x")],
     "one_step_scale": [lambda: one_step_scale("x")],
     "parse_rational": [lambda: parse_rational(5), lambda: parse_rational("0.5")],
@@ -97,7 +100,8 @@ BAD_CALLS = {
     "separation_optimum": [lambda: separation_optimum("x")],
     "solve_lp": [lambda: solve_lp("x"), lambda: solve_lp(None)],
     "span_basis": [lambda: span_basis(None), lambda: span_basis([(0.5,)]),
-                   lambda: span_basis((((1,),), 0)), lambda: span_basis((((Q(1),),), 1))],
+                   lambda: span_basis((((1,),), 0)), lambda: span_basis((((Q(1),),), 1)),
+                   lambda: span_basis([(Q(1),)])],
     "support_function": [lambda: support_function("x", (Q(1),))],
     "tree_from_json": [lambda: tree_from_json(5), lambda: tree_from_json("{")],
     "tree_to_json": [lambda: tree_to_json("x")],
@@ -105,7 +109,8 @@ BAD_CALLS = {
     "verify_martingale": [lambda: verify_martingale("x", DENSITY),
                           lambda: verify_martingale(skewed_coin(), "x")],
     "ConditionalSupport": [lambda: ConditionalSupport(0, "x")],
-    "LinearProgram": [lambda: LinearProgram("x", (), (), (), (None,))],
+    "LinearProgram": [lambda: LinearProgram("x", (), (), (None,)),
+                      lambda: LinearProgram(((1,), 1), ((((0, 0),), 0, 1),), (False,), (None,))],
     "ScenarioTree": [lambda: ScenarioTree(1, 1, "x")],
 }
 

@@ -17,11 +17,10 @@ from arbcheck.geometry import (
     ri_conv_contains_origin,
     separation_optimum,
 )
-from arbcheck.linalg import in_span
-from arbcheck.rationals import dot
 from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
-from helpers import (assert_in_span_forms_agree, assert_support_matches_constructor, one_step,
-                     support, vec)
+from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor, dot,
+                     one_step, support, vec)
+from linalg_oracle import rref_in_span
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
 from tree_oracle import assert_tree_loops_match
@@ -124,7 +123,7 @@ class TestDirection:
         h = arbitrage_direction(support(points))
         assert h is not None
         assert max(abs(c) for c in h) == Q(1)
-        assert in_span(h, points)
+        assert rref_in_span(h, points)
         dots = [dot(h, x) for x in points]
         assert all(v >= 0 for v in dots) and any(v > 0 for v in dots)
 
@@ -272,7 +271,7 @@ def reference_check_ri_certificate(support, cert):
             return False
         if max((abs(c) for c in h), default=ZERO) != 1:
             return False
-        if not in_span(h, support.basis):
+        if not rref_in_span(h, support.values()):
             return False
         strict = False
         for x in pts:
@@ -346,8 +345,9 @@ def test_degenerate_supports_match_the_constructor(tree):
 @given(_degenerate_one_step())
 def test_degenerate_supports_answer_in_span_in_both_forms(tree):
     """With zero atoms and spans of low rank, ``in_span`` against the
-    integer basis answers as against the rational basis."""
-    assert_in_span_forms_agree(conditional_support(tree, 0))
+    integer basis answers as the rational reference does against the
+    atom values."""
+    assert_in_span_matches_reference(conditional_support(tree, 0))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)

@@ -8,7 +8,7 @@ from arbcheck import Q, in_span, span_basis
 from arbcheck.errors import InputError
 from arbcheck.rationals import int_row, rational_row
 from arbcheck.tree import ConditionalSupport
-from helpers import assert_in_span_forms_agree, vec
+from helpers import assert_in_span_matches_reference, vec
 from linalg_oracle import rref_basis, rref_in_span
 
 
@@ -16,27 +16,46 @@ def V(*rows):
     return [vec(r) for r in rows]
 
 
+def int_points(points):
+    """Rational points of one dimension in ``span_basis``'s integer
+    form: their numerators over one common denominator, as (rows, den)."""
+    d = len(points[0]) if points else 0
+    nums, den = int_row([c for p in points for c in p])
+    return tuple(nums[i * d:(i + 1) * d] for i in range(len(points))), den
+
+
+def basis_of(points):
+    """``span_basis`` of Rational points, by way of their integer form."""
+    return span_basis(int_points(points))
+
+
+def rational_basis(points):
+    """The Rational view of ``basis_of(points)``: each row divided by
+    its pivot entry."""
+    return tuple(rational_row(row, q) for row, q in basis_of(points))
+
+
 def test_span_basis_examples():
-    assert span_basis(V((1, 2), (2, 4))) == (vec((1, 2)),)
-    assert span_basis(V((0, 0))) == ()
-    assert span_basis([]) == ()
-    basis = span_basis(V((1, 1, 0), (0, 1, 1), (1, 0, -1)))
-    assert basis == tuple(V((1, 0, -1), (0, 1, 1)))
+    assert rational_basis(V((1, 2), (2, 4))) == (vec((1, 2)),)
+    assert rational_basis(V((0, 0))) == ()
+    assert span_basis(((), 1)) == ()
+    basis = rational_basis(V((1, 1, 0), (0, 1, 1), (1, 0, -1)))
+    assert basis == tuple(V((1, 0, -1), (0, 1, 1))) == rref_basis(V((1, 1, 0), (0, 1, 1)))
 
 
 def test_rank():
-    assert len(span_basis(V((1, 2), (2, 4)))) == 1
-    assert len(span_basis(V((1, 0), (0, 1)))) == 2
-    assert len(span_basis(V((0, 0), (0, 0)))) == 0
-    assert len(span_basis([])) == 0
+    assert len(basis_of(V((1, 2), (2, 4)))) == 1
+    assert len(basis_of(V((1, 0), (0, 1)))) == 2
+    assert len(basis_of(V((0, 0), (0, 0)))) == 0
+    assert len(span_basis(((), 1))) == 0
 
 
 def test_in_span():
-    vecs = V((1, 1, 0), (0, 1, 1))
-    assert in_span(vec((1, 2, 1)), vecs)
-    assert in_span(vec((0, 0, 0)), vecs)
-    assert not in_span(vec((1, 0, 0)), vecs)
-    assert in_span(vec((0, 0)), [])
+    basis = basis_of(V((1, 1, 0), (0, 1, 1)))
+    assert in_span(vec((1, 2, 1)), basis)
+    assert in_span(vec((0, 0, 0)), basis)
+    assert not in_span(vec((1, 0, 0)), basis)
+    assert in_span(vec((0, 0)), ())
 
 
 def test_in_span_against_an_integer_basis():
@@ -56,7 +75,7 @@ def test_in_span_against_the_empty_integer_basis():
     assert in_span(vec((0, 0)), cs.int_basis)
     assert not in_span(vec((1, 0)), cs.int_basis)
     assert not in_span(vec((0, "1/3")), cs.int_basis)
-    assert_in_span_forms_agree(cs)
+    assert_in_span_matches_reference(cs)
 
 
 @pytest.mark.parametrize("basis, message", [
@@ -69,28 +88,47 @@ def test_malformed_integer_basis_is_refused(basis, message):
         in_span(vec((1, 0)), basis)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: span_basis([(0.5,)]),
-    lambda: in_span((0.5,), V((1,))),
-    lambda: in_span(("1",), V((1,))),
+ONE_BASIS = (((1,), 1),)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: span_basis((((0.5,),), 1)), "not int rows over an int denominator"),
+    (lambda: in_span((0.5,), ONE_BASIS), "entry 0.5 is not a Rational"),
+    (lambda: in_span(("1",), ONE_BASIS), "entry '1' is not a Rational"),
 ], ids=["span_basis-float", "in_span-float", "in_span-string"])
-def test_entries_that_are_not_rational_are_refused(call):
-    with pytest.raises(InputError, match="is not a Rational"):
+def test_entries_that_are_not_rational_are_refused(call, message):
+    """A point's entry is an int numerator, and a query's a Rational."""
+    with pytest.raises(InputError, match=message):
         call()
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: span_basis([1, 2]), "1 is not a vector"),
-    (lambda: span_basis(None), "None is not a sequence of vectors"),
-    (lambda: in_span((Q(1),), 5), "5 is not a sequence of vectors"),
-    (lambda: in_span(None, V((1,))), "None is not a vector"),
-    # a generator would be used up by the dimension check, leaving no vectors
-    (lambda: span_basis(x for x in V((1,))), "generator .* is not a sequence of vectors"),
-    (lambda: in_span(vec((1,)), (x for x in V((1,)))), "generator .* is not a sequence"),
+    (lambda: span_basis(([1, 2], 1)), "1 is not a vector"),
+    (lambda: span_basis(None), "None is not a \\(rows, den\\) pair"),
+    (lambda: in_span((Q(1),), 5), "5 is not a basis of \\(row, pivot\\) pairs"),
+    (lambda: in_span(None, ONE_BASIS), "None is not a vector"),
+    # a generator would be used up by the dimension check, leaving no rows
+    (lambda: span_basis(((x for x in ((1,),)), 1)), "generator .* is not a sequence of vectors"),
+    (lambda: in_span(vec((1,)), (x for x in V((1,)))), "not a basis of \\(row, pivot\\) pairs"),
 ], ids=["span_basis-ints", "span_basis-None", "in_span-int", "in_span-None",
         "span_basis-generator", "in_span-generator"])
 def test_vectors_of_the_wrong_shape_are_refused(call, message):
     with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: span_basis(V((1, 2), (2, 4))),
+    lambda: span_basis([vec((1,))]),
+    lambda: in_span(vec((1, 2)), V((1, 0), (0, 1))),
+    lambda: in_span(vec((1, 2, 3)), V((1, 0, 0))),
+], ids=["span_basis-two-points", "span_basis-one-point", "in_span-two-vectors",
+        "in_span-one-vector"])
+def test_the_rational_form_is_refused(call):
+    """``span_basis`` takes only (rows, den) of int rows, and ``in_span``
+    only a basis of (int row, pivot) pairs: Rational points or a
+    Rational basis raise InputError, whatever their shape."""
+    with pytest.raises(InputError):
         call()
 
 
@@ -101,7 +139,7 @@ def test_basis_is_canonical_under_presentation():
         d = rng.randint(1, 4)
         k = rng.randint(1, 4)
         vecs = [tuple(Q(rng.randint(-5, 5)) for _ in range(d)) for _ in range(k)]
-        basis = span_basis(vecs)
+        basis = basis_of(vecs)
 
         shuffled = list(vecs)
         rng.shuffle(shuffled)
@@ -113,10 +151,10 @@ def test_basis_is_canonical_under_presentation():
         if len(scaled) >= 2:
             extra = tuple(a + b for a, b in zip(scaled[0], scaled[1]))
             scaled.append(extra)
-        assert span_basis(scaled) == basis
+        assert basis_of(scaled) == basis
 
-        for b in basis:
-            assert in_span(b, vecs)
+        for b in rational_basis(vecs):
+            assert in_span(b, basis) and rref_in_span(b, vecs)
         for v in vecs:
             assert in_span(v, basis)
 
@@ -151,9 +189,10 @@ def _points_and_queries(draw):
 @given(_points_and_queries())
 def test_integer_kernel_matches_rational_oracle(case):
     points, free, combination = case
-    assert span_basis(points) == rref_basis(points)
-    assert in_span(free, points) == rref_in_span(free, points)
-    assert in_span(combination, points) and rref_in_span(combination, points)
+    basis = basis_of(points)
+    assert rational_basis(points) == rref_basis(points)
+    assert in_span(free, basis) == rref_in_span(free, points)
+    assert in_span(combination, basis) and rref_in_span(combination, points)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,
@@ -161,13 +200,11 @@ def test_integer_kernel_matches_rational_oracle(case):
 @given(_points_and_queries())
 def test_integer_form_in_gives_the_basis_in_integer_form(case):
     """The points' numerators over one denominator give each basis row
-    as (numerators, pivot entry), whose Rational view is the basis."""
+    as (numerators, pivot entry), whose Rational view is the reference
+    basis."""
     points, _, _ = case
-    d = len(points[0]) if points else 1
-    nums, den = int_row([c for p in points for c in p])
-    rows = tuple(nums[i * d:(i + 1) * d] for i in range(len(points)))
-    int_basis = span_basis((rows, den))
-    assert tuple(rational_row(row, q) for row, q in int_basis) == span_basis(points)
+    int_basis = span_basis(int_points(points))
+    assert tuple(rational_row(row, q) for row, q in int_basis) == rref_basis(points)
     for row, q in int_basis:
         assert all(type(a) is int for a in row) and q == next(a for a in row if a) > 0
 

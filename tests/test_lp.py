@@ -30,6 +30,7 @@ from lp_oracle import (
     oracle_check,
     random_fractional_lp,
     random_lp,
+    rational_lp,
     reference_check_farkas,
     reference_check_feasible,
     reference_check_ray,
@@ -287,23 +288,32 @@ class TestCertificateChecks:
 class TestInputValidation:
     def test_dimension_mismatches(self):
         with pytest.raises(InputError, match="outside 0..0"):
-            make_lp(1, {}, [({1: 1}, 0, False)])
-        with pytest.raises(InputError):
-            LinearProgram((Q(1),), (((0, Q(1)),),), (Q(0), Q(1)), (False,), (None,))
-        with pytest.raises(InputError):
-            LinearProgram((Q(1),), (((0, Q(1)),),), (Q(0),), (True, False), (None,))
-        with pytest.raises(InputError):
-            make_lp(1, {0: 1}, [({0: 1}, 0, False)], lower=[0, 0])
-        with pytest.raises(InputError):  # built directly, without make_lp
-            LinearProgram((Q(1),), (((0, Q(1)), (1, Q(1))),), (Q(0),), (False,), (None,))
+            make_lp(1, ({}, 1), [({1: 1}, 0, False, 1)])
+        with pytest.raises(InputError, match="1 equality flags for 2 rows"):
+            LinearProgram(((1,), 1), ((((0, 1),), 0, 1), ((), 1, 1)), (False,), (None,))
+        with pytest.raises(InputError, match="2 equality flags for 1 rows"):
+            LinearProgram(((1,), 1), ((((0, 1),), 0, 1),), (True, False), (None,))
+        with pytest.raises(InputError, match="2 bounds for 1 variables"):
+            make_lp(1, ({0: 1}, 1), [({0: 1}, 0, False, 1)], lower=[Q(0), Q(0)])
+        with pytest.raises(InputError, match="outside 0..0"):  # built directly, without make_lp
+            LinearProgram(((1,), 1), ((((0, 1), (1, 1)), 0, 1),), (False,), (None,))
 
     @pytest.mark.parametrize("objective, rows, message", [
-        ({0: 1, "a": 1}, [], "column 'a', not an int"),
-        ({}, [({0: 1, "a": 1}, 0, False)], "row 0 has column 'a', not an int"),
-        ({}, [({0: 1}, 0)], "row 0 is .*, not a .*triple"),
-        ({}, [None], "row 0 is None, not a .*triple"),
-        ([1], [], "the objective is \\[1\\], not a \\{column: coefficient\\} map"),
-        ({}, [([1, 2], 0, False)], "row 0 is \\[1, 2\\], not a \\{column: coefficient\\} map"),
+        (({0: 1, "a": 1}, 1), [], "column 'a', not an int"),
+        (({}, 1), [({0: 1, "a": 1}, 0, False, 1)], "row 0 has column 'a', not an int"),
+        (({}, 1), [({0: 1}, 0, False)], "row 0 is .*, not a .*den\\) row"),
+        (({}, 1), [None], "row 0 is None, not a .*den\\) row"),
+        ([1], [], "the objective is \\[1\\], not a \\(\\{column: numerator\\}, den\\) pair"),
+        (({}, 1), [([1, 2], 0, False, 1)],
+         "row 0 is \\[1, 2\\], not a \\{column: numerator\\} map"),
+        # the Rational form, a {column: coefficient} objective map and a
+        # (coefficients, rhs, is_equality) triple, whatever its numbers
+        ({0: Q(1, 2)}, [], "the objective is .*, not a \\(\\{column: numerator\\}, den\\) pair"),
+        ({0: 1, 1: 2}, [], "the objective is .*, not a \\(\\{column: numerator\\}, den\\) pair"),
+        (({}, 1), [({0: Q(1, 2)}, Q(1), False)],
+         "row 0 is .*, not a \\(\\{column: numerator\\}, rhs, is_equality, den\\) row"),
+        (({}, 1), [({0: 1}, 2, True)],
+         "row 0 is .*, not a \\(\\{column: numerator\\}, rhs, is_equality, den\\) row"),
     ])
     def test_make_lp_refuses_maps_and_rows_of_the_wrong_shape(
             self, objective, rows, message):
@@ -311,19 +321,25 @@ class TestInputValidation:
             make_lp(2, objective, rows)
 
     @pytest.mark.parametrize("args, message", [
-        (("3", {}, []), "variable count '3'"),
-        ((2.0, {}, []), "variable count 2.0"),
-        ((-1, {}, []), "variable count -1"),
-        ((True, {0: 1}, []), "variable count True"),
-        ((1, {}, None), "rows None are not a sequence"),
-        ((1, {}, [], 5), "bounds 5 are not a sequence"),
+        (("3", ({}, 1), []), "variable count '3'"),
+        ((2.0, ({}, 1), []), "variable count 2.0"),
+        ((-1, ({}, 1), []), "variable count -1"),
+        ((True, ({0: 1}, 1), []), "variable count True"),
+        ((1, ({}, 1), None), "rows None are not a sequence"),
+        ((1, ({}, 1), [], 5), "bounds 5 are not a sequence"),
     ], ids=["str-count", "float-count", "negative-count", "bool-count", "rows-None", "bounds-int"])
     def test_make_lp_refuses_counts_rows_and_bounds_of_the_wrong_shape(self, args, message):
         with pytest.raises(InputError, match=message):
             make_lp(*args)
 
     def test_floats_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="the objective holds 0.5, not an int numerator"):
+            make_lp(1, ({0: 0.5}, 1), [])
+        with pytest.raises(InputError, match="row 0 holds 0.5, not an int numerator"):
+            make_lp(1, ({}, 1), [({0: 0.5}, 0, False, 1)])
+        with pytest.raises(InputError, match="the bounds: entry 0.5 is not a Rational"):
+            make_lp(1, ({}, 1), [], lower=[0.5])
+        with pytest.raises(InputError, match="inexact float 0.5"):
             dense_lp([0.5], [[1]], [0])
 
     @pytest.mark.parametrize("flag", ["no", 1, None])
@@ -332,45 +348,80 @@ class TestInputValidation:
             dense_lp([1], [[1]], [1], equalities=[flag])
 
     @pytest.mark.parametrize("fields", [
-        # (the start of the error, which names the field; the program's fields)
-        ("the objective: entry 0.5", ((0.5,), ((Q(1, 2),),), (Q(1),), (False,), (Q(0),))),
-        ("row 0 holds 0.5", ((Q(1, 2),), (((0, 0.5),),), (Q(1),), (False,), (Q(0),))),
-        ("right-hand side 0 holds 1.0", ((Q(1, 2),), ((),), (1.0,), (False,), (Q(0),))),
-        ("row 0 holds '1'", ((Q(1, 2),), (((0, "1"),),), (Q(1),), (False,), (Q(0),))),
-        ("the bounds: entry 0.0", ((Q(1, 2),), ((Q(1, 2),),), (Q(1),), (False,), (0.0,))),
-        ("the bounds: entry 1", ((Q(1, 2),), ((Q(1, 2),),), (Q(1),), (False,), (1,))),
+        # (the error, which names the field; the program's four fields)
+        ("the objective holds 0.5, not an int numerator",
+         (((0.5,), 2), ((((0, 1),), 2, 1),), (False,), (Q(0),))),
+        ("row 0 holds 0.5, not an int numerator",
+         (((1,), 2), ((((0, 0.5),), 2, 1),), (False,), (Q(0),))),
+        ("right-hand side 0 holds 1.0, not an int numerator",
+         (((1,), 2), (((), 1.0, 1),), (False,), (Q(0),))),
+        ("row 0 holds '1', not an int numerator",
+         (((1,), 2), ((((0, "1"),), 2, 1),), (False,), (Q(0),))),
+        ("the bounds: entry 0.0 is not a Rational",
+         (((1,), 2), ((((0, 1),), 2, 1),), (False,), (0.0,))),
+        ("the bounds: entry 1 is not a Rational",
+         (((1,), 2), ((((0, 1),), 2, 1),), (False,), (1,))),
+        ("row 0 holds .*, not an int numerator",
+         (((1,), 2), ((((0, Q(1, 2)),), 2, 1),), (False,), (Q(0),))),
+        ("the objective holds .*, not an int numerator",
+         (((Q(1, 2),), 1), (), (), (Q(0),))),
+        ("row 0 has denominator 0, not an int > 0",
+         (((1,), 2), ((((0, 1),), 2, 0),), (False,), (Q(0),))),
+        ("row 0 has denominator -2, not an int > 0",
+         (((1,), 2), ((((0, 1),), 2, -2),), (False,), (Q(0),))),
+        ("row 0 has denominator True, not an int > 0",
+         (((1,), 2), ((((0, 1),), 2, True),), (False,), (Q(0),))),
+        ("the objective has denominator 0, not an int > 0",
+         (((1,), 0), ((((0, 1),), 2, 1),), (False,), (Q(0),))),
+        ("the objective has denominator 1.0, not an int > 0",
+         (((1,), 1.0), ((((0, 1),), 2, 1),), (False,), (Q(0),))),
     ])
     def test_built_directly_every_number_must_be_rational(self, fields):
-        """The error names the field that holds the number."""
-        start, args = fields
-        with pytest.raises(InputError, match=f"^{start}.* not a Rational$"):
+        """Every number is exact in its one form: an int numerator over
+        an int den > 0, or a Rational bound. A Rational where a numerator
+        is due is refused too, and the error names the field."""
+        message, args = fields
+        with pytest.raises(InputError, match=f"^{message}$"):
             LinearProgram(*args)
 
     def test_built_directly_every_flag_must_be_a_bool(self):
-        with pytest.raises(InputError, match="not a bool"):
-            LinearProgram((Q(1, 2),), (((0, Q(1, 2)),),), (Q(1),), ("no",), (Q(0),))
+        with pytest.raises(InputError, match="equality flag 0 is 'no', not a bool"):
+            LinearProgram(((1,), 2), ((((0, 1),), 2, 1),), ("no",), (Q(0),))
 
     @pytest.mark.parametrize("row, message", [
-        (((1.0, Q(1)),), "not an int"),
-        ((("0", Q(1)),), "not an int"),
-        (((True, Q(1)),), "not an int"),
-        (((-1, Q(1)),), "outside 0..2"),
-        (((3, Q(1)),), "outside 0..2"),
-        (((1, Q(1)), (1, Q(2))), "not rising"),
-        (((2, Q(1)), (0, Q(1))), "not rising"),
-        (((0, Q(0)),), "zero coefficient in column 0"),
-        ((Q(1),), "not a \\(column, coefficient\\) pair"),
+        (((1.0, 1),), "not an int"),
+        ((("0", 1),), "not an int"),
+        (((True, 1),), "not an int"),
+        (((-1, 1),), "outside 0..2"),
+        (((3, 1),), "outside 0..2"),
+        (((1, 1), (1, 2)), "not rising"),
+        (((2, 1), (0, 1)), "not rising"),
+        (((0, 0),), "zero coefficient in column 0"),
+        ((1,), "not a \\(column, numerator\\) pair"),
+        (((0, True),), "holds True, not an int numerator"),
+        (([0, 1],), "not a \\(column, numerator\\) pair"),
     ])
     def test_built_directly_every_row_pair_is_checked(self, row, message):
         """A bad column must not reach the tableau, where one outside
         0..n-1 would write into a slack column."""
         with pytest.raises(InputError, match=message):
-            LinearProgram((Q(0),) * 3, (row,), (Q(1),), (False,), (None,) * 3)
+            LinearProgram(((0, 0, 0), 1), ((row, 1, 1),), (False,), (None,) * 3)
+
+    @pytest.mark.parametrize("fields", [
+        ("x", (), (), (None,)),
+        (((1,), 1), None, (), (None,)),
+        (((1,), 1), (), None, (None,)),
+        (((1,), 1), (), (), None),
+        (((1,), 1), (((), 0),), (False,), (None,)),
+    ], ids=["objective-str", "rows-None", "flags-None", "bounds-None", "row-pair"])
+    def test_built_directly_every_field_has_its_shape(self, fields):
+        with pytest.raises(InputError):
+            LinearProgram(*fields)
 
 
 class TestDerivedIntegerRows:
-    """The integer form is derived from the five declared fields and
-    never compared, hashed, shown or pickled itself."""
+    """The integer form is the program's state: programs compare, hash,
+    print and pickle by it, and ``int_lower`` is derived from it."""
 
     def _lp(self):
         return dense_lp([1, 0, Q(-1, 3)], [[Q(1, 2), 0, Q(3, 4)], [0, -2, 0]], [1, Q(5, 6)],
@@ -382,9 +433,9 @@ class TestDerivedIntegerRows:
         assert lp.int_lower == ((0, 0, 1), 2)
 
     def test_make_lp_and_sparse_lp_forms_are_equal(self):
-        sparse = make_lp(3, {0: 1, 2: Q(-1, 3)},
-                         [({0: Q(1, 2), 2: Q(3, 4)}, 1, False), ({1: -2}, Q(5, 6), True)],
-                         lower=[None, 0, Q(1, 2)])
+        sparse = make_lp(3, ({0: 3, 2: -1}, 3),
+                         [({0: 2, 2: 3}, 4, False, 4), ({1: -12}, 5, True, 6)],
+                         lower=[None, Q(0), Q(1, 2)])
         dense = self._lp()
         assert sparse == dense and hash(sparse) == hash(dense)
         assert (sparse.int_rows, sparse.int_lower) == (dense.int_rows, dense.int_lower)
@@ -397,15 +448,16 @@ class TestDerivedIntegerRows:
 
     def test_repr_names_only_the_declared_fields(self):
         names = re.findall(r"(\w+)=", repr(self._lp()))
-        assert names == ["objective", "rows", "rhs", "equalities", "lower"]
+        assert names == ["int_objective", "int_rows", "equalities", "lower"]
 
 
 @st.composite
 def _integer_program(draw):
     """``make_lp`` arguments in integer form, and the same numbers as
-    Rational maps and triples. Each den and numerator is a multiple of
-    one drawn factor, so they often share it; zero entries, zero and
-    negative right-hand sides and empty rows are common."""
+    Rational maps and triples for ``rational_lp``. Each den and
+    numerator is a multiple of one drawn factor, so they often share
+    it; zero entries, zero and negative right-hand sides and empty rows
+    are common."""
     n = draw(st.integers(0, 4))
     factor = draw(st.sampled_from([1, 2, 3, 6, 10**9 + 7]))
     dens = st.integers(1, 12).map(lambda q: q * factor)
@@ -427,15 +479,16 @@ def _integer_program(draw):
 
 
 class TestIntegerForm:
-    """``make_lp``'s integer rows and objective give the program the
-    same numbers as Rationals give, and malformed ones are refused."""
+    """``make_lp``'s integer rows and objective give the program that
+    the tests' Rational adapter ``rational_lp`` builds from the same
+    numbers, and malformed ones are refused."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_integer_program())
     def test_equals_the_rational_form(self, program):
         n, (int_obj, obj), rows, lower = program
         ints = make_lp(n, int_obj, [row for row, _ in rows], lower)
-        rats = make_lp(n, obj, [row for _, row in rows], lower)
+        rats = rational_lp(n, obj, [row for _, row in rows], lower)
         assert ints == rats and hash(ints) == hash(rats)
         assert ints.int_rows == rats.int_rows
         assert ints.int_objective == rats.int_objective
@@ -450,28 +503,24 @@ class TestIntegerForm:
         assert lp.rows == (((0, Q(1, 2)),), (), ((1, Q(1)),))
         assert lp.rhs == (Q(-3, 4), Q(0), Q(2))
 
-    def test_mixes_with_rational_rows(self):
-        mixed = make_lp(2, {1: 1}, [({0: 1}, 3, False, 2), ({0: Q(1, 2)}, Q(3, 2), False)])
-        assert mixed.int_rows[0] == mixed.int_rows[1] == (((0, 1),), 3, 2)
-
     @pytest.mark.parametrize("objective, rows, message", [
-        ({}, [({0: 1}, 0, False, 0)], "row 0 has denominator 0, not an int > 0"),
-        ({}, [({0: 1}, 0, False, -3)], "row 0 has denominator -3"),
-        ({}, [({0: 1}, 0, False, True)], "row 0 has denominator True"),
-        ({}, [({0: 1}, 0, False, 2.0)], "row 0 has denominator 2.0"),
-        ({}, [({0: True}, 0, False, 1)], "row 0 holds True, not an int numerator"),
-        ({}, [({0: Q(1, 2)}, 0, False, 1)], "row 0 holds .*, not an int numerator"),
-        ({}, [({0: 0.5}, 0, False, 1)], "row 0 holds 0.5, not an int numerator"),
-        ({}, [({0: "1"}, 0, False, 1)], "row 0 holds '1', not an int numerator"),
-        ({}, [({0: 1}, True, False, 1)], "right-hand side 0 holds True, not an int numerator"),
-        ({}, [({0: 1}, Q(1), False, 1)], "right-hand side 0 holds .*, not an int numerator"),
-        ({}, [({0: 1}, 0, 1, 1)], "equality flag 0 is 1, not a bool"),
-        ({}, [({2: 1}, 0, False, 1)], "row 0 has column 2: outside 0..1"),
-        ({}, [({-1: 1, 1: 1}, 0, False, 1)], "row 0 has column -1: outside 0..1"),
-        ({}, [({True: 1}, 0, False, 1)], "row 0 has column True, not an int"),
-        ({}, [({"a": 0}, 0, False, 1)], "row 0 has column 'a', not an int"),
-        ({}, [([1], 0, False, 1)], "row 0 is \\[1\\], not a \\{column: numerator\\} map"),
-        ({}, [({0: 1}, 0, False, 1, 1)], "row 0 is .*, not a .*triple"),
+        (({}, 1), [({0: 1}, 0, False, 0)], "row 0 has denominator 0, not an int > 0"),
+        (({}, 1), [({0: 1}, 0, False, -3)], "row 0 has denominator -3"),
+        (({}, 1), [({0: 1}, 0, False, True)], "row 0 has denominator True"),
+        (({}, 1), [({0: 1}, 0, False, 2.0)], "row 0 has denominator 2.0"),
+        (({}, 1), [({0: True}, 0, False, 1)], "row 0 holds True, not an int numerator"),
+        (({}, 1), [({0: Q(1, 2)}, 0, False, 1)], "row 0 holds .*, not an int numerator"),
+        (({}, 1), [({0: 0.5}, 0, False, 1)], "row 0 holds 0.5, not an int numerator"),
+        (({}, 1), [({0: "1"}, 0, False, 1)], "row 0 holds '1', not an int numerator"),
+        (({}, 1), [({0: 1}, True, False, 1)], "right-hand side 0 holds True, not an int numerator"),
+        (({}, 1), [({0: 1}, Q(1), False, 1)], "right-hand side 0 holds .*, not an int numerator"),
+        (({}, 1), [({0: 1}, 0, 1, 1)], "equality flag 0 is 1, not a bool"),
+        (({}, 1), [({2: 1}, 0, False, 1)], "row 0 has column 2: outside 0..1"),
+        (({}, 1), [({-1: 1, 1: 1}, 0, False, 1)], "row 0 has column -1: outside 0..1"),
+        (({}, 1), [({True: 1}, 0, False, 1)], "row 0 has column True, not an int"),
+        (({}, 1), [({"a": 0}, 0, False, 1)], "row 0 has column 'a', not an int"),
+        (({}, 1), [([1], 0, False, 1)], "row 0 is \\[1\\], not a \\{column: numerator\\} map"),
+        (({}, 1), [({0: 1}, 0, False, 1, 1)], "row 0 is .*, not a .*den\\) row"),
         (({0: 1}, 0), [], "the objective has denominator 0"),
         (({0: 1.0}, 1), [], "the objective holds 1.0, not an int numerator"),
         (({5: 1}, 1), [], "the objective has column 5: outside 0..1"),
@@ -503,9 +552,10 @@ class TestSparseLp:
         # free x0, x1 >= 0, x2 >= 1/2; two inequality rows, one equality
         sparse = make_lp(
             3,
-            {0: 1, 2: Q(-1, 3)},
-            [({0: 1, 1: 2}, 4, False), ({1: -1, 2: "3/2"}, -1, False), ({0: 1, 2: 1}, 2, True)],
-            lower=[None, 0, Q(1, 2)],
+            ({0: 3, 2: -1}, 3),
+            [({0: 1, 1: 2}, 4, False, 1), ({1: -2, 2: 3}, -2, False, 2),
+             ({0: 1, 2: 1}, 2, True, 1)],
+            lower=[None, Q(0), Q(1, 2)],
         )
         dense = dense_lp(
             [1, 0, Q(-1, 3)],
@@ -518,7 +568,7 @@ class TestSparseLp:
         assert solve_lp(sparse) == solve_lp(dense)
 
     def test_absent_columns_are_zero(self):
-        lp = make_lp(4, {}, [({2: 5}, 1, False)])
+        lp = make_lp(4, ({}, 1), [({2: 5}, 1, False, 1)])
         assert lp.objective == (Q(0),) * 4
         assert lp.rows == (((2, Q(5)),),)
         assert dense_rows(lp) == ((Q(0), Q(0), Q(5), Q(0)),)
@@ -526,11 +576,11 @@ class TestSparseLp:
         assert lp.lower == (None,) * 4
 
     def test_key_order_and_explicit_zeros_change_nothing(self):
-        lp = make_lp(3, {2: 1, 0: -1}, [({2: "3/2", 0: 1}, 4, False), ({1: 2}, 0, True)],
-                     lower=[None, 0, 0])
-        same = make_lp(3, {1: 0, 0: -1, 2: 1},
-                       [({0: 1, 1: Q(0), 2: "3/2"}, 4, False), ({2: "0", 1: 2, 0: 0}, 0, True)],
-                       lower=[None, 0, 0])
+        lp = make_lp(3, ({2: 1, 0: -1}, 1), [({2: 3, 0: 2}, 8, False, 2), ({1: 2}, 0, True, 1)],
+                     lower=[None, Q(0), Q(0)])
+        same = make_lp(3, ({1: 0, 0: -1, 2: 1}, 1),
+                       [({0: 2, 1: 0, 2: 3}, 8, False, 2), ({2: 0, 1: 2, 0: 0}, 0, True, 1)],
+                       lower=[None, Q(0), Q(0)])
         assert lp.rows == (((0, Q(1)), (2, Q(3, 2))), ((1, Q(2)),))
         assert same == lp and hash(same) == hash(lp)
         assert (same.int_rows, same.int_lower) == (lp.int_rows, lp.int_lower)
@@ -538,9 +588,9 @@ class TestSparseLp:
     @pytest.mark.parametrize("col", [-1, 3])
     def test_column_outside_the_program_rejected(self, col):
         with pytest.raises(InputError, match="outside 0..2"):
-            make_lp(3, {col: 1}, [])
+            make_lp(3, ({col: 1}, 1), [])
         with pytest.raises(InputError, match="outside 0..2"):
-            make_lp(3, {}, [({0: 1, col: 1}, 0, False)])
+            make_lp(3, ({}, 1), [({0: 1, col: 1}, 0, False, 1)])
 
 
 def _agree_with_oracle(rng, **kinds):

@@ -18,9 +18,9 @@ import pytest
 
 import arbcheck.verify
 from arbcheck import Q, conditional_support, gains as shipped_gains, verify_martingale
-from arbcheck.lp import make_lp
-from arbcheck.rationals import dot, vec_sub
 from arbcheck.tree import LeafDensity
+from helpers import dot, vec_sub
+from lp_oracle import rational_lp
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -61,7 +61,7 @@ def strategy_program(tree):
         loss[nd.id] = row
     rows = [(loss[leaf], ZERO, False) for leaf in tree.leaves()]
     rows.append((objective, ONE, False))
-    return make_lp(len(col), objective, rows)
+    return rational_lp(len(col), objective, rows)
 
 
 class _Stop(Exception):
