@@ -2,7 +2,7 @@
 models, by three independent routes with machine-checkable certificates."""
 
 from .errors import GeometryError, InputError, InternalError
-from .rationals import Q, Rational, as_rational, format_rational, parse_rational
+from .rationals import Q, Rational, format_rational, parse_rational
 from .linalg import in_span, span_basis
 from .lp import (
     Infeasible,

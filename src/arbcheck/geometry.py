@@ -23,8 +23,7 @@ from typing import Optional, Union
 from .errors import InputError, InternalError, Record
 from .linalg import combination, in_span
 from .lp import Optimal, make_lp, solve_lp
-from .rationals import (ONE, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row,
-                        zero_vector)
+from .rationals import ONE, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row
 from .tree import ConditionalSupport, ensure_support
 
 
@@ -62,7 +61,7 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
     basis = support.int_basis
     r = len(basis)
     if r == 0:
-        return ZERO, zero_vector(support.d)
+        return ZERO, (ZERO,) * support.d
     # variables: y_1..y_r, h = sum_k y_k basis_k; over the lcm L of the
     # basis rows' denominators, basis row k is scale[k] * b_k / L, and
     # (b_k, x_i) is inner[i][k] / (L * den), an integer sum

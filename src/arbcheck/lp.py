@@ -7,10 +7,9 @@ routes write, int numerators over one positive int denominator for the
 objective and for each row, so no Rational is made on the way in; each
 bound is a Rational or None. The program keeps each row as its nonzero
 ``(column, numerator)`` pairs in column order over its denominator, in
-lowest terms; ``objective``, ``rows`` and ``rhs`` are Rational views
-made when read. The solver is a two-phase primal simplex with
-Bland's anti-cycling rule and exact pivots, so it terminates on every
-input and its certificates are bit-exact. Every variable has one
+lowest terms. The solver is a two-phase primal simplex with Bland's
+anti-cycling rule and exact pivots, so it terminates on every input and
+its certificates are bit-exact. Every variable has one
 tableau column; a free one enters with either sign of reduced cost and,
 once basic, never leaves. The tableau is filled from the integer rows,
 with lower bounds shifted out in integers, and keeps each row as Python
@@ -60,8 +59,7 @@ from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
-from .rationals import (ZERO, Q, Rational, Vector, int_row, is_exact_vector, lowest_terms,
-                        rational_row)
+from .rationals import Q, Rational, Vector, int_row, is_exact_vector, lowest_terms, rational_row
 
 
 class LinearProgram(Record):
@@ -76,8 +74,7 @@ class LinearProgram(Record):
     else raises InputError. It puts the objective and each row in
     lowest terms, so programs of the same numbers compare, hash, print
     and pickle alike, and derives ``int_lower``, the bound numerators
-    (0 where free) over their common denominator. ``objective``,
-    ``rows`` and ``rhs`` are Rational views, made when read."""
+    (0 where free) over their common denominator."""
 
     __slots__ = ("int_objective", "int_rows", "equalities", "lower", "int_lower")
     _fields = ("int_objective", "int_rows", "equalities", "lower")
@@ -103,18 +100,6 @@ class LinearProgram(Record):
                          tuple([_row(i, row, eq, n)
                                 for i, (row, eq) in enumerate(zip(int_rows, equalities))]),
                          tuple(equalities), tuple(lower), _int_lower(lower))
-
-    @property
-    def objective(self) -> Vector:
-        return rational_row(*self.int_objective)
-
-    @property
-    def rows(self) -> tuple[tuple[tuple[int, Rational], ...], ...]:
-        return tuple([tuple([(j, Q(a, den)) for j, a in nz]) for nz, _, den in self.int_rows])
-
-    @property
-    def rhs(self) -> Vector:
-        return tuple([Q(b, den) if b else ZERO for _, b, den in self.int_rows])
 
     @property
     def n_vars(self) -> int:

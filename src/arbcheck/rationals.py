@@ -21,7 +21,7 @@ import re
 import sys
 from collections import abc
 from math import gcd, lcm
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .errors import InputError
 
@@ -36,7 +36,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 Q = Rational
 Vector = Tuple[Rational, ...]
-RationalLike = Union[Rational, int, str]
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -80,31 +79,6 @@ def format_rational(value: Rational) -> str:
         if text is None or (limit and max(map(len, text.lstrip("-").split("/"))) > limit):
             raise InputError(f"rational result over the {limit}-digit limit")
     return text
-
-
-def as_rational(value: RationalLike) -> Rational:
-    """Coerce to an exact rational. Floats are rejected: silently
-    accepting them would smuggle binary rounding into exact checks."""
-    if isinstance(value, Rational):
-        return value
-    if isinstance(value, float):
-        raise InputError(f"refusing inexact float {value!r}; pass int, str or Rational")
-    if isinstance(value, int):
-        return Q(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    try:
-        return Q(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"cannot interpret {value!r} as a rational") from exc
-
-
-def parse_vector(items: Sequence[str]) -> Vector:
-    return tuple(parse_rational(s) for s in items)
-
-
-def zero_vector(dim: int) -> Vector:
-    return (ZERO,) * dim
 
 
 def is_exact_vector(vector: Sequence[Rational], length: int) -> bool:

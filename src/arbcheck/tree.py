@@ -26,7 +26,6 @@ from .rationals import (
     format_rational,
     int_row,
     parse_rational,
-    parse_vector,
     rational_row,
 )
 
@@ -86,8 +85,8 @@ class ScenarioTree(Record):
     Data derived from the nodes alone is computed once per tree, on
     first use, and kept in containers the constructor makes: the integer
     form of a valid tree (``_integer_form``), each node's
-    ConditionalSupport (``conditional_support``, whose atoms are the
-    values ``increment`` returns), and a passing ``validate``. No attribute
+    ConditionalSupport (``conditional_support``, one atom per distinct
+    increment into its children), and a passing ``validate``. No attribute
     can be assigned or deleted, so none of it goes stale; copy and
     pickle rebuild the tree with them empty. Nothing a route computes
     from that data (an LP outcome, a certificate, a verdict) is kept."""
@@ -147,6 +146,9 @@ class ScenarioTree(Record):
     # --- structure queries ----------------------------------------------
 
     def node(self, node_id: int) -> Node:
+        """The node with this id; InputError on a bad or unknown id."""
+        if type(node_id) is not int:
+            _check_int(node_id, "node id")
         try:
             return self._by_id[node_id]
         except KeyError:
@@ -162,16 +164,6 @@ class ScenarioTree(Record):
     def depth(self, node_id: int) -> int:
         self.node(node_id)
         return self._depth[node_id]
-
-    def increment(self, node_id: int) -> Vector:
-        """Price change on the edge into a non-root node of a valid tree:
-        the value of the node's atom in its parent's ConditionalSupport,
-        so the same object on every call."""
-        nd = self.node(node_id)
-        if nd.parent is None:
-            raise InputError(f"node {node_id} is the root; no edge leads into it")
-        _, _, atom = _integer_form(self)
-        return conditional_support(self, nd.parent).atoms[atom[node_id]][0]
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(nd.id for nd in self.nodes if not self._children[nd.id])
@@ -280,8 +272,7 @@ class ConditionalSupport(Record):
     (numerators, denominator); and ``int_basis``, each row of the
     reduced row-echelon basis of the span as (numerators, denominator),
     the integer echelon rows that ``span_basis`` reduces ``int_values``
-    to. ``basis`` is their Rational view, made each time it is read.
-    These are outside ``_fields``, so equality, hashing and pickling
+    to. These are outside ``_fields``, so equality, hashing and pickling
     read only the node and the atoms. ``conditional_support`` derives
     the same fields from the tree's integer form instead."""
 
@@ -322,15 +313,8 @@ class ConditionalSupport(Record):
         return support
 
     @property
-    def basis(self) -> tuple[Vector, ...]:
-        return tuple([rational_row(row, q) for row, q in self.int_basis])
-
-    @property
     def d(self) -> int:
         return len(self.atoms[0][0])
-
-    def values(self) -> tuple[Vector, ...]:
-        return tuple(x for x, _ in self.atoms)
 
 
 def ensure_support(support: ConditionalSupport) -> ConditionalSupport:
@@ -350,6 +334,7 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
     the echelon rows ``span_basis`` reduces them to; the fields equal
     the ones ``ConditionalSupport(node, atoms)`` derives."""
     ensure_valid(tree)
+    tree.node(node_id)  # refuses a bad id before the cache, where False would stand for 0
     support = tree._supports.get(node_id)
     if support is not None:
         return support
@@ -454,21 +439,28 @@ def leaf_probabilities(tree: ScenarioTree) -> dict[int, Rational]:
 
 
 def check_density(tree: ScenarioTree, density: LeafDensity) -> None:
-    """Raise InputError unless density is strictly positive and exact
-    (Rational values), lists each leaf once and no other node, and has
-    mass 1."""
+    """Raise InputError unless density's values are a tuple of (leaf id,
+    z) pairs, each z a Rational > 0, that list each leaf once and no
+    other node, with mass 1."""
     if not isinstance(density, LeafDensity):
         raise InputError(f"density is a {type(density).__name__}, not a LeafDensity")
+    values = density.values
+    if type(values) is not tuple:
+        raise InputError(f"density values {values!r} are not a tuple of (leaf id, z) pairs")
+    for pair in values:
+        if type(pair) is not tuple or len(pair) != 2:
+            raise InputError(f"density entry {pair!r} is not a (leaf id, z) pair")
+        leaf, z = pair
+        _check_int(leaf, "density leaf id")  # before as_dict hashes it
+        if not (isinstance(z, Rational) and z > 0):
+            raise InputError(f"density not strictly positive or not a Rational "
+                             f"at leaf {leaf}: {z!r}")
     vals = density.as_dict()
-    if len(vals) != len(density.values):
+    if len(vals) != len(values):
         raise InputError("density lists a leaf more than once")
     leaves = tree.leaves()
     if set(vals) != set(leaves):
         raise InputError("density keys do not match the tree's leaves")
-    for leaf, z in vals.items():
-        if not (isinstance(z, Rational) and z > 0):
-            raise InputError(f"density not strictly positive or not a Rational "
-                             f"at leaf {leaf}: {z!r}")
     p = leaf_probabilities(tree)
     mass = sum((p[leaf] * vals[leaf] for leaf in leaves), ZERO)
     if mass != 1:
@@ -545,5 +537,5 @@ def tree_from_json(data) -> ScenarioTree:
             prob = parse_rational(prob_raw)
         if not isinstance(price, list):
             raise InputError(f"node {nid}: price must be a list of rationals")
-        nodes.append(Node(nid, parent, prob, parse_vector(price)))
+        nodes.append(Node(nid, parent, prob, tuple([parse_rational(v) for v in price])))
     return ScenarioTree(d, horizon, nodes)

@@ -1,16 +1,36 @@
 """Hand-built scenario trees and rational vector helpers shared across
 test modules."""
 
-from arbcheck import Q, ScenarioTree, in_span
+from arbcheck import Q, Rational, ScenarioTree, in_span, parse_rational
 from arbcheck.errors import InputError
-from arbcheck.rationals import ZERO, as_rational
+from arbcheck.rationals import ZERO, rational_row
 from arbcheck.tree import ConditionalSupport, Node, density_process
 from linalg_oracle import rref_in_span
 
 
+def rational(value):
+    """A Rational from an int, a "p/q" string or a Rational; a float, or
+    anything else, raises InputError, so no fixture is inexact."""
+    if isinstance(value, Rational):
+        return value
+    if isinstance(value, float):
+        raise InputError(f"refusing inexact float {value!r}")
+    return Q(value) if isinstance(value, int) else parse_rational(value)
+
+
 def vec(values):
     """Exact rational tuple from ints, "p/q" strings or rationals."""
-    return tuple(as_rational(v) for v in values)
+    return tuple(rational(v) for v in values)
+
+
+def atom_values(support):
+    """The support's atom values, in atom order."""
+    return tuple(x for x, _ in support.atoms)
+
+
+def rational_basis(support):
+    """The support's echelon basis as Rational vectors, 1 at each pivot."""
+    return tuple(rational_row(row, pivot) for row, pivot in support.int_basis)
 
 
 def dot(u, v):
@@ -53,7 +73,7 @@ def build(d, spec):
         parent, prob, (price, children), depth = queue.pop(0)
         nid = next_id
         next_id += 1
-        prob = Q(1) if prob is None else as_rational(prob)
+        prob = Q(1) if prob is None else rational(prob)
         nodes.append(Node(nid, parent, prob, _price(price)))
         horizon = max(horizon, depth)
         for p, sub in children:
@@ -69,11 +89,11 @@ def one_step(deltas, probs, root=None):
         base = _price(root if root is not None else (0,) * dim)
         kids = []
         for p, dlt in zip(probs, deltas):
-            child = tuple(b + as_rational(x) for b, x in zip(base, dlt))
+            child = tuple(b + rational(x) for b, x in zip(base, dlt))
             kids.append((p, (child, [])))
         return build(dim, (base, kids))
-    base = as_rational(0 if root is None else root)
-    kids = [(p, (base + as_rational(dlt), [])) for p, dlt in zip(probs, deltas)]
+    base = rational(0 if root is None else root)
+    kids = [(p, (base + rational(dlt), [])) for p, dlt in zip(probs, deltas)]
     return build(1, (base, kids))
 
 
@@ -143,9 +163,10 @@ def assert_in_span_matches_reference(cs):
     values."""
     d = cs.d
     units = [tuple(Q(int(i == j)) for j in range(d)) for i in range(d)]
-    total = tuple(sum(column, Q(0)) for column in zip(*cs.values()))
-    for query in [*cs.values(), *units, (Q(1),) * d, total]:
-        assert in_span(query, cs.int_basis) == rref_in_span(query, cs.values()), query
+    values = atom_values(cs)
+    total = tuple(sum(column, Q(0)) for column in zip(*values))
+    for query in [*values, *units, (Q(1),) * d, total]:
+        assert in_span(query, cs.int_basis) == rref_in_span(query, values), query
 
 
 def assert_support_matches_constructor(cs):
@@ -154,7 +175,7 @@ def assert_support_matches_constructor(cs):
     that ``ConditionalSupport`` builds from its node and atoms."""
     twin = ConditionalSupport(cs.node, cs.atoms)
     assert twin == cs
-    for name in ("basis", "int_values", "int_probs", "int_basis"):
+    for name in ("int_values", "int_probs", "int_basis"):
         assert getattr(cs, name) == getattr(twin, name), (cs.node, name)
 
 

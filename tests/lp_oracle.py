@@ -25,8 +25,8 @@ from arbcheck.lp import (
     make_lp,
     solve_lp,
 )
-from arbcheck.rationals import Rational, as_rational, int_row
-from helpers import dot
+from arbcheck.rationals import Rational, int_row, rational_row
+from helpers import dot, rational
 
 ZERO = Q(0)
 
@@ -35,7 +35,7 @@ def _integer(coeffs, *rest):
     """A {column: coefficient} map and the numbers after it, Rational-
     like, in ``make_lp``'s integer form: the map's numerators, then the
     numbers', then their one denominator, from ``int_row``."""
-    nums, den = int_row([as_rational(c) for c in (*coeffs.values(), *rest)])
+    nums, den = int_row([rational(c) for c in (*coeffs.values(), *rest)])
     return dict(zip(coeffs, nums)), *nums[len(coeffs):], den
 
 
@@ -50,7 +50,7 @@ def rational_lp(n_vars, objective, rows, lower=None):
         int_coeffs, int_b, den = _integer(coeffs, b)
         int_rows.append((int_coeffs, int_b, eq, den))
     if lower is not None:
-        lower = [None if lo is None else as_rational(lo) for lo in lower]
+        lower = [None if lo is None else rational(lo) for lo in lower]
     return make_lp(n_vars, _integer(objective), int_rows, lower)
 
 
@@ -65,13 +65,23 @@ def dense_lp(objective, rows, rhs, equalities=None, lower=None):
                        lower)
 
 
+def rational_objective(lp):
+    """The objective of ``lp`` as Rationals, one per variable."""
+    return rational_row(*lp.int_objective)
+
+
+def rational_rhs(lp):
+    """The right-hand sides of ``lp`` as Rationals, one per row."""
+    return tuple(Q(b, den) for _, b, den in lp.int_rows)
+
+
 def dense_rows(lp):
-    """Each row of ``lp`` with its absent columns filled in with ZERO."""
+    """Each row of ``lp`` as Rationals, its absent columns ZERO."""
     dense = []
-    for pairs in lp.rows:
+    for pairs, _, den in lp.int_rows:
         row = [ZERO] * lp.n_vars
         for j, a in pairs:
-            row[j] = a
+            row[j] = Q(a, den)
         dense.append(tuple(row))
     return tuple(dense)
 
@@ -83,7 +93,7 @@ def farkas_row_system(lp):
 
     Returns (rows, rhs, equalities).
     """
-    rows, rhs, eqs = list(dense_rows(lp)), list(lp.rhs), list(lp.equalities)
+    rows, rhs, eqs = list(dense_rows(lp)), list(rational_rhs(lp)), list(lp.equalities)
     for j, lo in enumerate(lp.lower):
         if lo is not None:
             rows.append(tuple(Q(-1) if k == j else ZERO for k in range(lp.n_vars)))
@@ -169,15 +179,17 @@ def _split_free(lp):
             for j, lo in enumerate(lp.lower)]
     cols = [c for group in cols for c in group]
     lower = [ZERO if lp.lower[j] is None else lp.lower[j] for j, _ in cols]
-    return dense_lp([s * lp.objective[j] for j, s in cols],
+    c = rational_objective(lp)
+    return dense_lp([s * c[j] for j, s in cols],
                     [[s * row[j] for j, s in cols] for row in dense_rows(lp)],
-                    lp.rhs, lp.equalities, lower)
+                    rational_rhs(lp), lp.equalities, lower)
 
 
 def enumerate_lp(lp):
     """Return ("infeasible", None), ("unbounded", None) or ("optimal", value)."""
     lp = _split_free(lp)
     rows, rhs, eqs = farkas_row_system(lp)
+    c = rational_objective(lp)
     n = lp.n_vars
     m = len(rows)
 
@@ -186,7 +198,7 @@ def enumerate_lp(lp):
         x = _solve_square([rows[i] for i in idx], [rhs[i] for i in idx])
         if x is None or not _satisfies(rows, rhs, eqs, x):
             continue
-        v = dot(lp.objective, x)
+        v = dot(c, x)
         if best is None or v > best:
             best = v
     if best is None:
@@ -197,7 +209,7 @@ def enumerate_lp(lp):
         if ray is None:
             continue
         for cand in (ray, [-c for c in ray]):
-            if _recedes(rows, eqs, cand) and dot(lp.objective, cand) > ZERO:
+            if _recedes(rows, eqs, cand) and dot(c, cand) > ZERO:
                 return ("unbounded", None)
     return ("optimal", best)
 
@@ -250,7 +262,7 @@ def reference_check_feasible(lp, point):
     for j, lo in enumerate(lp.lower):
         if lo is not None and point[j] < lo:
             return False
-    for row, b, eq in zip(dense_rows(lp), lp.rhs, lp.equalities):
+    for row, b, eq in zip(dense_rows(lp), rational_rhs(lp), lp.equalities):
         lhs = dot(row, point)
         if eq:
             if lhs != b:
@@ -273,7 +285,7 @@ def reference_check_ray(lp, ray):
                 return False
         elif lhs > 0:
             return False
-    return dot(lp.objective, ray) > 0
+    return dot(rational_objective(lp), ray) > 0
 
 
 def reference_check_farkas(lp, certificate):
@@ -296,7 +308,7 @@ def oracle_check(lp):
     if isinstance(got, Optimal):
         ok = (status == "optimal"
               and got.value == value
-              and dot(lp.objective, got.point) == got.value
+              and dot(rational_objective(lp), got.point) == got.value
               and check_feasible(lp, got.point))
     elif isinstance(got, Unbounded):
         ok = status == "unbounded" and check_ray(lp, got.ray)

@@ -20,7 +20,7 @@ from arbcheck.errors import GeometryError
 from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
 from arbcheck.lp import Optimal, Unbounded, solve_lp
 from arbcheck.tree import conditional_mean
-from helpers import dot
+from helpers import atom_values, dot, rational_basis
 from lp_oracle import rational_lp
 
 ZERO = Q(0)
@@ -42,15 +42,15 @@ def combination(basis, coords):
 
 
 def ri_program(support):
-    pts = support.values()
+    pts = atom_values(support)
     n = len(pts)
     rows = [({i: x[j] for i, x in enumerate(pts)}, ZERO, True) for j in range(support.d)]
     return rational_lp(n, {}, rows, [ONE] * n)
 
 
 def separation_program(support):
-    basis = support.basis
-    inner = [[dot(b, x) for b in basis] for x in support.values()]
+    basis = rational_basis(support)
+    inner = [[dot(b, x) for b in basis] for x in atom_values(support)]
     rows = [(dict(enumerate(-c for c in coeffs)), ZERO, False) for coeffs in inner]
     for j in range(support.d):
         col = {k: b[j] for k, b in enumerate(basis)}
@@ -61,7 +61,7 @@ def separation_program(support):
 
 
 def support_program(support, a):
-    basis = support.basis
+    basis = rational_basis(support)
     r, n = len(basis), len(support.atoms)
     rows = []
     for i, (x, _) in enumerate(support.atoms):
@@ -99,14 +99,14 @@ def reference_node(support, solved):
     else:  # the origin is never outside the hull of zero atoms alone
         programs.append(separation_program(support))
         point = solve(programs[-1]).point
-        cert = NotInRi(max_norm_normalize(combination(support.basis, point)))
+        cert = NotInRi(max_norm_normalize(combination(rational_basis(support), point)))
     a = mean(support)
     f = ONE  # s(a | T) = 0 when the span is {0}: no support program
-    if support.basis:
+    if support.int_basis:
         programs.append(support_program(support, a))
         outcome = solve(programs[-1])
         if isinstance(outcome, Unbounded):
-            h = combination(support.basis, outcome.ray)
+            h = combination(rational_basis(support), outcome.ray)
             return programs, a, cert, NotInRi(max_norm_normalize(h))
         f = 1 / (1 + outcome.value)
     programs.append(density_program(support, f))

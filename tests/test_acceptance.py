@@ -41,7 +41,7 @@ from arbcheck.rationals import int_row
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
 from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor,
-                     binomial, reweight, skewed_coin, support)
+                     atom_values, binomial, reweight, skewed_coin, support)
 from lp_oracle import oracle_check, random_lp
 from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
@@ -317,8 +317,8 @@ def test_criterion_6_support_invariance_under_reweight(sweep):
         rw = reweight(tree, density)
         pairs += 1
         for nid in tree.non_leaves():
-            before = set(conditional_support(tree, nid).values())
-            after = set(conditional_support(rw, nid).values())
+            before = set(atom_values(conditional_support(tree, nid)))
+            after = set(atom_values(conditional_support(rw, nid)))
             if before != after:
                 broken.append((seed, nid))
     ok = pairs >= 200 and not broken

@@ -21,7 +21,6 @@ from arbcheck import (
     ScenarioTree,
     TreeParams,
     arbitrage_direction,
-    as_rational,
     build_emm,
     check_farkas,
     check_feasible,
@@ -56,14 +55,12 @@ from arbcheck import (
     verify_martingale,
 )
 from arbcheck.tree import LeafDensity
-from helpers import one_step, skewed_coin
+from helpers import one_step, skewed_coin, skewed_coin_two_period
 
 DENSITY = LeafDensity.from_mapping({1: Q(1), 2: Q(1)})
 
 BAD_CALLS = {
     "arbitrage_direction": [lambda: arbitrage_direction("x")],
-    "as_rational": [lambda: as_rational(0.5), lambda: as_rational("x"),
-                    lambda: as_rational(None)],
     "build_emm": [lambda: build_emm("x")],
     "check_farkas": [lambda: check_farkas("x", (Q(1),)), lambda: check_farkas(None, ())],
     "check_feasible": [lambda: check_feasible("x", (Q(1),)), lambda: check_feasible(None, ())],
@@ -71,10 +68,16 @@ BAD_CALLS = {
     "check_ri_certificate": [lambda: check_ri_certificate("x", NotInRi((Q(1),)))],
     "conditional_mean": [lambda: conditional_mean("x")],
     "conditional_support": [lambda: conditional_support("x", 0),
-                            lambda: conditional_support(skewed_coin(), 7)],
+                            lambda: conditional_support(skewed_coin(), 7),
+                            lambda: conditional_support(skewed_coin_two_period(), True),
+                            lambda: conditional_support(skewed_coin(), [0])],
     "density_process": [lambda: density_process("x", DENSITY),
                         lambda: density_process(skewed_coin(), "x"),
-                        lambda: density_process(one_step([1, -1], ["1/4", "1/4"]), DENSITY)],
+                        lambda: density_process(one_step([1, -1], ["1/4", "1/4"]), DENSITY),
+                        lambda: density_process(skewed_coin(), LeafDensity(None)),
+                        lambda: density_process(skewed_coin(), LeafDensity(5)),
+                        lambda: density_process(skewed_coin(), LeafDensity(((1,),))),
+                        lambda: density_process(skewed_coin(), LeafDensity((([1], Q(1)),)))],
     "ensure_valid": [lambda: ensure_valid("x")],
     "equivalence_report": [lambda: equivalence_report("x")],
     "find_arbitrage": [lambda: find_arbitrage("x")],
@@ -107,7 +110,12 @@ BAD_CALLS = {
     "tree_to_json": [lambda: tree_to_json("x")],
     "validate": [lambda: validate("x")],
     "verify_martingale": [lambda: verify_martingale("x", DENSITY),
-                          lambda: verify_martingale(skewed_coin(), "x")],
+                          lambda: verify_martingale(skewed_coin(), "x"),
+                          lambda: verify_martingale(skewed_coin(), LeafDensity("x")),
+                          lambda: verify_martingale(skewed_coin(), LeafDensity(((1,),))),
+                          lambda: verify_martingale(skewed_coin(), LeafDensity(5)),
+                          lambda: verify_martingale(skewed_coin(),
+                                                    LeafDensity(((1, Q(1)), ([2], Q(1)))))],
     "ConditionalSupport": [lambda: ConditionalSupport(0, "x")],
     "LinearProgram": [lambda: LinearProgram("x", (), (), (None,)),
                       lambda: LinearProgram(((1,), 1), ((((0, 0),), 0, 1),), (False,), (None,))],

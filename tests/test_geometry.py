@@ -18,8 +18,8 @@ from arbcheck.geometry import (
     separation_optimum,
 )
 from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
-from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor, dot,
-                     one_step, support, vec)
+from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor,
+                     atom_values, dot, one_step, support, vec)
 from linalg_oracle import rref_in_span
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
@@ -253,7 +253,7 @@ def test_degenerate_nodes(tree):
 def reference_check_ri_certificate(support, cert):
     """The rational form of ``check_ri_certificate``, with sums of
     rational products, kept here to hold the shipped integer form to."""
-    pts = support.values()
+    pts = atom_values(support)
     d = support.d
     if isinstance(cert, InRi):
         lam = cert.weights
@@ -271,7 +271,7 @@ def reference_check_ri_certificate(support, cert):
             return False
         if max((abs(c) for c in h), default=ZERO) != 1:
             return False
-        if not rref_in_span(h, support.values()):
+        if not rref_in_span(h, pts):
             return False
         strict = False
         for x in pts:

@@ -499,9 +499,6 @@ class TestIntegerForm:
                      [({0: 6, 2: 0}, -9, False, 12), ({}, 0, True, 5), ({1: 2}, 4, False, 2)])
         assert lp.int_objective == ((2, 0, -3), 4)
         assert lp.int_rows == ((((0, 2),), -3, 4), ((), 0, 1), (((1, 1),), 2, 1))
-        assert lp.objective == (Q(1, 2), Q(0), Q(-3, 4))
-        assert lp.rows == (((0, Q(1, 2)),), (), ((1, Q(1)),))
-        assert lp.rhs == (Q(-3, 4), Q(0), Q(2))
 
     @pytest.mark.parametrize("objective, rows, message", [
         (({}, 1), [({0: 1}, 0, False, 0)], "row 0 has denominator 0, not an int > 0"),
@@ -569,10 +566,10 @@ class TestSparseLp:
 
     def test_absent_columns_are_zero(self):
         lp = make_lp(4, ({}, 1), [({2: 5}, 1, False, 1)])
-        assert lp.objective == (Q(0),) * 4
-        assert lp.rows == (((2, Q(5)),),)
+        assert lp.int_objective == ((0, 0, 0, 0), 1)
+        assert lp.int_rows == ((((2, 5),), 1, 1),)
         assert dense_rows(lp) == ((Q(0), Q(0), Q(5), Q(0)),)
-        assert lp.rhs == (Q(1),) and lp.equalities == (False,)
+        assert lp.equalities == (False,)
         assert lp.lower == (None,) * 4
 
     def test_key_order_and_explicit_zeros_change_nothing(self):
@@ -581,7 +578,7 @@ class TestSparseLp:
         same = make_lp(3, ({1: 0, 0: -1, 2: 1}, 1),
                        [({0: 2, 1: 0, 2: 3}, 8, False, 2), ({2: 0, 1: 2, 0: 0}, 0, True, 1)],
                        lower=[None, Q(0), Q(0)])
-        assert lp.rows == (((0, Q(1)), (2, Q(3, 2))), ((1, Q(2)),))
+        assert lp.int_rows == ((((0, 2), (2, 3)), 8, 2), (((1, 2),), 0, 1))
         assert same == lp and hash(same) == hash(lp)
         assert (same.int_rows, same.int_lower) == (lp.int_rows, lp.int_lower)
 

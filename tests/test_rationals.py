@@ -4,9 +4,9 @@ from math import gcd
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arbcheck import Q, as_rational, format_rational, parse_rational
+from arbcheck import Q, format_rational, parse_rational
 from arbcheck.errors import InputError
-from arbcheck.rationals import ZERO, int_row, lowest_terms, parse_vector, rational_row, zero_vector
+from arbcheck.rationals import ZERO, int_row, lowest_terms, rational_row
 from helpers import vec
 
 
@@ -63,28 +63,10 @@ def test_format_rejects_past_digit_limit():
             format_rational(value)
 
 
-def test_as_rational():
-    assert as_rational(5) == Q(5)
-    assert as_rational("5/3") == Q(5, 3)
-    assert as_rational(Q(2, 7)) == Q(2, 7)
-    with pytest.raises(InputError):
-        as_rational(0.5)
-    with pytest.raises(InputError):
-        as_rational("0.5")
-
-
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
 def test_format_parse_roundtrip(num, den):
     q = Q(num, den)
     assert parse_rational(format_rational(q)) == q
-
-
-def test_vector_ops():
-    assert zero_vector(3) == (Q(0),) * 3
-
-
-def test_parse_vector():
-    assert parse_vector(["1/2", "-3"]) == (Q(1, 2), Q(-3))
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2", 1, None], ids=["float", "str", "int", "None"])

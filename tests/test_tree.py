@@ -38,6 +38,7 @@ from arbcheck.tree import (
 )
 from helpers import (
     assert_support_matches_constructor,
+    atom_values,
     binomial,
     build,
     count_calls,
@@ -89,22 +90,37 @@ class TestConstruction:
         assert t != skewed_coin()
 
     def test_order_and_increment(self):
+        """Each edge's increment, in the integer form and as the value
+        of the child's atom in its parent's support; no edge leads into
+        the root."""
         t = skewed_coin_two_period()
         assert [nd.id for nd in t.order] == [0, 1, 2, 3, 4, 5, 6]
+        den, increment, atom = _integer_form(t)
         for nd in t.order[1:]:
             parent = t.node(nd.parent)
             assert t.order.index(parent) < t.order.index(nd)
-            assert t.increment(nd.id) == tuple(
-                a - b for a, b in zip(nd.price, parent.price))
-        with pytest.raises(InputError, match="root"):
-            t.increment(0)
+            x = tuple(a - b for a, b in zip(nd.price, parent.price))
+            assert tuple(Q(v, den) for v in increment[nd.id]) == x
+            assert conditional_support(t, nd.parent).atoms[atom[nd.id]][0] == x
+        assert t.root not in increment and t.root not in atom
 
     def test_increment_computed_once(self):
         t = skewed_coin_two_period()
-        assert t.increment(3) is t.increment(3)
-        for _ in range(2):
-            with pytest.raises(InputError, match="root"):
-                t.increment(0)
+        form = _integer_form(t)
+        assert _integer_form(t) is form and t._integer == [form]
+        value = conditional_support(t, 1).atoms[form[2][3]][0]
+        assert conditional_support(t, 1).atoms[form[2][3]][0] is value
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "0", [0], None],
+                             ids=["True", "False", "float", "str", "list", "None"])
+    def test_node_id_that_is_not_an_int_rejected(self, bad):
+        t = skewed_coin_two_period()
+        conditional_support(t, 0)  # a cached support is no way round the check
+        for call in (t.node, t.children, t.depth, t.is_leaf,
+                     lambda nid: conditional_support(t, nid)):
+            with pytest.raises(InputError, match="node id must be an integer"):
+                call(bad)
+        assert t._supports.keys() == {0}
 
     @pytest.mark.parametrize("d, horizon, child", [
         (1.7, 1, Node(1, 0, R1, (Q(1),))),
@@ -147,7 +163,7 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             t.nodes = one_step([1, 2], ["1/2", "1/2"]).nodes
         assert t == skewed_coin() and validate(t) == []
-        assert [t.increment(c) for c in t.children(0)] == [(Q(1),), (Q(-1),)]
+        assert atom_values(conditional_support(t, 0)) == ((Q(1),), (Q(-1),))
 
     def test_no_slot_can_be_assigned_or_deleted(self):
         t = skewed_coin_two_period()
@@ -162,7 +178,7 @@ class TestImmutable:
     def test_copy_and_pickle_rebuild_with_empty_caches(self):
         t = skewed_coin_two_period()
         ensure_valid(t)
-        t.increment(3)
+        _integer_form(t)
         conditional_support(t, 0)
         assert t._integer
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
@@ -296,15 +312,15 @@ class TestIntegerForm:
         assert _integer_form(t) is t._integer[0]
         cs = conditional_support(t, 0)
         assert cs.atoms == (((Q(1), Q(1, 3)), Q(3, 4)), ((Q(-1), Q(0)), Q(1, 4)))
-        # each increment is its atom's value: equal increments are one object
-        assert t.increment(1) is t.increment(3) is cs.atoms[0][0]
-        assert t.increment(2) is cs.atoms[1][0]
+        # each child's increment is its atom's value: equal increments are one atom
+        assert [cs.atoms[atom[c]][0] for c in (1, 2, 3)] == \
+            [(Q(1), Q(1, 3)), (Q(-1), Q(0)), (Q(1), Q(1, 3))]
 
     def test_invalid_trees_have_none(self):
         with pytest.raises(InputError, match="prob_sum"):
             _integer_form(half_mass())
         with pytest.raises(InputError, match="prob_sum"):
-            half_mass().increment(1)
+            conditional_support(half_mass(), 0)
         with pytest.raises(InputError, match="expected a ScenarioTree"):
             _integer_form("x")
 
@@ -354,7 +370,6 @@ class TestSupports:
     def test_atoms_and_mean(self):
         cs = conditional_support(skewed_coin(), 0)
         assert cs.atoms == (((Q(1),), Q(3, 4)), ((Q(-1),), Q(1, 4)))
-        assert cs.values() == ((Q(1),), (Q(-1),))
         assert cs.d == 1
         assert conditional_mean(cs) == (Q(1, 2),)
 
@@ -378,14 +393,14 @@ class TestSupports:
 
     def test_basis(self):
         t = one_step([(1, 2, 0), (2, 4, 0), (-1, -2, 0)], ["1/3", "1/3", "1/3"])
-        assert conditional_support(t, 0).basis == ((Q(1), Q(2), Q(0)),)
+        assert conditional_support(t, 0).int_basis == (((1, 2, 0), 1),)
         flat = one_step([(0, 0), (0, 0)], ["1/2", "1/2"])
-        assert conditional_support(flat, 0).basis == ()
+        assert conditional_support(flat, 0).int_basis == ()
 
     def test_copy_and_pickle_keep_the_basis(self):
         cs = conditional_support(one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"]), 0)
         for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
-            assert twin == cs and twin.basis == cs.basis == ((Q(1), Q(0)), (Q(0), Q(1)))
+            assert twin == cs and twin.int_basis == cs.int_basis == (((1, 0), 1), ((0, 1), 1))
 
     def test_integer_forms_and_their_copies(self):
         """The atoms' and the basis's integer forms, derived by the
@@ -396,7 +411,7 @@ class TestSupports:
         assert cs.int_probs == ((1, 3, 2), 6)
         assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
         line = ConditionalSupport(0, (((Q(1), Q(3, 2)), Q(1)),))
-        assert line.basis == ((Q(1), Q(3, 2)),) and line.int_basis == (((2, 3), 2),)
+        assert line.int_basis == (((2, 3), 2),)
         for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert twin == cs
             assert (twin.int_values, twin.int_probs, twin.int_basis) \
@@ -588,6 +603,6 @@ class TestReweight:
         z = LeafDensity.from_mapping({3: Q(4, 9), 4: Q(4, 3), 5: Q(4, 3), 6: Q(4)})
         rw = reweight(t, z)
         for nid in t.non_leaves():
-            before = set(conditional_support(t, nid).values())
-            after = set(conditional_support(rw, nid).values())
+            before = set(atom_values(conditional_support(t, nid)))
+            after = set(atom_values(conditional_support(rw, nid)))
             assert before == after

@@ -94,7 +94,7 @@ class TestFindArbitrage:
         lp = shipped_strategy_program(tree)
         # columns: node 4, node 1, node 7, the root; the leaf rows follow
         # the leaves by id, 2 and 3 under node 1, 5 and 6 under node 4
-        assert [tuple(j for j, _ in row) for row in lp.rows[:4]] == \
+        assert [tuple(j for j, _ in nz) for nz, _, _ in lp.int_rows[:4]] == \
             [(1, 2, 3), (1, 2, 3), (0, 2, 3), (0, 2, 3)]
         assert_tree_loops_match(tree, 0, find_arbitrage(tree))
 
