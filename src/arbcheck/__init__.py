@@ -9,9 +9,6 @@ from .lp import (
     LinearProgram,
     Optimal,
     Unbounded,
-    check_farkas,
-    check_feasible,
-    check_ray,
     make_lp,
     solve_lp,
 )

@@ -92,9 +92,9 @@ def one_step_scale(support: ConditionalSupport) -> Rational:
 
 
 class OneStepDensity(Record):
-    """One-step change of measure at a node, aligned with the atoms of
-    its ConditionalSupport (children sharing an increment share a
-    value)."""
+    """One-step change of measure at a node, one value per row of its
+    ConditionalSupport's ``int_values`` (children sharing an increment
+    share a value)."""
 
     __slots__ = ("node", "scale", "raw", "normalized")
 

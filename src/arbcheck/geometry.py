@@ -7,8 +7,8 @@ weights writing the origin, or a separating direction h in the span
 with (h, x) >= 0 on every atom and > 0 on at least one.
 
 Every function takes the node's ConditionalSupport, whose constructor
-has checked the atoms, reduced their span and put both in integer form
-once; the programs and the re-check are built from those integers.
+has checked its integer form and reduced the span of its values once;
+the programs and the re-check are built from those integers.
 The relative interior is always taken within that span. Directions are
 normalized in the max-norm (exact arithmetic has no square roots;
 every property used downstream is scale-invariant).

@@ -38,14 +38,10 @@ Every outcome is re-verified before it leaves ``solve_lp``:
   y^T A = 0 componentwise and y^T b < 0, which is a self-contained
   proof of infeasibility.
 
-Each re-check reads only the program and the vector. The public
-``check_feasible``, ``check_ray`` and ``check_farkas``, like
-``solve_lp``, raise InputError on anything but a LinearProgram
-(``ensure_program``); they answer False on a vector that is not exact,
-and otherwise bring it to one common denominator and hand its
-numerators to a private integer core, which compares integer sums over
-the rows' nonzeros; ``solve_lp`` runs the same cores on the numerators
-it read off.
+Each re-check is a private integer core that reads only the program
+and the numerators ``solve_lp`` read off the tableau: it compares
+integer sums over the rows' nonzeros, so no Rational is made to check
+an outcome. The tests hold the cores to dense rational references.
 
 A failed re-verification raises InternalError; it signals a solver bug,
 never bad input.
@@ -59,7 +55,7 @@ from operator import mul
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalError, Record
-from .rationals import Q, Rational, Vector, int_row, is_exact_vector, lowest_terms, rational_row
+from .rationals import Q, Rational, Vector, int_row, lowest_terms, rational_row
 
 
 class LinearProgram(Record):
@@ -312,25 +308,6 @@ def _is_farkas(lp: LinearProgram, y: list[int]) -> bool:
 
 def _bounded(lp: LinearProgram) -> list[int]:
     return [j for j, lo in enumerate(lp.lower) if lo is not None]
-
-
-def check_feasible(lp: LinearProgram, point: Sequence[Rational]) -> bool:
-    """``point`` meets every row and bound; InputError on anything but a
-    LinearProgram, False on a vector that is not exact."""
-    return is_exact_vector(point, ensure_program(lp).n_vars) and _holds(lp, *int_row(point))
-
-
-def check_ray(lp: LinearProgram, ray: Sequence[Rational]) -> bool:
-    """Feasible recession direction with strictly positive objective growth."""
-    return is_exact_vector(ray, ensure_program(lp).n_vars) and _is_ray(lp, int_row(ray)[0])
-
-
-def check_farkas(lp: LinearProgram, certificate: Sequence[Rational]) -> bool:
-    """Over the extended row system: the declared rows, then, kept
-    implicit here, the row -x_j <= -lower_j of each bounded column j in
-    increasing j."""
-    return (is_exact_vector(certificate, ensure_program(lp).n_rows + len(_bounded(lp)))
-            and _is_farkas(lp, int_row(certificate)[0]))
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):

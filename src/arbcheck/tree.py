@@ -257,64 +257,67 @@ def _integer_form(tree: ScenarioTree) -> tuple[int, dict[int, tuple[int, ...]], 
 
 
 class ConditionalSupport(Record):
-    """Atoms (x, q) of the one-step conditional increment distribution at
-    a non-leaf node: distinct increment values with their summed
-    transition probabilities. The constructor takes the node and the
-    atoms, a non-empty tuple of (tuple of Rationals, Rational > 0)
-    pairs whose values share one dimension, and refuses anything else;
-    copy and pickle rebuild a support from them.
+    """Atoms (x_i, q_i) of the one-step conditional increment
+    distribution at a non-leaf node, in integer form: distinct increment
+    values with their summed transition probabilities. The constructor
+    takes the node, an ``int`` that is not a ``bool``; ``int_values``,
+    the values as (rows, den), row i the numerators of x_i, a non-empty
+    tuple of int tuples of one length over an int den > 0; and
+    ``int_probs``, the weights as (numerators, den), one int > 0 per row
+    over an int den > 0. Anything else raises InputError. It puts both
+    pairs in lowest terms, so supports of the same numbers compare,
+    hash, print and pickle alike, and derives ``int_basis``, each row of
+    the reduced row-echelon basis of the values' span as (numerators,
+    pivot entry): the integer echelon rows that ``span_basis`` reduces
+    ``int_values`` to. Equality, hashing and pickling read the node and
+    the two pairs; copy and pickle rebuild the basis from them."""
 
-    The constructor also derives the integer form of the atoms and of
-    the span of their values, which the geometry and emm routes build
-    their programs and re-checks from: ``int_values``, each value's
-    numerators over one common denominator, as (rows, denominator);
-    ``int_probs``, the probabilities' numerators over theirs, as
-    (numerators, denominator); and ``int_basis``, each row of the
-    reduced row-echelon basis of the span as (numerators, denominator),
-    the integer echelon rows that ``span_basis`` reduces ``int_values``
-    to. These are outside ``_fields``, so equality, hashing and pickling
-    read only the node and the atoms. ``conditional_support`` derives
-    the same fields from the tree's integer form instead."""
-
-    __slots__ = ("node", "atoms", "int_values", "int_probs", "int_basis")
-    _fields = ("node", "atoms")
+    __slots__ = ("node", "int_values", "int_probs", "int_basis")
+    _fields = ("node", "int_values", "int_probs")
 
     node: int
-    atoms: tuple[tuple[Vector, Rational], ...]
     int_values: tuple[tuple[tuple[int, ...], ...], int]
     int_probs: tuple[tuple[int, ...], int]
     int_basis: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __init__(self, node, atoms) -> None:
-        if type(atoms) is not tuple or not atoms:
-            raise InputError(f"node {node}: a support needs a tuple of at least one atom, "
-                             f"got {atoms!r}")
-        for atom in atoms:
-            if not (type(atom) is tuple and len(atom) == 2 and type(atom[0]) is tuple
-                    and all(isinstance(v, Rational) for v in atom[0])
-                    and isinstance(atom[1], Rational) and atom[1] > 0):
-                raise InputError(f"node {node}: an atom must be a pair (tuple of Rationals, "
-                                 f"Rational > 0), got {atom!r}")
-        dims = {len(x) for x, _ in atoms}
-        if len(dims) > 1:
-            raise InputError(f"node {node}: atom values of mixed dimensions: {sorted(dims)}")
-        d = dims.pop()
-        nums, den = int_row([v for x, _ in atoms for v in x])
-        int_values = tuple(nums[i * d:(i + 1) * d] for i in range(len(atoms))), den
-        super().__init__(node, atoms, int_values, int_row([q for _, q in atoms]),
-                         span_basis(int_values))
-
-    @classmethod
-    def _of(cls, node: int, atoms, int_values, int_probs) -> "ConditionalSupport":
-        """The support with these atoms and their integer form, which
-        the caller vouches for, built without the constructor's checks."""
-        support = cls.__new__(cls)
-        Record.__init__(support, node, atoms, int_values, int_probs, span_basis(int_values))
-        return support
+    def __init__(self, node, int_values, int_probs) -> None:
+        _check_int(node, "support node")
+        rows, den = _over_den(node, "values", int_values)
+        if not (type(rows) is tuple and rows and all(
+                type(x) is tuple and len(x) == len(rows[0]) and all(type(v) is int for v in x)
+                for x in rows)):
+            raise InputError(f"node {node}: support values must be a non-empty tuple of int "
+                             f"tuples of one length, got {rows!r}")
+        probs, prob_den = _over_den(node, "weights", int_probs)
+        if not (type(probs) is tuple and len(probs) == len(rows)
+                and all(type(q) is int and q > 0 for q in probs)):
+            raise InputError(f"node {node}: support weights must be one int > 0 per value, "
+                             f"got {probs!r}")
+        g = gcd(den, *[v for x in rows for v in x])
+        if g > 1:
+            rows, den = tuple([tuple([v // g for v in x]) for x in rows]), den // g
+        g = gcd(prob_den, *probs)
+        if g > 1:
+            probs, prob_den = tuple([q // g for q in probs]), prob_den // g
+        super().__init__(node, (rows, den), (probs, prob_den), span_basis((rows, den)))
 
     @property
     def d(self) -> int:
-        return len(self.atoms[0][0])
+        return len(self.int_values[0][0])
+
+
+def _over_den(node: int, what: str, pair) -> tuple:
+    """``pair`` as (entries, den) with den an int > 0; InputError
+    naming the support's ``what`` otherwise."""
+    try:
+        entries, den = pair
+    except (TypeError, ValueError):
+        raise InputError(f"node {node}: support {what} must be an (entries, den) pair, "
+                         f"got {pair!r}") from None
+    if type(den) is not int or den <= 0:
+        raise InputError(f"node {node}: support {what} have denominator {den!r}, "
+                         "not an int > 0")
+    return entries, den
 
 
 def ensure_support(support: ConditionalSupport) -> ConditionalSupport:
@@ -327,12 +330,10 @@ def ensure_support(support: ConditionalSupport) -> ConditionalSupport:
 def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
     """The support at a non-leaf node of a valid tree, built on the
     first call for the tree and the same object on every later one. Its
-    children are grouped by integer increment, and each distinct atom's
-    value is made once. The support's integer form comes from the
-    tree's, with no Rational read back: ``int_values`` are the distinct
-    increments over D divided by their one gcd with D, and ``int_basis``
-    the echelon rows ``span_basis`` reduces them to; the fields equal
-    the ones ``ConditionalSupport(node, atoms)`` derives."""
+    children are grouped by integer increment, and the constructor gets
+    the distinct increments over the tree's common denominator D and
+    the weights' numerators over theirs, so no Rational is read back or
+    made for a value."""
     ensure_valid(tree)
     tree.node(node_id)  # refuses a bad id before the cache, where False would stand for 0
     support = tree._supports.get(node_id)
@@ -350,11 +351,7 @@ def conditional_support(tree: ScenarioTree, node_id: int) -> ConditionalSupport:
         else:
             rows.append(increment[c])
             probs.append(tree.node(c).prob)
-    g = gcd(den, *[v for x in rows for v in x])  # the values over their own denominator
-    if g > 1:
-        rows, den = [tuple([v // g for v in x]) for x in rows], den // g
-    atoms = tuple([(rational_row(x, den), q) for x, q in zip(rows, probs)])
-    support = ConditionalSupport._of(node_id, atoms, (tuple(rows), den), int_row(probs))
+    support = ConditionalSupport(node_id, (tuple(rows), den), int_row(probs))
     tree._supports[node_id] = support
     return support
 
@@ -417,6 +414,13 @@ class LeafDensity(Record):
 
     @staticmethod
     def from_mapping(mapping: Mapping[int, Rational]) -> "LeafDensity":
+        """The density of ``{leaf id: z}``; InputError on anything but a
+        mapping, or on a key that is not an int, or is a bool, before
+        the keys are sorted."""
+        if not isinstance(mapping, abc.Mapping):
+            raise InputError(f"a density is a {{leaf id: z}} mapping, got {mapping!r}")
+        for leaf in mapping:
+            _check_int(leaf, "density leaf id")
         return LeafDensity(tuple(sorted(mapping.items())))
 
     def as_dict(self) -> dict[int, Rational]:

@@ -19,9 +19,6 @@ from arbcheck.lp import (
     Infeasible,
     Optimal,
     Unbounded,
-    check_farkas,
-    check_feasible,
-    check_ray,
     make_lp,
     solve_lp,
 )
@@ -247,9 +244,9 @@ def random_fractional_lp(rng, max_vars=4):
     return dense_lp(obj, rows, rhs, eqs, lower)
 
 
-# Reference re-checks: the dense rational forms of check_feasible,
-# check_ray and check_farkas, kept here so the shipped integer forms can
-# be held against them.
+# Reference re-checks: the dense rational forms of the integer cores
+# that solve_lp runs on each outcome (_holds, _is_ray, _is_farkas), kept
+# here so the shipped integer forms can be held against them.
 
 def exact_vector(vector, length):
     return (isinstance(vector, Sequence) and len(vector) == length
@@ -309,11 +306,11 @@ def oracle_check(lp):
         ok = (status == "optimal"
               and got.value == value
               and dot(rational_objective(lp), got.point) == got.value
-              and check_feasible(lp, got.point))
+              and reference_check_feasible(lp, got.point))
     elif isinstance(got, Unbounded):
-        ok = status == "unbounded" and check_ray(lp, got.ray)
+        ok = status == "unbounded" and reference_check_ray(lp, got.ray)
     elif isinstance(got, Infeasible):
-        ok = status == "infeasible" and check_farkas(lp, got.certificate)
+        ok = status == "infeasible" and reference_check_farkas(lp, got.certificate)
     else:
         ok = False
     return ok, got, (status, value)

@@ -20,7 +20,7 @@ from arbcheck.errors import GeometryError
 from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
 from arbcheck.lp import Optimal, Unbounded, solve_lp
 from arbcheck.tree import conditional_mean
-from helpers import atom_values, dot, rational_basis
+from helpers import atom_values, dot, rational_atoms, rational_basis
 from lp_oracle import rational_lp
 
 ZERO = Q(0)
@@ -30,7 +30,7 @@ ONE = Q(1)
 def mean(support):
     """sum_i q_i x_i."""
     acc = [ZERO] * support.d
-    for x, q in support.atoms:
+    for x, q in rational_atoms(support):
         for j, xj in enumerate(x):
             acc[j] += q * xj
     return tuple(acc)
@@ -62,21 +62,23 @@ def separation_program(support):
 
 def support_program(support, a):
     basis = rational_basis(support)
-    r, n = len(basis), len(support.atoms)
+    atoms = rational_atoms(support)
+    r, n = len(basis), len(atoms)
     rows = []
-    for i, (x, _) in enumerate(support.atoms):
+    for i, (x, _) in enumerate(atoms):
         row = {k: -dot(b, x) for k, b in enumerate(basis)}
         row[r + i] = Q(-1)
         rows.append((row, ZERO, False))
-    rows.append(({r + i: q for i, (_, q) in enumerate(support.atoms)}, ONE, False))
+    rows.append(({r + i: q for i, (_, q) in enumerate(atoms)}, ONE, False))
     objective = {k: dot(b, a) for k, b in enumerate(basis)}
     return rational_lp(r + n, objective, rows, [None] * r + [ZERO] * n)
 
 
 def density_program(support, f):
-    n = len(support.atoms)
+    atoms = rational_atoms(support)
+    n = len(atoms)
     rows = [({i: ONE, n: Q(-1)}, ZERO, False) for i in range(n)]
-    rows += [({i: q * x[j] for i, (x, q) in enumerate(support.atoms) if x[j]}, ZERO, True)
+    rows += [({i: q * x[j] for i, (x, q) in enumerate(atoms) if x[j]}, ZERO, True)
              for j in range(support.d)]
     return rational_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1))
 
@@ -111,7 +113,7 @@ def reference_node(support, solved):
         f = 1 / (1 + outcome.value)
     programs.append(density_program(support, f))
     g = solve(programs[-1]).point[:-1]
-    mass = sum((q * gi for (_, q), gi in zip(support.atoms, g)), ZERO)
+    mass = sum((q * gi for (_, q), gi in zip(rational_atoms(support), g)), ZERO)
     return programs, a, cert, (support.node, f, g, tuple(gi / mass for gi in g))
 
 

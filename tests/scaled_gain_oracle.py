@@ -19,7 +19,7 @@ from arbcheck.tree import (
     ensure_valid,
     path_probabilities,
 )
-from helpers import dot, rational_basis
+from helpers import dot, rational_atoms, rational_basis
 from lp_oracle import dense_lp
 
 
@@ -51,7 +51,7 @@ def scaled_gain_lp(tree: ScenarioTree) -> Rational:
         ycol[nid] = nvars
         nvars += len(basis)
         wcol[nid] = nvars
-        nvars += len(support.atoms)
+        nvars += len(support.int_probs[0])
     if nvars == 0:
         return ZERO
 
@@ -67,7 +67,7 @@ def scaled_gain_lp(tree: ScenarioTree) -> Rational:
         pnu = reach[nid]
         for k in range(r):
             objective[y0 + k] = pnu * floor * dot(basis[k], mean)
-        for i, (x, q) in enumerate(support.atoms):
+        for i, (x, q) in enumerate(rational_atoms(support)):
             lower[w0 + i] = ZERO
             budget[w0 + i] = pnu * q
             row = [ZERO] * nvars

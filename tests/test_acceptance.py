@@ -40,12 +40,12 @@ from arbcheck.lp import solve_lp
 from arbcheck.rationals import int_row
 from arbcheck.tree import LeafDensity, check_density
 from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
-from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor,
-                     atom_values, binomial, reweight, skewed_coin, support)
+from helpers import (assert_in_span_matches_reference, atom_values, binomial, reweight,
+                     skewed_coin, support)
 from lp_oracle import oracle_check, random_lp
 from node_program_oracle import reference_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
-from tree_oracle import assert_tree_loops_match
+from tree_oracle import assert_support_matches_constructor, assert_tree_loops_match
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -136,12 +136,12 @@ def test_sweep_node_programs_match_the_rational_reference(sweep):
 
 def test_sweep_supports_match_the_constructor(sweep):
     """Every sweep node's support, built from the tree's integer form,
-    has the derived fields that ConditionalSupport derives from its
-    atoms."""
+    equals the one the constructor builds from the atoms grouped in
+    rational arithmetic, its basis included."""
     records, _ = sweep
     for _, tree, _ in records:
         for nid in tree.non_leaves():
-            assert_support_matches_constructor(conditional_support(tree, nid))
+            assert_support_matches_constructor(tree, nid)
 
 
 def test_sweep_supports_answer_in_span_in_both_forms(sweep):

@@ -22,9 +22,6 @@ from arbcheck import (
     TreeParams,
     arbitrage_direction,
     build_emm,
-    check_farkas,
-    check_feasible,
-    check_ray,
     check_ri_certificate,
     conditional_mean,
     conditional_support,
@@ -62,9 +59,6 @@ DENSITY = LeafDensity.from_mapping({1: Q(1), 2: Q(1)})
 BAD_CALLS = {
     "arbitrage_direction": [lambda: arbitrage_direction("x")],
     "build_emm": [lambda: build_emm("x")],
-    "check_farkas": [lambda: check_farkas("x", (Q(1),)), lambda: check_farkas(None, ())],
-    "check_feasible": [lambda: check_feasible("x", (Q(1),)), lambda: check_feasible(None, ())],
-    "check_ray": [lambda: check_ray("x", (Q(1),)), lambda: check_ray(None, ())],
     "check_ri_certificate": [lambda: check_ri_certificate("x", NotInRi((Q(1),)))],
     "conditional_mean": [lambda: conditional_mean("x")],
     "conditional_support": [lambda: conditional_support("x", 0),
@@ -116,7 +110,9 @@ BAD_CALLS = {
                           lambda: verify_martingale(skewed_coin(), LeafDensity(5)),
                           lambda: verify_martingale(skewed_coin(),
                                                     LeafDensity(((1, Q(1)), ([2], Q(1)))))],
-    "ConditionalSupport": [lambda: ConditionalSupport(0, "x")],
+    "ConditionalSupport": [lambda: ConditionalSupport(0, "x", ((1,), 1)),
+                           lambda: ConditionalSupport("x", (((1,), (-1,)), 1), ((1, 1), 2)),
+                           lambda: ConditionalSupport(True, (((1,), (-1,)), 1), ((1, 1), 2))],
     "LinearProgram": [lambda: LinearProgram("x", (), (), (None,)),
                       lambda: LinearProgram(((1,), 1), ((((0, 0),), 0, 1),), (False,), (None,))],
     "ScenarioTree": [lambda: ScenarioTree(1, 1, "x")],

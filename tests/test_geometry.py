@@ -17,13 +17,13 @@ from arbcheck.geometry import (
     ri_conv_contains_origin,
     separation_optimum,
 )
-from arbcheck.tree import ConditionalSupport, conditional_mean, conditional_support
-from helpers import (assert_in_span_matches_reference, assert_support_matches_constructor,
-                     atom_values, dot, one_step, support, vec)
+from arbcheck.tree import conditional_mean, conditional_support
+from helpers import (assert_in_span_matches_reference, atom_values, dot, one_step, support,
+                     support_from_atoms, vec)
 from linalg_oracle import rref_in_span
 from lp_oracle import exact_vector
 from node_program_oracle import reference_node, shipped_node
-from tree_oracle import assert_tree_loops_match
+from tree_oracle import assert_support_matches_constructor, assert_tree_loops_match
 
 ZERO = Q(0)
 
@@ -131,7 +131,7 @@ class TestDirection:
         """The geometry and martingale routes re-check a separating
         direction in one place."""
         monkeypatch.setattr(arbcheck.geometry, "check_ri_certificate", lambda cs, cert: False)
-        cs = ConditionalSupport(5, ((vec((1,)), Q(1, 2)), (vec((2,)), Q(1, 2))))
+        cs = support_from_atoms(5, ((vec((1,)), Q(1, 2)), (vec((2,)), Q(1, 2))))
         for find in (arbitrage_direction, lambda cs: support_function(cs, conditional_mean(cs))):
             with pytest.raises(InternalError, match="node 5: separating direction failed"):
                 find(cs)
@@ -336,9 +336,9 @@ def test_degenerate_node_programs_match_the_rational_reference(tree):
 @given(_degenerate_one_step())
 def test_degenerate_supports_match_the_constructor(tree):
     """With zero, repeated and reflected increments and spans of low
-    rank, the support built from the tree's integer form has the derived
-    fields that ConditionalSupport derives from its atoms."""
-    assert_support_matches_constructor(conditional_support(tree, 0))
+    rank, the support built from the tree's integer form equals the one
+    the constructor builds from the atoms grouped in rational arithmetic."""
+    assert_support_matches_constructor(tree, 0)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)

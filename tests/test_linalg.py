@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from arbcheck import Q, in_span, span_basis
 from arbcheck.errors import InputError
 from arbcheck.rationals import int_row, rational_row
-from arbcheck.tree import ConditionalSupport
-from helpers import assert_in_span_matches_reference, vec
+from helpers import assert_in_span_matches_reference, support_from_atoms, vec
 from linalg_oracle import rref_basis, rref_in_span
 
 
@@ -70,7 +69,7 @@ def test_in_span_against_an_integer_basis():
 def test_in_span_against_the_empty_integer_basis():
     """A support whose atoms are all 0 spans {0}: its integer basis is
     empty and accepts only the zero vector."""
-    cs = ConditionalSupport(0, ((vec((0, 0)), Q(1, 2)), (vec((0, 0)), Q(1, 2))))
+    cs = support_from_atoms(0, ((vec((0, 0)), Q(1, 2)), (vec((0, 0)), Q(1, 2))))
     assert cs.int_basis == ()
     assert in_span(vec((0, 0)), cs.int_basis)
     assert not in_span(vec((1, 0)), cs.int_basis)

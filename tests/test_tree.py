@@ -37,18 +37,19 @@ from arbcheck.tree import (
     ensure_valid,
 )
 from helpers import (
-    assert_support_matches_constructor,
     atom_values,
     binomial,
     build,
     count_calls,
     localized_arbitrage,
     one_step,
+    rational_atoms,
     reweight,
     single_chain,
     skewed_coin,
     skewed_coin_two_period,
 )
+from tree_oracle import assert_support_matches_constructor
 
 R1 = Q(1)
 
@@ -101,15 +102,16 @@ class TestConstruction:
             assert t.order.index(parent) < t.order.index(nd)
             x = tuple(a - b for a, b in zip(nd.price, parent.price))
             assert tuple(Q(v, den) for v in increment[nd.id]) == x
-            assert conditional_support(t, nd.parent).atoms[atom[nd.id]][0] == x
+            assert atom_values(conditional_support(t, nd.parent))[atom[nd.id]] == x
         assert t.root not in increment and t.root not in atom
 
     def test_increment_computed_once(self):
         t = skewed_coin_two_period()
         form = _integer_form(t)
         assert _integer_form(t) is form and t._integer == [form]
-        value = conditional_support(t, 1).atoms[form[2][3]][0]
-        assert conditional_support(t, 1).atoms[form[2][3]][0] is value
+        # the prices are integers, so node 3's atom row is its increment
+        assert conditional_support(t, 1).int_values == (((1,), (-1,)), 1)
+        assert conditional_support(t, 1).int_values[0][form[2][3]] == form[1][3]
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, "0", [0], None],
                              ids=["True", "False", "float", "str", "list", "None"])
@@ -311,9 +313,10 @@ class TestIntegerForm:
         assert atom == {1: 0, 2: 1, 3: 0}
         assert _integer_form(t) is t._integer[0]
         cs = conditional_support(t, 0)
-        assert cs.atoms == (((Q(1), Q(1, 3)), Q(3, 4)), ((Q(-1), Q(0)), Q(1, 4)))
+        assert cs.int_values == (((3, 1), (-3, 0)), 3)
+        assert rational_atoms(cs) == (((Q(1), Q(1, 3)), Q(3, 4)), ((Q(-1), Q(0)), Q(1, 4)))
         # each child's increment is its atom's value: equal increments are one atom
-        assert [cs.atoms[atom[c]][0] for c in (1, 2, 3)] == \
+        assert [atom_values(cs)[atom[c]] for c in (1, 2, 3)] == \
             [(Q(1), Q(1, 3)), (Q(-1), Q(0)), (Q(1), Q(1, 3))]
 
     def test_invalid_trees_have_none(self):
@@ -369,14 +372,15 @@ class TestJson:
 class TestSupports:
     def test_atoms_and_mean(self):
         cs = conditional_support(skewed_coin(), 0)
-        assert cs.atoms == (((Q(1),), Q(3, 4)), ((Q(-1),), Q(1, 4)))
+        assert (cs.int_values, cs.int_probs) == ((((1,), (-1,)), 1), ((3, 1), 4))
+        assert rational_atoms(cs) == (((Q(1),), Q(3, 4)), ((Q(-1),), Q(1, 4)))
         assert cs.d == 1
         assert conditional_mean(cs) == (Q(1, 2),)
 
     def test_equal_increments_merge(self):
         t = one_step([1, 1, -1], ["1/3", "1/6", "1/2"])
         cs = conditional_support(t, 0)
-        assert cs.atoms == (((Q(1),), Q(1, 2)), ((Q(-1),), Q(1, 2)))
+        assert rational_atoms(cs) == (((Q(1),), Q(1, 2)), ((Q(-1),), Q(1, 2)))
 
     def test_leaf_has_no_support(self):
         t = skewed_coin()
@@ -398,19 +402,30 @@ class TestSupports:
         assert conditional_support(flat, 0).int_basis == ()
 
     def test_copy_and_pickle_keep_the_basis(self):
+        """Supports that ``conditional_support`` built, one from prices
+        over 6, rebuilt through the constructor: equal, of equal hash and
+        repr, field by field."""
         cs = conditional_support(one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"]), 0)
-        for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
-            assert twin == cs and twin.int_basis == cs.int_basis == (((1, 0), 1), ((0, 1), 1))
+        over_six = one_step([(1, Q(1, 2)), (-1, 0), (-1, 0)], ["1/4", "1/4", "1/2"],
+                            root=(Q(1, 6), Q(1, 3)))
+        for built in (cs, conditional_support(over_six, 0)):
+            for twin in (copy.copy(built), copy.deepcopy(built),
+                         pickle.loads(pickle.dumps(built))):
+                assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
+                for name in ConditionalSupport.__slots__:
+                    assert getattr(twin, name) == getattr(built, name), name
+        assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
 
     def test_integer_forms_and_their_copies(self):
-        """The atoms' and the basis's integer forms, derived by the
-        constructor, rebuilt equal by copy and pickle."""
-        cs = ConditionalSupport(4, (((Q(1, 2), Q(0)), Q(1, 6)), ((Q(0), Q(1, 3)), Q(1, 2)),
-                                    ((Q(-1), Q(-1)), Q(1, 3))))
+        """The constructor puts the atoms' integer forms in lowest terms
+        and derives the basis's; copy and pickle rebuild them equal."""
+        cs = ConditionalSupport(4, (((6, 0), (0, 4), (-12, -12)), 12), ((2, 6, 4), 12))
         assert cs.int_values == (((3, 0), (0, 2), (-6, -6)), 6)
         assert cs.int_probs == ((1, 3, 2), 6)
         assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
-        line = ConditionalSupport(0, (((Q(1), Q(3, 2)), Q(1)),))
+        assert cs.d == 2
+        assert cs == ConditionalSupport(4, (((3, 0), (0, 2), (-6, -6)), 6), ((1, 3, 2), 6))
+        line = ConditionalSupport(0, (((2, 3),), 2), ((1,), 1))
         assert line.int_basis == (((2, 3), 2),)
         for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert twin == cs
@@ -426,7 +441,7 @@ class TestSupports:
         assert cs.int_values == (((2, 1), (-2, 0)), 2)
         assert cs.int_probs == ((1, 3), 4)
         assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
-        assert_support_matches_constructor(cs)
+        assert_support_matches_constructor(t, 0)
 
     @pytest.mark.parametrize("call", [
         ri_conv_contains_origin,
@@ -446,26 +461,40 @@ class TestSupports:
             call(bad)
 
     def test_empty_or_mixed_atoms_rejected(self):
-        with pytest.raises(InputError, match="at least one atom"):
-            ConditionalSupport(0, ())
-        with pytest.raises(InputError, match="mixed dimensions"):
-            ConditionalSupport(0, (((Q(1),), Q(1, 2)), ((Q(1), Q(2)), Q(1, 2))))
-        with pytest.raises(InputError, match="at least one atom"):
-            ConditionalSupport(0, [((Q(1),), Q(1, 2)), ((Q(-1),), Q(1, 2))])
-        for atoms in (
-            (((Q(1),), Q(-1, 2)), ((Q(-1),), Q(3, 2))),  # negative weight
-            (((Q(1),), Q(0)), ((Q(-1),), Q(1))),  # zero weight
-            (((Q(1),), 0.5), ((Q(-1),), Q(1, 2))),  # float weight
-            (((Q(1),), 1), ((Q(-1),), Q(1, 2))),  # int weight
-            (((1,), Q(1, 2)), ((Q(-1),), Q(1, 2))),  # int value
-            (([Q(1)], Q(1, 2)), ((Q(-1),), Q(1, 2))),  # list value
-            (((Q(1),), Q(1, 2), Q(1)),),  # not a pair
-            ([(Q(1),), Q(1)],),  # a list for a pair
-        ):
-            with pytest.raises(InputError, match="an atom must be a pair"):
-                ConditionalSupport(0, atoms)
+        probs = ((1, 1), 2)
+        with pytest.raises(InputError, match="non-empty tuple"):
+            ConditionalSupport(0, ((), 1), ((), 1))
+        with pytest.raises(InputError, match="of one length"):
+            ConditionalSupport(0, (((1,), (1, 2)), 1), probs)
+        with pytest.raises(InputError, match="non-empty tuple"):
+            ConditionalSupport(0, ([(1,), (-1,)], 1), probs)
         # duplicate values stay separate atoms
-        assert len(ConditionalSupport(0, (((Q(1),), Q(1, 2)), ((Q(1),), Q(1, 2)))).atoms) == 2
+        assert len(ConditionalSupport(0, (((1,), (1,)), 1), probs).int_values[0]) == 2
+
+    @pytest.mark.parametrize("node, values, probs, message", [
+        ("x", (((1,), (-1,)), 1), ((1, 1), 2), "support node must be an integer"),
+        (True, (((1,), (-1,)), 1), ((1, 1), 2), "support node must be an integer"),
+        (0.0, (((1,), (-1,)), 1), ((1, 1), 2), "support node must be an integer"),
+        (0, "x", ((1, 1), 2), "values must be an .* pair"),
+        (0, (((1,), (-1,)),), ((1, 1), 2), "values must be an .* pair"),
+        (0, (((1,), (-1,)), 0), ((1, 1), 2), "values have denominator 0"),
+        (0, (((1,), (-1,)), 1.0), ((1, 1), 2), "values have denominator 1.0"),
+        (0, (((1,), (-1,)), True), ((1, 1), 2), "values have denominator True"),
+        (0, (((1,), (Q(-1),)), 1), ((1, 1), 2), "int tuples"),
+        (0, (((1,), (True,)), 1), ((1, 1), 2), "int tuples"),
+        (0, (((1,), [-1]), 1), ((1, 1), 2), "int tuples"),
+        (0, (((1,), (-1,)), 1), None, "weights must be an .* pair"),
+        (0, (((1,), (-1,)), 1), ((1, 1), -2), "weights have denominator -2"),
+        (0, (((1,), (-1,)), 1), ((1,), 1), "one int > 0 per value"),
+        (0, (((1,), (-1,)), 1), ((1, 1, 1), 3), "one int > 0 per value"),
+        (0, (((1,), (-1,)), 1), ((1, 0), 1), "one int > 0 per value"),
+        (0, (((1,), (-1,)), 1), ((3, -1), 2), "one int > 0 per value"),
+        (0, (((1,), (-1,)), 1), ((Q(1), 1), 2), "one int > 0 per value"),
+        (0, (((1,), (-1,)), 1), ([1, 1], 2), "one int > 0 per value"),
+    ])
+    def test_malformed_integer_forms_rejected(self, node, values, probs, message):
+        with pytest.raises(InputError, match=message):
+            ConditionalSupport(node, values, probs)
 
     def test_two_assets(self):
         t = one_step([(1, 0), (0, 1), (-1, -1)], ["1/3", "1/3", "1/3"])
@@ -528,6 +557,17 @@ class TestDensity:
         z = LeafDensity.from_mapping({2: Q(2), 1: Q(2, 3)})
         assert z.values == ((1, Q(2, 3)), (2, Q(2)))
         assert z.as_dict() == {1: Q(2, 3), 2: Q(2)}
+
+    @pytest.mark.parametrize("key", ["a", False, 1.5, None, (1,)])
+    def test_from_mapping_refuses_a_key_that_is_not_an_int(self, key):
+        # checked before the keys are sorted, where "a" against 1 is a TypeError
+        with pytest.raises(InputError, match="density leaf id must be an integer"):
+            LeafDensity.from_mapping({1: Q(1), key: Q(1)})
+
+    @pytest.mark.parametrize("not_a_mapping", [[1, 2], None, 5])
+    def test_from_mapping_refuses_what_is_not_a_mapping(self, not_a_mapping):
+        with pytest.raises(InputError, match="is a \\{leaf id: z\\} mapping"):
+            LeafDensity.from_mapping(not_a_mapping)
 
     def test_check_density_accepts_identity(self):
         t = skewed_coin_two_period()

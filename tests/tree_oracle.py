@@ -9,7 +9,8 @@ every increment a difference of prices and every sum a sum of
 tree: the strategy program field by field (as recorded by
 ``shipped_strategy_program``), each support's atoms in order, ``gains``
 on a seeded strategy and ``verify_martingale`` on densities whose
-residuals are mostly nonzero.
+residuals are mostly nonzero. ``assert_support_matches_constructor``
+holds one support equal to the one built from its reference atoms.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 import arbcheck.verify
 from arbcheck import Q, conditional_support, gains as shipped_gains, verify_martingale
 from arbcheck.tree import LeafDensity
-from helpers import dot, vec_sub
+from helpers import dot, rational_atoms, support_from_atoms, vec_sub
 from lp_oracle import rational_lp
 
 ZERO = Q(0)
@@ -94,6 +95,16 @@ def support_atoms(tree, nid):
     return tuple(weight.items())
 
 
+def assert_support_matches_constructor(tree, nid):
+    """The support ``conditional_support`` builds at ``nid`` from the
+    tree's integer form, equal to the one ``support_from_atoms`` builds
+    from ``support_atoms``, and so is the basis the constructor derives."""
+    cs = conditional_support(tree, nid)
+    twin = support_from_atoms(nid, support_atoms(tree, nid))
+    assert cs == twin, nid
+    assert cs.int_basis == twin.int_basis, nid
+
+
 def gains(tree, strategy):
     """Terminal gain per leaf: the sum over the path of (strategy at the
     parent, increment)."""
@@ -155,7 +166,7 @@ def assert_tree_loops_match(tree, seed, witness=None, density=None):
     residuals on ``densities(tree, density)``."""
     assert shipped_strategy_program(tree) == strategy_program(tree)
     for nid in tree.non_leaves():
-        assert conditional_support(tree, nid).atoms == support_atoms(tree, nid), nid
+        assert rational_atoms(conditional_support(tree, nid)) == support_atoms(tree, nid), nid
     for strategy in [arbitrary_strategy(tree, seed)] + ([witness] if witness else []):
         assert shipped_gains(tree, strategy) == gains(tree, strategy), strategy
     for z in densities(tree, density):
