@@ -11,7 +11,10 @@ density whose reweighted tree is a martingale.
 
 Everything here presupposes (and verifies, via certificates) that every
 node passes the geometric interiority test; GeometryError carries the
-separating certificate otherwise.
+separating certificate otherwise. A node whose support has one atom x
+solves no program: x = 0 gets g = f = 1, which build_emm re-checks in
+the pasted density, and x != 0 raises GeometryError with the direction
+x, normalized and re-checked as a program's would be.
 """
 
 from __future__ import annotations
@@ -108,13 +111,21 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     """Min-max selection: the feasible density with the smallest largest
     component, so the reported global bound is the tightest this
     construction yields. A node without the origin in the relative
-    interior of its support never gets here (``one_step_scale`` raises
-    GeometryError first), so an infeasible program is an internal error.
-    The martingale rows and the mass are integer sums over the
-    support's integer atoms.
+    interior of its support raises GeometryError before any program of
+    its own: one atom x != 0 with ``separating_certificate(support,
+    x)``, two or more from ``one_step_scale``; so an infeasible program
+    is an internal error. One atom x = 0 solves no program either and
+    gets the only density there, g = f = 1, which ``build_emm``
+    re-checks with the rest. The martingale rows and the mass are
+    integer sums over the support's integer atoms.
     """
+    rows_int, den = ensure_support(support).int_values
+    if len(rows_int) == 1:
+        if any(rows_int[0]):
+            raise GeometryError(support.node,
+                                separating_certificate(support, rational_row(rows_int[0], den)))
+        return OneStepDensity(support.node, ONE, (ONE,), (ONE,))
     f = one_step_scale(support)
-    rows_int, den = support.int_values
     probs, prob_den = support.int_probs
     n = len(rows_int)
     den *= prob_den

@@ -8,7 +8,11 @@ with (h, x) >= 0 on every atom and > 0 on at least one.
 
 Every function takes the node's ConditionalSupport, whose constructor
 has checked its integer form and reduced the span of its values once;
-the programs and the re-check are built from those integers.
+the programs and the re-check are built from those integers. A
+support with one atom x needs no program in the node test: the origin
+is interior iff x = 0, with the weights (1,), and otherwise the only
+separating direction is x normalized; either certificate is re-checked
+like a program's.
 The relative interior is always taken within that span. Directions are
 normalized in the max-norm (exact arithmetic has no square roots;
 every property used downstream is scale-invariant).
@@ -116,23 +120,31 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     them onto lambda >= 1) iff the feasibility program lambda_i >= 1,
     sum lambda_i x_i = 0 has a point. Its weights, divided by their
     sum, are re-checked here; otherwise the separating direction comes
-    from ``arbitrage_direction``, which re-checks it.
+    from ``arbitrage_direction``, which re-checks it. One atom x solves
+    no program: the weights (1,) when x = 0, else the direction x from
+    ``separating_certificate``, each the unique certificate there and
+    re-checked the same way.
     """
     rows_int, den = ensure_support(support).int_values
     n = len(rows_int)
-    rows = [({i: x[j] for i, x in enumerate(rows_int) if x[j]}, 0, True, den)
-            for j in range(support.d)]  # sum lambda_i x_i = 0
-    outcome = solve_lp(make_lp(n, ({}, 1), rows, [ONE] * n))
-    if isinstance(outcome, Optimal):
+    if n == 1 and any(rows_int[0]):
+        return separating_certificate(support, rational_row(rows_int[0], den))
+    if n == 1:
+        cert = InRi((ONE,))
+    else:
+        rows = [({i: x[j] for i, x in enumerate(rows_int) if x[j]}, 0, True, den)
+                for j in range(support.d)]  # sum lambda_i x_i = 0
+        outcome = solve_lp(make_lp(n, ({}, 1), rows, [ONE] * n))
+        if not isinstance(outcome, Optimal):
+            direction = arbitrage_direction(support)
+            if direction is None:
+                raise InternalError("certificate branches disagree on interiority")
+            return NotInRi(direction)
         weights, _ = int_row(outcome.point)
         cert = InRi(rational_row(weights, sum(weights)))
-        if not check_ri_certificate(support, cert):
-            raise InternalError("interiority certificate failed exact re-check")
-        return cert
-    direction = arbitrage_direction(support)
-    if direction is None:
-        raise InternalError("certificate branches disagree on interiority")
-    return NotInRi(direction)
+    if not check_ri_certificate(support, cert):
+        raise InternalError("interiority certificate failed exact re-check")
+    return cert
 
 
 def check_ri_certificate(support: ConditionalSupport, cert: RiCertificate) -> bool:

@@ -7,7 +7,9 @@ support's atoms and basis. ``reference_node`` replays one node's
 geometry and martingale routes from these builders, and
 ``shipped_node`` records the programs the package itself hands to
 ``solve_lp`` on the same routes, so a test can hold the two equal
-program by program, and the outcomes read off them as well.
+program by program, and the outcomes read off them as well. A node
+with one atom is the exception: the package answers it without a
+program, and ``expected_node`` is the oracle's tuple with none there.
 """
 
 import pytest
@@ -138,3 +140,11 @@ def shipped_node(support, solved):
         except GeometryError as exc:
             density = exc.certificate
     return programs, conditional_mean(support), cert, density
+
+
+def expected_node(support, solved):
+    """``reference_node``'s tuple as ``shipped_node`` must give it: the
+    oracle's mean, certificate and density at every node, its programs
+    at a node with two atoms or more, and none at a one-atom node."""
+    programs, *answers = reference_node(support, solved)
+    return ([] if len(support.int_values[0]) == 1 else programs, *answers)

@@ -1,20 +1,31 @@
 import pytest
 
+import arbcheck.emm
+import arbcheck.geometry
 from arbcheck import (
     Q,
     build_emm,
     conditional_mean,
     conditional_support,
+    equivalence_report,
     leaf_probabilities,
     verify_martingale,
 )
 from arbcheck.emm import (
+    OneStepDensity,
     one_step_density,
     one_step_scale,
     support_function,
 )
 from arbcheck.errors import GeometryError, InputError
-from arbcheck.geometry import NotInRi, check_ri_certificate
+from arbcheck.geometry import (
+    InRi,
+    NotInRi,
+    arbitrage_direction,
+    check_ri_certificate,
+    ri_conv_contains_origin,
+)
+from arbcheck.lp import solve_lp
 from arbcheck.tree import LeafDensity, check_density
 from helpers import (
     binomial,
@@ -103,6 +114,47 @@ class TestOneStepDensity:
             one_step_density(conditional_support(sure_win(), 0))
         assert exc.value.node == 0
         assert isinstance(exc.value.certificate, NotInRi)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("moves", [False, True], ids=["x=0", "x!=0"])
+@pytest.mark.parametrize("children", [1, 3])
+def test_one_atom_support_solves_no_program(d, moves, children, monkeypatch):
+    """A node whose children all share one increment x: the geometry
+    and martingale routes answer it without a program, with the
+    certificate and density the LP paths give, and the three routes
+    agree on the tree."""
+    x = ("3/2", -2, "1/3", 5)[:d] if moves else (0,) * d
+    tree = one_step([x] * children, [Q(1, children)] * children)
+    cs = conditional_support(tree, 0)
+    assert len(cs.int_values[0]) == 1
+    programs = []
+
+    def counted(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arbcheck.geometry, "solve_lp", counted)
+        patch.setattr(arbcheck.emm, "solve_lp", counted)
+        cert = ri_conv_contains_origin(cs)
+        if moves:
+            with pytest.raises(GeometryError) as exc:
+                one_step_density(cs)
+        else:
+            density = one_step_density(cs)
+    assert programs == []
+    assert check_ri_certificate(cs, cert)
+    if moves:
+        assert cert == NotInRi(arbitrage_direction(cs))
+        with pytest.raises(GeometryError) as scale_exc:
+            one_step_scale(cs)
+        assert exc.value.node == scale_exc.value.node == 0
+        assert exc.value.certificate == scale_exc.value.certificate == cert
+    else:
+        assert cert == InRi((Q(1),)) and arbitrage_direction(cs) is None
+        assert density == OneStepDensity(0, one_step_scale(cs), (Q(1),), (Q(1),))
+    assert equivalence_report(tree).consistent
 
 
 class TestBuildEmm:
