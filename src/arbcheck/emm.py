@@ -11,10 +11,12 @@ density whose reweighted tree is a martingale.
 
 Everything here presupposes (and verifies, via certificates) that every
 node passes the geometric interiority test; GeometryError carries the
-separating certificate otherwise. A node whose support has one atom x
-solves no program: x = 0 gets g = f = 1, which build_emm re-checks in
-the pasted density, and x != 0 raises GeometryError with the direction
-x, normalized and re-checked as a program's would be.
+separating certificate otherwise. Two kinds of node solve no program.
+A support of linearly independent atoms (one atom x != 0 among them)
+has the origin outside, and ``one_step_scale`` raises GeometryError
+there with the direction that gains 1 on every atom, normalized and
+re-checked as a program's would be. One atom x = 0 gets g = f = 1,
+which build_emm re-checks in the pasted density.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import mul
 
 from .errors import GeometryError, InputError, InternalError, Record
 from .geometry import separating_certificate
-from .linalg import combination, in_span
+from .linalg import combination, in_span, unit_gain_direction
 from .lp import Infeasible, Optimal, Unbounded, make_lp, solve_lp
 from .rationals import ONE, Rational, Vector, ZERO, int_row, rational_row
 from .tree import (
@@ -89,7 +91,14 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
 
 
 def one_step_scale(support: ConditionalSupport) -> Rational:
-    """The floor 1 / (1 + s(mean | T)); always in (0, 1]."""
+    """The floor 1 / (1 + s(mean | T)); always in (0, 1]. Linearly
+    independent atoms make T unbounded: they raise GeometryError with
+    ``unit_gain_direction`` through ``separating_certificate``, before
+    any program."""
+    rows_int, _ = ensure_support(support).int_values
+    if len(support.int_basis) == len(rows_int):
+        raise GeometryError(support.node,
+                            separating_certificate(support, unit_gain_direction(rows_int)))
     s = support_function(support, conditional_mean(support))
     return 1 / (1 + s)
 
@@ -111,19 +120,15 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     """Min-max selection: the feasible density with the smallest largest
     component, so the reported global bound is the tightest this
     construction yields. A node without the origin in the relative
-    interior of its support raises GeometryError before any program of
-    its own: one atom x != 0 with ``separating_certificate(support,
-    x)``, two or more from ``one_step_scale``; so an infeasible program
-    is an internal error. One atom x = 0 solves no program either and
-    gets the only density there, g = f = 1, which ``build_emm``
-    re-checks with the rest. The martingale rows and the mass are
-    integer sums over the support's integer atoms.
+    interior of its support raises GeometryError from ``one_step_scale``
+    before any program of its own, so an infeasible program is an
+    internal error. One atom x = 0 solves no program and gets the only
+    density there, g = f = 1, which ``build_emm`` re-checks with the
+    rest. The martingale rows and the mass are integer sums over the
+    support's integer atoms.
     """
     rows_int, den = ensure_support(support).int_values
-    if len(rows_int) == 1:
-        if any(rows_int[0]):
-            raise GeometryError(support.node,
-                                separating_certificate(support, rational_row(rows_int[0], den)))
+    if len(rows_int) == 1 and not any(rows_int[0]):
         return OneStepDensity(support.node, ONE, (ONE,), (ONE,))
     f = one_step_scale(support)
     probs, prob_den = support.int_probs

@@ -80,6 +80,10 @@ class GeometryError(RuntimeError):
         self.certificate = certificate
         super().__init__(f"origin outside the relative interior of the support at node {node}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as for a Record
+        return type(self), (self.node, self.certificate)
+
 
 class InternalError(RuntimeError):
     """An exact self-verification failed.

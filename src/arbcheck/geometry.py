@@ -8,11 +8,13 @@ with (h, x) >= 0 on every atom and > 0 on at least one.
 
 Every function takes the node's ConditionalSupport, whose constructor
 has checked its integer form and reduced the span of its values once;
-the programs and the re-check are built from those integers. A
-support with one atom x needs no program in the node test: the origin
-is interior iff x = 0, with the weights (1,), and otherwise the only
-separating direction is x normalized; either certificate is re-checked
-like a program's.
+the programs and the re-check are built from those integers. Two
+kinds of support need no program in the node test. One atom x = 0 is
+interior with the weights (1,). Linearly independent atoms (one atom
+x != 0 among them) have no vanishing positive combination, so the
+origin is outside, and the direction that gains 1 on every atom, from
+one Gram solve, separates it. Either certificate is re-checked like a
+program's.
 The relative interior is always taken within that span. Directions are
 normalized in the max-norm (exact arithmetic has no square roots;
 every property used downstream is scale-invariant).
@@ -25,7 +27,7 @@ from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
-from .linalg import combination, in_span
+from .linalg import combination, in_span, unit_gain_direction
 from .lp import Optimal, make_lp, solve_lp
 from .rationals import ONE, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row
 from .tree import ConditionalSupport, ensure_support
@@ -120,15 +122,16 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     them onto lambda >= 1) iff the feasibility program lambda_i >= 1,
     sum lambda_i x_i = 0 has a point. Its weights, divided by their
     sum, are re-checked here; otherwise the separating direction comes
-    from ``arbitrage_direction``, which re-checks it. One atom x solves
-    no program: the weights (1,) when x = 0, else the direction x from
-    ``separating_certificate``, each the unique certificate there and
-    re-checked the same way.
+    from ``arbitrage_direction``, which re-checks it. Two cases solve
+    no program. Atoms that are linearly independent (as many as the
+    span's rank) get ``unit_gain_direction`` through
+    ``separating_certificate``; one atom x = 0 gets the weights (1,),
+    the unique certificate there, re-checked as the program's are.
     """
     rows_int, den = ensure_support(support).int_values
     n = len(rows_int)
-    if n == 1 and any(rows_int[0]):
-        return separating_certificate(support, rational_row(rows_int[0], den))
+    if len(support.int_basis) == n:
+        return separating_certificate(support, unit_gain_direction(rows_int))
     if n == 1:
         cert = InRi((ONE,))
     else:

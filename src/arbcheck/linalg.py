@@ -6,11 +6,13 @@ elimination is an integer multiply-and-subtract plus one gcd
 so rows carry no denominator. ``span_basis`` takes points in integer
 form, ``(rows, den)`` as a support's ``int_values`` holds them, and
 returns each basis row as ``(row, pivot entry)``; ``in_span`` reduces a
-Rational vector, by way of ``int_row``, against such a basis. The
-vector conversions (``int_row``, ``rational_row``) and the row
-normalisation (``lowest_terms``) belong to ``rationals``; this module
-owns the elimination and ``combination``, which sums integer basis rows
-with rational coordinates. The leftmost-pivot rule with back-elimination
+Rational vector, by way of ``int_row``, against such a basis, and
+``unit_gain_direction`` solves the Gram system of independent rows for
+the direction in their span that gains 1 on each. The vector
+conversions (``int_row``, ``rational_row``) and the row normalisation
+(``lowest_terms``) belong to ``rationals``; this module owns the
+elimination and ``combination``, which sums integer basis rows with
+rational coordinates. The leftmost-pivot rule with back-elimination
 gives an integer reduced row-echelon form; dividing each row by its
 pivot yields a basis that is canonical for the subspace spanned
 (independent of input order).
@@ -129,3 +131,19 @@ def combination(basis: Sequence[tuple[Sequence[int], int]], coords: Sequence[Rat
     scaled = [c * (row_den // q) for c, (_, q) in zip(nums, basis)]
     columns = zip(*(row for row, _ in basis))
     return rational_row([sum(map(mul, scaled, column)) for column in columns], den * row_den)
+
+
+def unit_gain_direction(rows: Sequence[Sequence[int]]) -> Vector:
+    """The h in the span of the linearly independent integer rows x_i
+    with (h, x_i) = 1 for every i: h = sum_i w_i x_i, where w solves the
+    Gram system, whose augmented rows [(x_i, x_k)... | 1] ``_echelon``
+    reduces. InputError if the rows are dependent."""
+    n = len(rows)
+    gram = [[sum(map(mul, x, y)) for y in rows] + [1] for x in rows]
+    echelon = _echelon(gram)
+    if [piv for piv, _ in echelon] != list(range(n)):
+        raise InputError(f"{rows!r} are not linearly independent rows")
+    # reduced row i is (p_i at column i, c_i last), so w_i = c_i / p_i
+    big = lcm(*(row[i] for i, row in echelon))
+    w = [row[n] * (big // row[i]) for i, row in echelon]
+    return rational_row([sum(map(mul, w, column)) for column in zip(*rows)], big)

@@ -7,9 +7,13 @@ support's atoms and basis. ``reference_node`` replays one node's
 geometry and martingale routes from these builders, and
 ``shipped_node`` records the programs the package itself hands to
 ``solve_lp`` on the same routes, so a test can hold the two equal
-program by program, and the outcomes read off them as well. A node
-with one atom is the exception: the package answers it without a
-program, and ``expected_node`` is the oracle's tuple with none there.
+program by program, and the outcomes read off them as well. Two kinds
+of node are the exception: the package answers them without a program,
+and ``expected_node`` is the oracle's tuple with none there. At one
+atom x = 0 its answers are the oracle's. At linearly independent atoms
+(one atom x != 0 among them) the oracle's own ``ri`` program must be
+infeasible and its ``support`` program unbounded, and both certificates
+are ``unit_gain_reference``, the direction from the Gram system.
 """
 
 import pytest
@@ -20,9 +24,10 @@ from arbcheck import Q
 from arbcheck.emm import one_step_density
 from arbcheck.errors import GeometryError
 from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
-from arbcheck.lp import Optimal, Unbounded, solve_lp
+from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
 from arbcheck.tree import conditional_mean
 from helpers import atom_values, dot, rational_atoms, rational_basis
+from linalg_oracle import unit_gain_reference
 from lp_oracle import rational_lp
 
 ZERO = Q(0)
@@ -87,13 +92,14 @@ def density_program(support, f):
 
 def reference_node(support, solved):
     """(programs in solve order, conditional mean, ri certificate,
-    the one-step density or the GeometryError certificate). A program
-    equal to a key of ``solved`` is not solved again: its outcome is
-    the value there, as the solver is deterministic."""
+    the one-step density or the GeometryError certificate). Each
+    program's outcome is kept in ``solved``, and a program already a
+    key there is not solved again: the solver is deterministic."""
 
     def solve(lp):
-        outcome = solved.get(lp)
-        return solve_lp(lp) if outcome is None else outcome
+        if lp not in solved:
+            solved[lp] = solve_lp(lp)
+        return solved[lp]
 
     programs = [ri_program(support)]
     outcome = solve(programs[0])
@@ -143,8 +149,17 @@ def shipped_node(support, solved):
 
 
 def expected_node(support, solved):
-    """``reference_node``'s tuple as ``shipped_node`` must give it: the
-    oracle's mean, certificate and density at every node, its programs
-    at a node with two atoms or more, and none at a one-atom node."""
-    programs, *answers = reference_node(support, solved)
-    return ([] if len(support.int_values[0]) == 1 else programs, *answers)
+    """``reference_node``'s tuple as ``shipped_node`` must give it: no
+    programs at one atom x = 0, with the oracle's answers; no programs
+    at linearly independent atoms, where the oracle's ``ri`` program is
+    infeasible, its ``support`` program unbounded, and both
+    certificates are ``unit_gain_reference``; the oracle's programs and
+    answers everywhere else."""
+    programs, mean_, cert, density = reference_node(support, solved)
+    n = len(support.int_values[0])
+    if len(support.int_basis) == n:
+        assert isinstance(solved[programs[0]], Infeasible), support
+        assert isinstance(solved[programs[-1]], Unbounded), support
+        h = NotInRi(unit_gain_reference(atom_values(support)))
+        return [], mean_, h, h
+    return ([] if n == 1 else programs, mean_, cert, density)

@@ -54,10 +54,10 @@ SWEEP_SIZE = 1000
 SWEEP_BUDGET_SECONDS = 300.0
 # sha256 of the sweep's report_to_json lines; pins every verdict, witness
 # and certificate the routes return, pivot for pivot
-SWEEP_REPORTS_SHA256 = "6fbb796a9723edb182a94cda795257b7c2186fed60aa67213d2ba24e8b37a167"
+SWEEP_REPORTS_SHA256 = "511c1a86f1de2f501803639313c90776ed3d299aa4b9ab8cf3ee54894382ba97"
 # the same lines with each arbitrage witness reduced to whether it is
 # present; pins everything but the strategy route's choice of witness
-SWEEP_VERDICTS_SHA256 = "aa596a3c6acab3f1ca55576953b3bb0206b25fe10692cbb75be14cdf28878b04"
+SWEEP_VERDICTS_SHA256 = "98636b201792691c1441c2296f631fc5b5669715c7f105d1c9f9e817d6855be0"
 
 
 def _sweep_params(seed):
@@ -246,6 +246,22 @@ def test_criterion_3_scaled_gain_bound(sweep):
     assert over == []
     assert mismatched == []
     assert worked == Q(2, 3)
+
+
+def test_sweep_build_emm_and_beta_fail_at_the_same_node(sweep):
+    """On every tree with an arbitrage, ``build_emm`` and
+    ``scaled_gain_optimum`` raise GeometryError at the same node with
+    the same certificate: both take it from ``one_step_scale``."""
+    records, _ = sweep
+    checked = 0
+    for seed, tree, rep in records:
+        if rep.verdict_na_strategy:
+            continue
+        failed = _outcome(build_emm, tree)
+        assert isinstance(failed, tuple), seed
+        assert failed == _outcome(scaled_gain_optimum, tree), seed
+        checked += 1
+    assert checked > 0
 
 
 def test_criterion_4_worked_one_step_instance():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import arbcheck.emm
@@ -28,7 +31,9 @@ from arbcheck.geometry import (
 from arbcheck.lp import solve_lp
 from arbcheck.tree import LeafDensity, check_density
 from helpers import (
+    atom_values,
     binomial,
+    dot,
     localized_arbitrage,
     one_step,
     rational_atoms,
@@ -36,7 +41,9 @@ from helpers import (
     single_chain,
     skewed_coin,
     skewed_coin_two_period,
+    support,
     sure_win,
+    vec,
 )
 
 ZERO = Q(0)
@@ -155,6 +162,62 @@ def test_one_atom_support_solves_no_program(d, moves, children, monkeypatch):
         assert cert == InRi((Q(1),)) and arbitrage_direction(cs) is None
         assert density == OneStepDensity(0, one_step_scale(cs), (Q(1),), (Q(1),))
     assert equivalence_report(tree).consistent
+
+
+class _Solved(Exception):
+    """Raised in place of a solve, to show that none happens."""
+
+
+def _refuse(lp):
+    raise _Solved(lp)
+
+
+@pytest.mark.parametrize("points", [
+    [(1, 0, 0), (0, 2, 0), ("1/2", 1, -3)],
+    [(1, -1), (2, 5)],
+    [("3/2", -2, "1/3")],
+], ids=["d=3 three atoms", "two atoms", "one atom x!=0"])
+def test_independent_atoms_solve_no_program(points, monkeypatch):
+    """Linearly independent atoms: both routes answer without a program,
+    with the direction that gains 1 on every atom, re-checked."""
+    cs = support([vec(p) for p in points])
+    assert len(cs.int_basis) == len(cs.int_values[0])
+    monkeypatch.setattr(arbcheck.geometry, "solve_lp", _refuse)
+    monkeypatch.setattr(arbcheck.emm, "solve_lp", _refuse)
+    cert = ri_conv_contains_origin(cs)
+    assert isinstance(cert, NotInRi) and check_ri_certificate(cs, cert)
+    gains = {dot(cert.direction, x) for x in atom_values(cs)}
+    assert len(gains) == 1 and gains.pop() > 0
+    for route in (one_step_density, one_step_scale):
+        with pytest.raises(GeometryError) as exc:
+            route(cs)
+        assert exc.value.node == cs.node and exc.value.certificate == cert
+
+
+@pytest.mark.parametrize("points", [
+    [(1, 0), (2, 0)],
+    [(1, 0), (-1, 0)],
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    [(1, 1, 0), (-1, 0, 0), (0, -1, 0)],
+], ids=["one ray", "a line", "d=3 arbitrage plane", "d=3 interior plane"])
+def test_dependent_atoms_still_solve_their_programs(points, monkeypatch):
+    """Atoms of rank n - 1 are not answered in closed form: the
+    geometry and martingale routes each reach a program."""
+    cs = support([vec(p) for p in points])
+    assert len(cs.int_basis) == len(cs.int_values[0]) - 1
+    monkeypatch.setattr(arbcheck.geometry, "solve_lp", _refuse)
+    monkeypatch.setattr(arbcheck.emm, "solve_lp", _refuse)
+    for route in (ri_conv_contains_origin, one_step_density, one_step_scale):
+        with pytest.raises(_Solved):
+            route(cs)
+
+
+def test_geometry_error_copies_and_pickles():
+    """Copy and pickle rebuild the error from its node and certificate."""
+    err = GeometryError(3, NotInRi((Q(1),)))
+    for twin in (copy.copy(err), copy.deepcopy(err), pickle.loads(pickle.dumps(err))):
+        assert type(twin) is GeometryError and str(twin) == str(err)
+        assert twin.node == err.node and twin.certificate == err.certificate
 
 
 class TestBuildEmm:

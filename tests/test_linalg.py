@@ -1,14 +1,16 @@
 import random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from arbcheck import Q, in_span, span_basis
 from arbcheck.errors import InputError
+from arbcheck.geometry import max_norm_normalize
+from arbcheck.linalg import unit_gain_direction
 from arbcheck.rationals import int_row, rational_row
 from helpers import assert_in_span_matches_reference, support_from_atoms, vec
-from linalg_oracle import rref_basis, rref_in_span
+from linalg_oracle import rref_basis, rref_in_span, unit_gain_reference
 
 
 def V(*rows):
@@ -206,6 +208,38 @@ def test_integer_form_in_gives_the_basis_in_integer_form(case):
     assert tuple(rational_row(row, q) for row, q in int_basis) == rref_basis(points)
     for row, q in int_basis:
         assert all(type(a) is int for a in row) and q == next(a for a in row if a) > 0
+
+
+_ints = st.integers(-9, 9) | st.integers(-10**30, 10**30)
+
+
+@st.composite
+def _independent_rows(draw):
+    """1 <= n <= d <= 4 linearly independent int rows, small and large
+    entries of either sign."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, d))
+    rows = draw(st.lists(st.tuples(*[_ints] * d), min_size=n, max_size=n))
+    assume(len(span_basis((rows, 1))) == n)
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          phases=[phase for phase in Phase if phase.name != "explain"])
+@given(_independent_rows())
+def test_unit_gain_direction_matches_the_rational_reference(rows):
+    """The direction gains exactly 1 on every row, lies in their span,
+    and, max-norm normalised, is the Gram solve in rational arithmetic."""
+    h = unit_gain_direction(rows)
+    assert all(sum((a * b for a, b in zip(h, x)), Q(0)) == 1 for x in rows)
+    assert in_span(h, span_basis((rows, 1))) and rref_in_span(h, rows)
+    assert max_norm_normalize(h) == unit_gain_reference(rows)
+
+
+def test_unit_gain_direction_refuses_dependent_rows():
+    for rows in ([(1, 2), (2, 4)], [(0, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]):
+        with pytest.raises(InputError, match="not linearly independent"):
+            unit_gain_direction(rows)
 
 
 @pytest.mark.parametrize("points, message", [
