@@ -83,10 +83,12 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
         h = combination(basis, outcome.ray)
         raise GeometryError(support.node, separating_certificate(support, h))
     if isinstance(outcome, Infeasible):
-        raise InternalError("support program is never infeasible (0 is feasible)")
+        raise InternalError(f"node {support.node}: support program is never infeasible "
+                            "(0 is feasible)")
     assert isinstance(outcome, Optimal)
     if outcome.value < 0:
-        raise InternalError("support function came out negative with 0 in T")
+        raise InternalError(f"node {support.node}: support function came out negative "
+                            "with 0 in T")
     return outcome.value
 
 
@@ -142,15 +144,18 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     # and the martingale rows; build_emm re-checks the pasted density
     outcome = solve_lp(make_lp(n + 1, ({n: -1}, 1), rows, [f] * (n + 1)))
     if isinstance(outcome, Infeasible):
-        raise InternalError("one-step density infeasible although the origin is interior")
+        raise InternalError(f"node {support.node}: one-step density infeasible although "
+                            "the origin is interior")
     if isinstance(outcome, Unbounded):
-        raise InternalError("one-step density program is bounded below by the floor")
+        raise InternalError(f"node {support.node}: one-step density program is bounded "
+                            "below by the floor")
     assert isinstance(outcome, Optimal)
     g = outcome.point[:n]
     g_nums, g_den = int_row(g)
     mass = sum(map(mul, probs, g_nums))  # E[g], over prob_den * g_den
     if mass <= 0:
-        raise InternalError("one-step density has non-positive conditional mass")
+        raise InternalError(f"node {support.node}: one-step density has non-positive "
+                            "conditional mass")
     return OneStepDensity(support.node, f, g, rational_row([v * prob_den for v in g_nums], mass))
 
 

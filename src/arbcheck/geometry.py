@@ -9,11 +9,14 @@ with (h, x) >= 0 on every atom and > 0 on at least one.
 Every function takes the node's ConditionalSupport, whose constructor
 has checked its integer form and reduced the span of its values once;
 the programs and the re-check are built from those integers. Two
-kinds of support need no program in the node test. One atom x = 0 is
-interior with the weights (1,). Linearly independent atoms (one atom
-x != 0 among them) have no vanishing positive combination, so the
-origin is outside, and the direction that gains 1 on every atom, from
-one Gram solve, separates it. Either certificate is re-checked like a
+kinds of support need no program in the node test. Linearly
+independent atoms (one atom x != 0 among them) have no vanishing
+positive combination, so the origin is outside, and the direction that
+gains 1 on every atom, from one Gram solve, separates it. n atoms of
+rank n - 1 (one atom x = 0 among them) have one line of vanishing
+combinations, lambda t; when lambda > 0 the origin is interior with the
+weights lambda / sum(lambda), the one vertex lambda / min(lambda) of the
+program's feasible ray, scaled. Either certificate is re-checked like a
 program's.
 The relative interior is always taken within that span. Directions are
 normalized in the max-norm (exact arithmetic has no square roots;
@@ -27,7 +30,7 @@ from operator import mul
 from typing import Optional, Union
 
 from .errors import InputError, InternalError, Record
-from .linalg import combination, in_span, unit_gain_direction
+from .linalg import combination, in_span, kernel_line, unit_gain_direction
 from .lp import Optimal, make_lp, solve_lp
 from .rationals import ONE, Rational, Vector, ZERO, int_row, is_exact_vector, rational_row
 from .tree import ConditionalSupport, ensure_support
@@ -83,7 +86,8 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
     objective = ({k: v for k, v in enumerate(map(sum, zip(*inner))) if v}, big * den)
     outcome = solve_lp(make_lp(r, objective, rows))  # maximize sum_i (h, x_i)
     if not isinstance(outcome, Optimal):
-        raise InternalError("separation program must be feasible and bounded")
+        raise InternalError(f"node {support.node}: separation program must be feasible "
+                            "and bounded")
     return outcome.value, combination(basis, outcome.point)
 
 
@@ -100,7 +104,8 @@ def arbitrage_direction(support: ConditionalSupport) -> Optional[Vector]:
     value, h = separation_optimum(support)
     if value == 0:
         if any(h):
-            raise InternalError("zero separation value with a nonzero optimizer")
+            raise InternalError(f"node {support.node}: zero separation value with a nonzero "
+                                "optimizer")
         return None
     return separating_certificate(support, h).direction
 
@@ -125,28 +130,35 @@ def ri_conv_contains_origin(support: ConditionalSupport) -> RiCertificate:
     from ``arbitrage_direction``, which re-checks it. Two cases solve
     no program. Atoms that are linearly independent (as many as the
     span's rank) get ``unit_gain_direction`` through
-    ``separating_certificate``; one atom x = 0 gets the weights (1,),
-    the unique certificate there, re-checked as the program's are.
+    ``separating_certificate``. n atoms of rank n - 1 whose
+    ``kernel_line`` lambda, positive at its free entry, is positive
+    throughout (one atom x = 0 has lambda = (1,)) get lambda /
+    sum(lambda): the program's feasible set is then the ray lambda t,
+    t >= 1 / min(lambda), whose one vertex phase 1 returns, so the
+    weights are the program's, re-checked the same way. Any other
+    lambda, mixed in sign or with a zero entry, reaches the infeasible
+    program and then ``arbitrage_direction``.
     """
     rows_int, den = ensure_support(support).int_values
     n = len(rows_int)
-    if len(support.int_basis) == n:
+    rank = len(support.int_basis)
+    if rank == n:
         return separating_certificate(support, unit_gain_direction(rows_int))
-    if n == 1:
-        cert = InRi((ONE,))
-    else:
+    weights = kernel_line(rows_int) if rank == n - 1 else None
+    if weights is None or min(weights) <= 0:
         rows = [({i: x[j] for i, x in enumerate(rows_int) if x[j]}, 0, True, den)
                 for j in range(support.d)]  # sum lambda_i x_i = 0
         outcome = solve_lp(make_lp(n, ({}, 1), rows, [ONE] * n))
         if not isinstance(outcome, Optimal):
             direction = arbitrage_direction(support)
             if direction is None:
-                raise InternalError("certificate branches disagree on interiority")
+                raise InternalError(f"node {support.node}: certificate branches disagree "
+                                    "on interiority")
             return NotInRi(direction)
         weights, _ = int_row(outcome.point)
-        cert = InRi(rational_row(weights, sum(weights)))
+    cert = InRi(rational_row(weights, sum(weights)))
     if not check_ri_certificate(support, cert):
-        raise InternalError("interiority certificate failed exact re-check")
+        raise InternalError(f"node {support.node}: interiority certificate failed exact re-check")
     return cert
 
 

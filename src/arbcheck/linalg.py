@@ -8,7 +8,9 @@ form, ``(rows, den)`` as a support's ``int_values`` holds them, and
 returns each basis row as ``(row, pivot entry)``; ``in_span`` reduces a
 Rational vector, by way of ``int_row``, against such a basis, and
 ``unit_gain_direction`` solves the Gram system of independent rows for
-the direction in their span that gains 1 on each. The vector
+the direction in their span that gains 1 on each, and ``kernel_line``
+reduces the transpose of n rows of rank n - 1 for the one integer
+combination of them that vanishes. The vector
 conversions (``int_row``, ``rational_row``) and the row normalisation
 (``lowest_terms``) belong to ``rationals``; this module owns the
 elimination and ``combination``, which sums integer basis rows with
@@ -147,3 +149,23 @@ def unit_gain_direction(rows: Sequence[Sequence[int]]) -> Vector:
     big = lcm(*(row[i] for i, row in echelon))
     w = [row[n] * (big // row[i]) for i, row in echelon]
     return rational_row([sum(map(mul, w, column)) for column in zip(*rows)], big)
+
+
+def kernel_line(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The integer lambda, with gcd 1, that spans the kernel of
+    lambda -> sum_i lambda_i x_i for n integer rows x_i of rank n - 1.
+    ``_echelon`` reduces the transposed rows; each reduced row holds
+    only its pivot p_k and the entry c_k of the one free column f, so
+    lambda_f = lcm(p) > 0 and lambda_k = -c_k lcm(p) / p_k. InputError
+    if the rank is not n - 1."""
+    n = len(rows)
+    echelon = _echelon(list(zip(*rows)))
+    free = set(range(n)).difference(piv for piv, _ in echelon)
+    if len(free) != 1:
+        raise InputError(f"{rows!r} are not rows of rank {n - 1}")
+    (f,) = free
+    big = lcm(*(row[piv] for piv, row in echelon))
+    lam = [big] * n
+    for piv, row in echelon:
+        lam[piv] = -row[f] * (big // row[piv])
+    return lam

@@ -1,7 +1,10 @@
-"""Hand-built scenario trees and rational vector helpers shared across
-test modules."""
+"""Hand-built scenario trees, rational vector helpers and a Hypothesis
+strategy shared across test modules."""
 
-from arbcheck import Q, Rational, ScenarioTree, in_span, parse_rational
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from arbcheck import Q, Rational, ScenarioTree, in_span, parse_rational, span_basis
 from arbcheck.errors import InputError
 from arbcheck.rationals import ZERO, int_row, rational_row
 from arbcheck.tree import ConditionalSupport, Node, density_process
@@ -185,6 +188,22 @@ def assert_in_span_matches_reference(cs):
     total = tuple(sum(column, Q(0)) for column in zip(*values))
     for query in [*values, *units, (Q(1),) * d, total]:
         assert in_span(query, cs.int_basis) == rref_in_span(query, values), query
+
+
+@st.composite
+def kernel_line_rows(draw, dims, entries):
+    """n = r + 1 int rows of rank r, in a dimension drawn from ``dims``:
+    r independent rows of ``entries`` and, at a drawn place among them,
+    one small integer combination of them, so the zero row, a repeated
+    direction and a vanishing combination with a zero entry are common."""
+    d = draw(dims)
+    r = draw(st.integers(0, d))
+    rows = draw(st.lists(st.tuples(*[entries] * d), min_size=r, max_size=r))
+    assume(len(span_basis((rows, 1))) == r)
+    coeffs = draw(st.lists(st.integers(-3, 2), min_size=r, max_size=r))
+    extra = tuple(sum(c * x[j] for c, x in zip(coeffs, rows)) for j in range(d))
+    rows.insert(draw(st.integers(0, r)), extra)
+    return rows
 
 
 def count_calls(monkeypatch, module, name):

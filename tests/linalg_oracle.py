@@ -4,7 +4,8 @@ Gauss-Jordan elimination over the rational scalar type itself: each
 new vector is reduced against the basis so far, divided by its leading
 entry, and then cleared from the earlier rows. ``arbcheck.linalg``
 reduces integer rows instead; tests compare the two. The same
-elimination solves the Gram system behind ``unit_gain_reference``.
+elimination solves the Gram system behind ``unit_gain_reference`` and
+reads the kernel behind ``kernel_line_reference``.
 """
 
 from arbcheck.rationals import Q
@@ -69,3 +70,23 @@ def unit_gain_reference(points):
     h = [sum((wi * x[j] for wi, x in zip(w, xs)), Q(0)) for j in range(len(xs[0]))]
     top = max(abs(c) for c in h)
     return tuple(c / top for c in h)
+
+
+def kernel_line_reference(points):
+    """The combinations lambda with sum_i lambda_i x_i = 0 of ``points``
+    x_i, when they form one line: the rational lambda with 1 at the one
+    column f of ``rref_basis`` of the transposed points that holds no
+    pivot, and -row[f] at each row's pivot. None when the points are
+    independent or their kernel is wider than a line."""
+    n = len(points)
+    rows = rref_basis(list(zip(*points)))
+    pivots = [next(j for j, c in enumerate(row) if c) for row in rows]
+    free = [j for j in range(n) if j not in pivots]
+    if len(free) != 1:
+        return None
+    (f,) = free
+    lam = [Q(0)] * n
+    lam[f] = Q(1)
+    for piv, row in zip(pivots, rows):
+        lam[piv] = -row[f]
+    return tuple(lam)

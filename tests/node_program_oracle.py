@@ -7,13 +7,17 @@ support's atoms and basis. ``reference_node`` replays one node's
 geometry and martingale routes from these builders, and
 ``shipped_node`` records the programs the package itself hands to
 ``solve_lp`` on the same routes, so a test can hold the two equal
-program by program, and the outcomes read off them as well. Two kinds
-of node are the exception: the package answers them without a program,
-and ``expected_node`` is the oracle's tuple with none there. At one
-atom x = 0 its answers are the oracle's. At linearly independent atoms
-(one atom x != 0 among them) the oracle's own ``ri`` program must be
-infeasible and its ``support`` program unbounded, and both certificates
-are ``unit_gain_reference``, the direction from the Gram system.
+program by program, and the outcomes read off them as well. Three
+kinds of node are the exception, and ``expected_node`` is the oracle's
+tuple without the programs the package does not solve there. At
+linearly independent atoms (one atom x != 0 among them) it solves none:
+the oracle's own ``ri`` program must be infeasible and its ``support``
+program unbounded, and both certificates are ``unit_gain_reference``,
+the direction from the Gram system. At atoms whose vanishing
+combinations form one line of positive lambda (``kernel_line_reference``)
+the geometry route solves none, and the oracle's ``ri`` program must be
+optimal; its weights stay the certificate. At one atom x = 0, such a
+line, the martingale route solves none either.
 """
 
 import pytest
@@ -27,7 +31,7 @@ from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contain
 from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
 from arbcheck.tree import conditional_mean
 from helpers import atom_values, dot, rational_atoms, rational_basis
-from linalg_oracle import unit_gain_reference
+from linalg_oracle import kernel_line_reference, unit_gain_reference
 from lp_oracle import rational_lp
 
 ZERO = Q(0)
@@ -150,11 +154,12 @@ def shipped_node(support, solved):
 
 def expected_node(support, solved):
     """``reference_node``'s tuple as ``shipped_node`` must give it: no
-    programs at one atom x = 0, with the oracle's answers; no programs
-    at linearly independent atoms, where the oracle's ``ri`` program is
-    infeasible, its ``support`` program unbounded, and both
-    certificates are ``unit_gain_reference``; the oracle's programs and
-    answers everywhere else."""
+    programs at linearly independent atoms, where the oracle's ``ri``
+    program is infeasible, its ``support`` program unbounded, and both
+    certificates are ``unit_gain_reference``; no ``ri`` program where
+    the atoms' vanishing combinations are one line of positive lambda,
+    where the oracle's is optimal, and none at all at one atom x = 0;
+    the oracle's programs and answers everywhere else."""
     programs, mean_, cert, density = reference_node(support, solved)
     n = len(support.int_values[0])
     if len(support.int_basis) == n:
@@ -162,4 +167,8 @@ def expected_node(support, solved):
         assert isinstance(solved[programs[-1]], Unbounded), support
         h = NotInRi(unit_gain_reference(atom_values(support)))
         return [], mean_, h, h
-    return ([] if n == 1 else programs, mean_, cert, density)
+    lam = kernel_line_reference(atom_values(support))
+    if lam is not None and min(lam) > 0:
+        assert isinstance(solved[programs[0]], Optimal), support
+        programs = [] if n == 1 else programs[1:]
+    return programs, mean_, cert, density

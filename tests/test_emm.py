@@ -20,7 +20,7 @@ from arbcheck.emm import (
     one_step_scale,
     support_function,
 )
-from arbcheck.errors import GeometryError, InputError
+from arbcheck.errors import GeometryError, InputError, InternalError
 from arbcheck.geometry import (
     InRi,
     NotInRi,
@@ -28,7 +28,7 @@ from arbcheck.geometry import (
     check_ri_certificate,
     ri_conv_contains_origin,
 )
-from arbcheck.lp import solve_lp
+from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
 from arbcheck.tree import LeafDensity, check_density
 from helpers import (
     atom_values,
@@ -42,11 +42,13 @@ from helpers import (
     skewed_coin,
     skewed_coin_two_period,
     support,
+    support_from_atoms,
     sure_win,
     vec,
 )
 
 ZERO = Q(0)
+ONE = Q(1)
 
 
 def coin_support():
@@ -194,14 +196,32 @@ def test_independent_atoms_solve_no_program(points, monkeypatch):
         assert exc.value.node == cs.node and exc.value.certificate == cert
 
 
+@pytest.mark.parametrize("points, weights", [
+    ([(1, 0), (-1, 0)], ("1/2", "1/2")),
+    ([(1, 1, 0), (-1, 0, 0), (0, -1, 0)], ("1/3", "1/3", "1/3")),
+], ids=["a line", "d=3 interior plane"])
+def test_interior_kernel_line_atoms_solve_no_geometry_program(points, weights, monkeypatch):
+    """Atoms of rank n - 1 whose one vanishing combination is positive:
+    the geometry route answers with it, normalised, without a program;
+    the martingale route still solves its programs."""
+    cs = support([vec(p) for p in points])
+    assert len(cs.int_basis) == len(cs.int_values[0]) - 1
+    monkeypatch.setattr(arbcheck.geometry, "solve_lp", _refuse)
+    monkeypatch.setattr(arbcheck.emm, "solve_lp", _refuse)
+    assert ri_conv_contains_origin(cs) == InRi(vec(weights))
+    for route in (one_step_density, one_step_scale):
+        with pytest.raises(_Solved):
+            route(cs)
+
+
 @pytest.mark.parametrize("points", [
     [(1, 0), (2, 0)],
-    [(1, 0), (-1, 0)],
     [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
-    [(1, 1, 0), (-1, 0, 0), (0, -1, 0)],
-], ids=["one ray", "a line", "d=3 arbitrage plane", "d=3 interior plane"])
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+], ids=["one ray", "d=3 arbitrage plane", "a line and a zero weight"])
 def test_dependent_atoms_still_solve_their_programs(points, monkeypatch):
-    """Atoms of rank n - 1 are not answered in closed form: the
+    """Atoms of rank n - 1 whose one vanishing combination is mixed in
+    sign or has a zero entry are not answered in closed form: the
     geometry and martingale routes each reach a program."""
     cs = support([vec(p) for p in points])
     assert len(cs.int_basis) == len(cs.int_values[0]) - 1
@@ -210,6 +230,25 @@ def test_dependent_atoms_still_solve_their_programs(points, monkeypatch):
     for route in (ri_conv_contains_origin, one_step_density, one_step_scale):
         with pytest.raises(_Solved):
             route(cs)
+
+
+@pytest.mark.parametrize("outcomes, message", [
+    ([Infeasible((ONE,))], "support program is never infeasible"),
+    ([Optimal((ZERO,) * 3, -ONE)], "support function came out negative"),
+    ([Optimal((ZERO,) * 3, ZERO), Infeasible((ONE,))], "one-step density infeasible"),
+    ([Optimal((ZERO,) * 3, ZERO), Unbounded((ONE,) * 3)], "one-step density program is bounded"),
+    ([Optimal((ZERO,) * 3, ZERO), Optimal((ZERO,) * 3, ZERO)], "one-step density has non-pos"),
+], ids=["support-infeasible", "support-negative", "density-infeasible", "density-unbounded",
+        "density-no-mass"])
+def test_a_failed_program_in_the_martingale_route_is_an_alarm_naming_the_node(
+        outcomes, message, monkeypatch):
+    """Each impossible outcome of the support and density programs,
+    handed back in solve order, raises InternalError naming the node."""
+    script = iter(outcomes)
+    monkeypatch.setattr(arbcheck.emm, "solve_lp", lambda lp: next(script))
+    cs = support_from_atoms(5, ((vec((1,)), Q(1, 2)), (vec((-1,)), Q(1, 2))))
+    with pytest.raises(InternalError, match=f"node 5: {message}"):
+        one_step_density(cs)
 
 
 def test_geometry_error_copies_and_pickles():

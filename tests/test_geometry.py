@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import arbcheck.geometry
@@ -17,15 +17,18 @@ from arbcheck.geometry import (
     ri_conv_contains_origin,
     separation_optimum,
 )
+from arbcheck.lp import Infeasible, Optimal, solve_lp
 from arbcheck.tree import conditional_mean, conditional_support
-from helpers import (assert_in_span_matches_reference, atom_values, dot, one_step, support,
-                     support_from_atoms, vec)
+from helpers import (assert_in_span_matches_reference, atom_values, dot, kernel_line_rows,
+                     one_step, support, support_from_atoms, vec)
 from linalg_oracle import rref_in_span
 from lp_oracle import exact_vector
-from node_program_oracle import expected_node, shipped_node
+from node_program_oracle import (expected_node, reference_node, ri_program, separation_program,
+                                 shipped_node)
 from tree_oracle import assert_support_matches_constructor, assert_tree_loops_match
 
 ZERO = Q(0)
+ONE = Q(1)
 
 
 def pts(*rows):
@@ -135,6 +138,24 @@ class TestDirection:
         for find in (arbitrage_direction, lambda cs: support_function(cs, conditional_mean(cs))):
             with pytest.raises(InternalError, match="node 5: separating direction failed"):
                 find(cs)
+
+    @pytest.mark.parametrize("points, outcomes, message", [
+        ((1, -1), [], "interiority certificate failed exact re-check"),
+        ((1, 2), [Infeasible((ONE,)), Infeasible((ONE,))], "separation program must be"),
+        ((1, 2), [Infeasible((ONE,)), Optimal((ONE,), ZERO)], "zero separation value"),
+        ((1, 2), [Infeasible((ONE,)), Optimal((ZERO,), ZERO)], "certificate branches disagree"),
+    ], ids=["re-check", "separation-infeasible", "separation-nonzero", "disagree"])
+    def test_a_failure_in_the_node_test_is_an_alarm_naming_the_node(
+            self, points, outcomes, message, monkeypatch):
+        """A failed weights re-check, or programs handed back in solve
+        order with impossible outcomes, raise InternalError naming the
+        node."""
+        script = iter(outcomes)
+        monkeypatch.setattr(arbcheck.geometry, "solve_lp", lambda lp: next(script))
+        monkeypatch.setattr(arbcheck.geometry, "check_ri_certificate", lambda cs, cert: False)
+        cs = support_from_atoms(5, tuple((vec((x,)), Q(1, 2)) for x in points))
+        with pytest.raises(InternalError, match=f"node 5: {message}"):
+            ri_conv_contains_origin(cs)
 
 
 class TestCertificateCheck:
@@ -331,6 +352,41 @@ def test_degenerate_node_programs_match_the_rational_reference(tree):
     cs = conditional_support(tree, 0)
     solved = {}
     assert shipped_node(cs, solved) == expected_node(cs, solved)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
+@given(kernel_line_rows(st.integers(1, 4), st.integers(-4, 4) | st.integers(-10**12, 10**12)))
+@example([(0, 0, 0)])
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+@example([(0, 0), (1, 0)])
+@example([(1, 2), (2, 4)])
+@example([(1, 2), (-2, -4)])
+def test_kernel_line_nodes_solve_the_ri_program_only_when_it_is_infeasible(points):
+    """At n atoms of rank n - 1, ``ri_conv_contains_origin`` solves no
+    program exactly when the oracle's ``ri`` program is optimal, and its
+    weights are then the oracle's point over its sum; otherwise it
+    solves the oracle's ``ri`` and ``separation`` programs and returns
+    the direction read off the latter."""
+    cs = support([vec(p) for p in points])
+    solved = {}
+    _, _, expected, _ = reference_node(cs, solved)
+    ri = ri_program(cs)
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arbcheck.geometry, "solve_lp", record)
+        cert = ri_conv_contains_origin(cs)
+    if isinstance(solved[ri], Optimal):
+        point = solved[ri].point
+        assert programs == [] and cert == InRi(tuple(w / sum(point, ZERO) for w in point))
+    else:
+        assert programs == [ri, separation_program(cs)]
+        assert isinstance(cert, NotInRi)
+    assert cert == expected
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)

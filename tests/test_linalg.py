@@ -1,16 +1,17 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from arbcheck import Q, in_span, span_basis
 from arbcheck.errors import InputError
 from arbcheck.geometry import max_norm_normalize
-from arbcheck.linalg import unit_gain_direction
+from arbcheck.linalg import kernel_line, unit_gain_direction
 from arbcheck.rationals import int_row, rational_row
-from helpers import assert_in_span_matches_reference, support_from_atoms, vec
-from linalg_oracle import rref_basis, rref_in_span, unit_gain_reference
+from helpers import assert_in_span_matches_reference, kernel_line_rows, support_from_atoms, vec
+from linalg_oracle import kernel_line_reference, rref_basis, rref_in_span, unit_gain_reference
 
 
 def V(*rows):
@@ -240,6 +241,31 @@ def test_unit_gain_direction_refuses_dependent_rows():
     for rows in ([(1, 2), (2, 4)], [(0, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]):
         with pytest.raises(InputError, match="not linearly independent"):
             unit_gain_direction(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          phases=[phase for phase in Phase if phase.name != "explain"])
+@given(kernel_line_rows(st.integers(0, 4), _ints))
+@example([(0, 0)])
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+@example([(2, 0), (3, 0)])
+@example([(2, 3), (4, -1), (-3, 5)])
+def test_kernel_line_matches_the_rational_reference(rows):
+    """The integer lambda has gcd 1, combines the rows to zero, and is
+    the rational reference, 1 at its free column, scaled by the
+    positive lambda there."""
+    lam = kernel_line(rows)
+    assert all(type(v) is int for v in lam) and gcd(*lam) == 1
+    assert not any(sum(v * x[j] for v, x in zip(lam, rows)) for j in range(len(rows[0])))
+    ref = kernel_line_reference(rows)
+    free = ref.index(1)
+    assert lam[free] > 0 and tuple(Q(v, lam[free]) for v in lam) == ref
+
+
+def test_kernel_line_refuses_rows_not_of_rank_n_minus_1():
+    for rows in ([(1, 0), (0, 1)], [(1, 2)], [(1, 0), (2, 0), (3, 0)], [(0, 0), (0, 0)]):
+        with pytest.raises(InputError, match=f"not rows of rank {len(rows) - 1}"):
+            kernel_line(rows)
 
 
 @pytest.mark.parametrize("points, message", [

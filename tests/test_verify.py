@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import arbcheck.geometry
 import arbcheck.linalg
 import arbcheck.verify
 from arbcheck import (
@@ -161,15 +162,20 @@ class TestEquivalenceReport:
     def test_no_basis_is_reduced_again(self, monkeypatch):
         # check_ri_certificate and support_function test span membership
         # against each support's integer echelon rows as they stand, so
-        # the echelon kernel runs once per support, when it is built
+        # the echelon kernel runs once per support, when it is built, and
+        # once more in each kernel_line call, on a support's transposed
+        # atoms rather than its basis
         calls = count_calls(monkeypatch, arbcheck.linalg, "_echelon")
+        lines = count_calls(monkeypatch, arbcheck.geometry, "kernel_line")
         tree = build(1, (0, [
             ("1/2", (2, [("1/2", (3, [])), ("1/2", (5, []))])),
             ("1/2", (-1, [("1/2", (0, [])), ("1/2", (-3, []))])),
         ]))
         rep = equivalence_report(tree)
         assert {type(c) for c in rep.certificates.values()} == {InRi, NotInRi}
-        assert len(calls) == len(tree.non_leaves())
+        atoms = [conditional_support(tree, nid).int_values[0] for nid in tree.non_leaves()]
+        assert all(rows in atoms for (rows,) in lines)
+        assert len(calls) == len(tree.non_leaves()) + len(lines)
 
     def test_rejects_invalid_tree(self):
         from arbcheck.tree import Node, ScenarioTree
