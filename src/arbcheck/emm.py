@@ -128,6 +128,12 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     density there, g = f = 1, which ``build_emm`` re-checks with the
     rest. The martingale rows and the mass are integer sums over the
     support's integer atoms.
+
+    The program is solved at floor 1 and its vertex g^1 scaled to
+    g = f * g^1. After the bound shift the floor-f tableau differs from
+    the floor-1 one only in its right-hand side, which is f times
+    larger, so every ratio test and zero test, and hence every pivot,
+    is the same, and the floor-f vertex is f times the floor-1 one.
     """
     rows_int, den = ensure_support(support).int_values
     if len(rows_int) == 1 and not any(rows_int[0]):
@@ -136,13 +142,13 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
     probs, prob_den = support.int_probs
     n = len(rows_int)
     den *= prob_den
-    # variables: g_1..g_n, then the max bound u; all floored at f
+    # variables: g_1..g_n, then the max bound u; all floored at 1
     rows = [({i: 1, n: -1}, 0, False, 1) for i in range(n)]  # g_i <= u
     rows += [({i: p * x[j] for i, (x, p) in enumerate(zip(rows_int, probs)) if x[j]},
               0, True, den) for j in range(support.d)]  # E[g * increment_j] = 0
     # minimize u; solve_lp re-checks the optimal point against the floors
     # and the martingale rows; build_emm re-checks the pasted density
-    outcome = solve_lp(make_lp(n + 1, ({n: -1}, 1), rows, [f] * (n + 1)))
+    outcome = solve_lp(make_lp(n + 1, ({n: -1}, 1), rows, [ONE] * (n + 1)))
     if isinstance(outcome, Infeasible):
         raise InternalError(f"node {support.node}: one-step density infeasible although "
                             "the origin is interior")
@@ -150,12 +156,13 @@ def one_step_density(support: ConditionalSupport) -> OneStepDensity:
         raise InternalError(f"node {support.node}: one-step density program is bounded "
                             "below by the floor")
     assert isinstance(outcome, Optimal)
-    g = outcome.point[:n]
-    g_nums, g_den = int_row(g)
-    mass = sum(map(mul, probs, g_nums))  # E[g], over prob_den * g_den
+    g_nums, g_den = int_row(outcome.point[:n])
+    mass = sum(map(mul, probs, g_nums))  # E[g^1], over prob_den * g_den
     if mass <= 0:
         raise InternalError(f"node {support.node}: one-step density has non-positive "
                             "conditional mass")
+    f_num, f_den = int(f.numerator), int(f.denominator)
+    g = rational_row([f_num * v for v in g_nums], f_den * g_den)
     return OneStepDensity(support.node, f, g, rational_row([v * prob_den for v in g_nums], mass))
 
 
@@ -192,10 +199,12 @@ def build_emm(tree: ScenarioTree) -> MartingaleConstruction:
     try:
         ok, residuals = verify_martingale(tree, density)
     except InputError as exc:  # check_density: positive, unit mass, on the leaves
-        raise InternalError(f"pasted density failed its re-check: {exc}") from exc
+        raise InternalError(f"martingale route: pasted density failed its re-check: "
+                            f"{exc}") from exc
     if not ok:
         bad = {n: r for n, r in residuals.items() if any(r)}
-        raise InternalError(f"constructed measure is not a martingale: {bad}")
+        raise InternalError(f"martingale route: constructed measure is not a martingale: "
+                            f"{bad}")
     return MartingaleConstruction(density, tuple(per_node), max(z.values()))
 
 

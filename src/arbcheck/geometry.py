@@ -92,10 +92,14 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
 
 
 def max_norm_normalize(h: Vector) -> Vector:
-    m = max((abs(c) for c in h), default=ZERO)
+    """``h`` over its largest absolute entry, from one ``int_row``;
+    InputError on the zero vector or on an entry that is not a
+    Rational."""
+    nums, _ = int_row(h)
+    m = max(map(abs, nums), default=0)
     if not m:
         raise InputError("cannot normalize the zero vector")
-    return tuple(c / m for c in h)
+    return rational_row(nums, m)
 
 
 def arbitrage_direction(support: ConditionalSupport) -> Optional[Vector]:

@@ -14,10 +14,11 @@ tableau column; a free one enters with either sign of reduced cost and,
 once basic, never leaves. The tableau is filled from the integer rows,
 with lower bounds shifted out in integers, and keeps each row as Python
 ints over one positive row denominator (fraction-free pivoting: an
-integer multiply-and-subtract by multipliers divided by their gcd, and
-one gcd per touched row), so set-up and pivots never touch the rational
-scalar type. The vector conversions (``int_row``, ``rational_row``) and
-the row normalisation (``lowest_terms``) belong to ``rationals``; this
+integer multiply-and-subtract by multipliers divided by their gcd, the
+subtraction at the pivot row's nonzeros only, and one gcd per touched
+row), so set-up and pivots never touch the rational scalar type. The
+vector conversions (``int_row``, ``rational_row``) and the row
+normalisation (``lowest_terms``) belong to ``rationals``; this
 module owns the one pass over each sparse row, the tableau and its
 elimination. Each outcome is read off the tableau as integer numerators
 over one denominator and re-checked in integers; a Rational is made
@@ -310,22 +311,35 @@ def _bounded(lp: LinearProgram) -> list[int]:
     return [j for j, lo in enumerate(lp.lower) if lo is not None]
 
 
-def _eliminate(row: list[int], den: int, prow: list[int], p: int, col: int):
-    """Subtract the multiple of ``prow / p`` (pivot ``p > 0`` in column
-    ``col``) that clears ``row / den`` in that column; returns the new
-    (numerators, denominator) reduced to lowest terms."""
+def _eliminate(row: list[int], den: int, nz: Sequence[tuple[int, int]], p: int, col: int):
+    """Subtract the multiple of the pivot row over ``p`` (pivot ``p > 0``
+    in column ``col``) that clears ``row / den`` in that column; returns
+    the new (numerators, denominator) reduced to lowest terms. ``nz``
+    lists the pivot row's nonzero (column, entry) pairs, so the
+    subtraction runs over those slots only: ``row`` is first scaled by
+    its reduced multiplier, or copied when that is 1."""
     f = row[col]
     g = gcd(f, p)  # the same new row, from smaller multipliers
     if g > 1:
         f //= g
         p //= g
-    new = [a * p - f * b for a, b in zip(row, prow)]
-    den *= p
+    if p == 1:
+        new = row[:]
+    else:
+        new = [a * p for a in row]
+        den *= p
+    for j, b in nz:
+        new[j] -= f * b
     g = gcd(*new, den)
     if g > 1:
         new = [a // g for a in new]
         den //= g
     return new, den
+
+
+def _nonzeros(row: list[int]) -> list[tuple[int, int]]:
+    """The (column, entry) pairs of ``row``'s nonzero slots, rhs included."""
+    return [(j, a) for j, a in enumerate(row) if a]
 
 
 def _check_new_basis(seen: set[frozenset[int]], basis: Sequence[int]) -> None:
@@ -350,8 +364,9 @@ class _Simplex:
     variable is never a leaving candidate. Row i stands for
     ``T[i] / den[i]``: Python ints over one positive denominator, put
     in lowest terms by each pivot that touches it, so a pivot is integer
-    multiply-and-subtract plus one gcd per touched row. The reduced-cost row ``obj / obj_den`` has
-    the same form; ``_price`` sets it before each phase."""
+    multiply-and-subtract plus one gcd per touched row. The reduced-cost
+    row ``obj / obj_den`` has the same form; ``_price`` sets it before
+    each phase."""
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -397,17 +412,23 @@ class _Simplex:
         self.obj, self.obj_den = cost, cost_den
         for row, den, bi in zip(self.T, self.den, self.basis):
             if self.obj[bi]:
-                self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, row, den, bi)
+                self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, _nonzeros(row),
+                                                    den, bi)
 
     def _pivot(self, i: int, enter: int) -> None:
+        """Make ``enter`` basic in row ``i``: that row is put in lowest
+        terms with a positive pivot, its nonzero slots are listed once,
+        and every other row with a nonzero in ``enter``, and the
+        reduced-cost row, is cleared there by ``_eliminate``."""
         T, den = self.T, self.den
         prow = T[i] = lowest_terms(T[i], enter)
         p = den[i] = prow[enter]
+        nz = _nonzeros(prow)
         for r in range(len(T)):
             if r != i and T[r][enter]:
-                T[r], den[r] = _eliminate(T[r], den[r], prow, p, enter)
+                T[r], den[r] = _eliminate(T[r], den[r], nz, p, enter)
         if self.obj[enter]:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, enter)
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, nz, p, enter)
         self.basis[i] = enter
 
     def _optimize(self, ncols: int) -> Optional[int]:

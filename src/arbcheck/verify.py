@@ -56,9 +56,22 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     expected gain and scales onto the budget: the optimum is exactly 1
     when an arbitrage exists and 0 when none does. The zero strategy is
     the starting vertex, so the solve needs no phase 1. The optimizer,
-    divided by its max-norm, is returned after an exact gains re-check.
+    divided by its max-norm, is returned after an exact gains re-check
+    on all d coordinates.
 
-    Each node's d columns come before its parent's (reversed
+    A node's gain depends on its strategy only through the span of its
+    increments, so each node gets a column only at the pivot coordinate
+    of each row of its support's ``int_basis`` (the row's first
+    nonzero), and the witness is ZERO at its other coordinates. Those
+    are the only columns the full program would ever enter: in the
+    leftmost-pivot echelon form, each other coordinate's column of the
+    node's increments is a combination of pivot columns to its left, and
+    so are its objective and budget entries; its reduced cost is then
+    that combination of reduced costs at smaller columns, so Bland's
+    rule enters one of those first and the column stays nonbasic at 0.
+    A tree with no increment at all has no column and no program.
+
+    The nodes' columns come before their parents' (reversed
     ``tree.order``), so Bland's rule enters the sparse columns near the
     leaves first: the leaf rows hold their paths' columns, and such
     rows eliminated children-first take no fill-in (Parter 1961).
@@ -71,50 +84,59 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     normalized and re-checked in integers.
     """
     ensure_valid(tree)
-    d = tree.d
-    non_leaves = [nd.id for nd in reversed(tree.order) if tree._children[nd.id]]
-    first = {nid: i * d for i, nid in enumerate(non_leaves)}  # column of (nid, 0)
-    nvars = len(non_leaves) * d
+    pivots, first, nvars = {}, {}, 0  # node -> its pivot coordinates, its first column
+    for nd in reversed(tree.order):
+        if tree._children[nd.id]:
+            basis = conditional_support(tree, nd.id).int_basis
+            pivots[nd.id] = [next(j for j, a in enumerate(row) if a) for row, _ in basis]
+            first[nd.id] = nvars
+            nvars += len(basis)
     if nvars == 0:
-        return None  # horizon-zero tree: no strategies at all
+        return None  # horizon zero, or no increment anywhere: no strategy gains
     den, increment, _ = _integer_form(tree)
     reach = path_probabilities(tree)
 
     # the expected gain: node by node, the children's reach over one
-    # denominator against each coordinate of their increments, then
-    # every entry over the lcm of those denominators
+    # denominator against each pivot coordinate of their increments,
+    # then every entry over the lcm of those denominators
     gain = []  # (column, numerator, denominator) of each nonzero entry
-    for nid in non_leaves:
+    for nid, coords in pivots.items():
         kids = tree.children(nid)
         weights, reach_den = int_row([reach[c] for c in kids])
-        for j, column in enumerate(zip(*(increment[c] for c in kids))):
-            if v := sum(map(mul, weights, column)):
-                gain.append((first[nid] + j, v, reach_den))
+        columns = list(zip(*(increment[c] for c in kids)))
+        for k, j in enumerate(coords, first[nid]):
+            if v := sum(map(mul, weights, columns[j])):
+                gain.append((k, v, reach_den))
     common = lcm(*(q for _, _, q in gain))
     objective = {k: v * (common // q) for k, v, q in gain}
     # one pass from the root: each node's gain numerators over D negated
     loss: dict[int, dict[int, int]] = {tree.root: {}}
     for nd in tree.order[1:]:
         row = dict(loss[nd.parent])
-        k = first[nd.parent]
-        for j, v in enumerate(increment[nd.id]):
-            if v:
-                row[k + j] = -v
+        x = increment[nd.id]
+        for k, j in enumerate(pivots[nd.parent], first[nd.parent]):
+            if x[j]:
+                row[k] = -x[j]
         loss[nd.id] = row
 
     rows = [(loss[leaf], 0, False, den) for leaf in tree.leaves()]  # terminal gain >= 0
     rows.append((objective, common * den, False, common * den))  # the budget E[gain] <= 1
     outcome = solve_lp(make_lp(nvars, (objective, common * den), rows))
     if not isinstance(outcome, Optimal) or outcome.value not in (0, 1):
-        raise InternalError("arbitrage search must end at optimum 0 or 1")
+        raise InternalError("strategy route: arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
         return None
     nums, _ = int_row(outcome.point)
     point = rational_row(nums, max(map(abs, nums)))  # max-norm 1
-    strategy = {nid: point[k:k + d] for nid, k in first.items()}
+    strategy = {}
+    for nid, coords in pivots.items():
+        h = [ZERO] * tree.d
+        for k, j in enumerate(coords, first[nid]):
+            h[j] = point[k]
+        strategy[nid] = tuple(h)
     g, _ = int_gains(tree, strategy)
     if any(v < 0 for v in g.values()) or not any(g.values()):
-        raise InternalError("arbitrage witness failed the exact gains re-check")
+        raise InternalError("strategy route: arbitrage witness failed the exact gains re-check")
     return strategy
 
 

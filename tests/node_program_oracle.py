@@ -17,7 +17,10 @@ the direction from the Gram system. At atoms whose vanishing
 combinations form one line of positive lambda (``kernel_line_reference``)
 the geometry route solves none, and the oracle's ``ri`` program must be
 optimal; its weights stay the certificate. At one atom x = 0, such a
-line, the martingale route solves none either.
+line, the martingale route solves none either. The ``density``
+program is solved at floor 1 and its vertex scaled by the floor f;
+``assert_floor_f_density_matches`` holds the floor-f program of
+``density_program_at_floor`` to that.
 """
 
 import pytest
@@ -85,13 +88,20 @@ def support_program(support, a):
     return rational_lp(r + n, objective, rows, [None] * r + [ZERO] * n)
 
 
-def density_program(support, f):
+def density_program_at_floor(support, f):
+    """The min-max density program with every variable floored at
+    ``f``, as ``one_step_density`` once built it."""
     atoms = rational_atoms(support)
     n = len(atoms)
     rows = [({i: ONE, n: Q(-1)}, ZERO, False) for i in range(n)]
     rows += [({i: q * x[j] for i, (x, q) in enumerate(atoms) if x[j]}, ZERO, True)
              for j in range(support.d)]
     return rational_lp(n + 1, {n: Q(-1)}, rows, [f] * (n + 1))
+
+
+def density_program(support):
+    """``one_step_density``'s program: the min-max density at floor 1."""
+    return density_program_at_floor(support, ONE)
 
 
 def reference_node(support, solved):
@@ -123,8 +133,8 @@ def reference_node(support, solved):
             h = combination(rational_basis(support), outcome.ray)
             return programs, a, cert, NotInRi(max_norm_normalize(h))
         f = 1 / (1 + outcome.value)
-    programs.append(density_program(support, f))
-    g = solve(programs[-1]).point[:-1]
+    programs.append(density_program(support))
+    g = tuple(f * gi for gi in solve(programs[-1]).point[:-1])
     mass = sum((q * gi for (_, q), gi in zip(rational_atoms(support), g)), ZERO)
     return programs, a, cert, (support.node, f, g, tuple(gi / mass for gi in g))
 
@@ -172,3 +182,21 @@ def expected_node(support, solved):
         assert isinstance(solved[programs[0]], Optimal), support
         programs = [] if n == 1 else programs[1:]
     return programs, mean_, cert, density
+
+
+def assert_floor_f_density_matches(support):
+    """Where ``one_step_density`` solves a program, the floor-f
+    program's vertex is its density g, and f times the floor-1 vertex:
+    the optimum u scales by f too."""
+    rows_int, _ = support.int_values
+    if len(rows_int) == 1 and not any(rows_int[0]):
+        return  # g = f = 1, no program
+    try:
+        ds = one_step_density(support)
+    except GeometryError:
+        return
+    at_floor = solve_lp(density_program_at_floor(support, ds.scale))
+    at_one = solve_lp(density_program(support))
+    assert at_floor.point == tuple(ds.scale * v for v in at_one.point), support
+    assert at_floor.point[:-1] == ds.raw, support
+    assert at_floor.value == ds.scale * at_one.value, support

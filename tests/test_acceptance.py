@@ -43,9 +43,10 @@ from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
 from helpers import (assert_in_span_matches_reference, atom_values, binomial, reweight,
                      skewed_coin, support)
 from lp_oracle import oracle_check, random_lp
-from node_program_oracle import expected_node, shipped_node
+from node_program_oracle import assert_floor_f_density_matches, expected_node, shipped_node
 from scaled_gain_oracle import scaled_gain_lp
-from tree_oracle import assert_support_matches_constructor, assert_tree_loops_match
+from tree_oracle import (assert_full_strategy_program_matches, assert_support_matches_constructor,
+                         assert_tree_loops_match)
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -183,6 +184,21 @@ def test_sweep_tree_loops_match_the_rational_reference(sweep):
         density = rep.construction.density if rep.construction else None
         try:
             assert_tree_loops_match(tree, seed, rep.arbitrage, density)
+        except AssertionError as exc:
+            raise AssertionError(f"seed {seed}: {exc}") from exc
+
+
+def test_sweep_reduced_programs_match_the_full_ones(sweep):
+    """On every sweep tree, the strategy program with all d columns per
+    node gives the shipped optimum, point and witness, and at every node
+    the density program floored at f gives f times the floor-1 vertex,
+    the shipped density."""
+    records, _ = sweep
+    for seed, tree, _ in records:
+        try:
+            assert_full_strategy_program_matches(tree)
+            for nid in tree.non_leaves():
+                assert_floor_f_density_matches(conditional_support(tree, nid))
         except AssertionError as exc:
             raise AssertionError(f"seed {seed}: {exc}") from exc
 

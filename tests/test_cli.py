@@ -11,9 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import arbcheck.emm
 import arbcheck.tree
+import arbcheck.verify
 from arbcheck import Q, build_emm, equivalence_report, tree_from_json, tree_to_json
 from arbcheck.cli import main
+from arbcheck.errors import InputError
+from arbcheck.lp import Optimal, solve_lp
 from arbcheck.verify import MODES, TreeParams, construction_to_json, random_tree, report_to_json
 from helpers import build, count_calls, one_step, skewed_coin, sure_win
 
@@ -293,6 +297,45 @@ class TestCheck:
         code, _, _ = run("check", request.getfixturevalue(fixture), "--json")
         assert code == exit_code
         assert len(calls) == 1
+
+
+    def test_constant_prices_exit_zero(self, run, tmp_path):
+        """With every increment 0 no route has a trade to make: the
+        strategy route solves no program and the report is consistent."""
+        flat = ((2, -1), [])
+        tree = build(2, ((2, -1), [("1/4", ((2, -1), [("1/2", flat), ("1/2", flat)])),
+                                   ("3/4", ((2, -1), [("1", flat)]))]))
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(tree_to_json(tree)))
+        code, out, _ = run("check", str(path), "--json")
+        report = json.loads(out)
+        assert code == 0 and report["consistent"] and report["verdict_na_strategy"]
+        assert report["witnesses"]["arbitrage"] is None
+
+
+def _fail_martingale_check(tree, density):
+    raise InputError("density has mass 2, not 1")
+
+
+@pytest.mark.parametrize("module, name, stand_in, fixture, message", [
+    (arbcheck.verify, "solve_lp", lambda lp: Optimal(solve_lp(lp).point, Q(1, 2)), "arb_file",
+     "strategy route: arbitrage search must end at optimum 0 or 1\n"),
+    (arbcheck.verify, "int_gains", lambda tree, h: ({1: -1, 2: 1}, 1), "arb_file",
+     "strategy route: arbitrage witness failed the exact gains re-check\n"),
+    (arbcheck.emm, "verify_martingale", _fail_martingale_check, "na_file",
+     "martingale route: pasted density failed its re-check: density has mass 2, not 1\n"),
+    (arbcheck.emm, "verify_martingale", lambda tree, z: (False, {0: (Q(1),)}), "na_file",
+     "martingale route: constructed measure is not a martingale: {0: "),
+], ids=["strategy-optimum", "strategy-witness", "martingale-density", "martingale-residual"])
+def test_a_failed_route_re_check_is_an_alarm_naming_the_route(
+        run, request, monkeypatch, module, name, stand_in, fixture, message):
+    """A re-check that names no node fails with exit 3, and the alarm
+    says which route and which re-check it was (the residuals' repr
+    depends on the backend, so only their start is compared)."""
+    monkeypatch.setattr(module, name, stand_in)
+    code, out, err = run("check", request.getfixturevalue(fixture), "--json")
+    assert code == 3 and out == ""
+    assert err.startswith(f"ALARM (exact self-verification failed): {message}")
 
 
 class TestFindArbitrage:

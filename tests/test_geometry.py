@@ -23,9 +23,10 @@ from helpers import (assert_in_span_matches_reference, atom_values, dot, kernel_
                      one_step, support, support_from_atoms, vec)
 from linalg_oracle import rref_in_span
 from lp_oracle import exact_vector
-from node_program_oracle import (expected_node, reference_node, ri_program, separation_program,
-                                 shipped_node)
-from tree_oracle import assert_support_matches_constructor, assert_tree_loops_match
+from node_program_oracle import (assert_floor_f_density_matches, expected_node, reference_node,
+                                 ri_program, separation_program, shipped_node)
+from tree_oracle import (assert_full_strategy_program_matches, assert_support_matches_constructor,
+                         assert_tree_loops_match)
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -48,6 +49,16 @@ class TestNormalize:
     def test_zero_dimensional_rejected(self):
         with pytest.raises(InputError, match="zero vector"):
             max_norm_normalize(())
+
+    @pytest.mark.parametrize("h", [(0.5, -2.0), ("1", "2"), "12", (Q(1), 2), (Q(1), True)])
+    def test_entry_that_is_not_a_rational_rejected(self, h):
+        with pytest.raises(InputError, match="is not a Rational"):
+            max_norm_normalize(h)
+
+    def test_result_is_rational(self):
+        out = max_norm_normalize((Q(-3, 4), Q(1, 6), ZERO))
+        assert out == (Q(-1), Q(2, 9), ZERO)
+        assert all(type(c) is type(ZERO) for c in out)
 
 
 class TestVerdicts:
@@ -413,3 +424,14 @@ def test_degenerate_tree_loops_match_the_rational_reference(tree, seed):
     """The tree's strategy program, support, gains and martingale
     residuals, equal to the ones built in rational arithmetic."""
     assert_tree_loops_match(tree, seed)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
+@given(_degenerate_one_step())
+def test_degenerate_reduced_programs_match_the_full_ones(tree):
+    """With zero, repeated and dependent increments, the strategy
+    program with all d columns gives the shipped optimum, point and
+    witness, and the density program floored at f gives f times the
+    floor-1 vertex, the shipped density."""
+    assert_full_strategy_program_matches(tree)
+    assert_floor_f_density_matches(conditional_support(tree, 0))

@@ -102,6 +102,23 @@ class TestFindArbitrage:
     def test_horizon_zero(self):
         assert find_arbitrage(single_chain(0)) is None
 
+    def test_columns_only_at_pivot_coordinates(self):
+        # both increments lie on the line through (1, 1, 0), whose
+        # echelon row has its pivot at coordinate 0: one column, and the
+        # witness is 0 at the two dependent coordinates
+        t = one_step([(1, 1, 0), (2, 2, 0)], ["1/2", "1/2"])
+        assert shipped_strategy_program(t).n_vars == 1
+        assert find_arbitrage(t) == {0: (Q(1), ZERO, ZERO)}
+
+    def test_constant_prices_solve_no_program(self, monkeypatch):
+        # every increment is 0, so every node has rank 0 and no column
+        flat = ((1, 2), [])
+        t = build(2, ((1, 2), [("1/3", ((1, 2), [("1/2", flat), ("1/2", flat)])),
+                               ("2/3", ((1, 2), [("1", flat)]))]))
+        solves = count_calls(monkeypatch, arbcheck.verify, "solve_lp")
+        assert find_arbitrage(t) is None
+        assert solves == []
+
 
 class TestFindMartingaleDensity:
     def test_unique_coin_density(self):

@@ -4,7 +4,11 @@ The strategy program of ``find_arbitrage``, the grouping of a node's
 children into support atoms, ``gains`` and the martingale residuals of
 ``verify_martingale`` are built here as ``arbcheck`` once built them:
 every increment a difference of prices and every sum a sum of
-``Fraction``-style products, read from the nodes alone.
+``Fraction``-style products, read from the nodes alone. The strategy
+program has a column at each pivot coordinate of each node's atoms, by
+rational row reduction; ``full_strategy_program`` keeps all d columns
+per node, and ``assert_full_strategy_program_matches`` holds its
+optimum, point and witness to the shipped ones.
 ``assert_tree_loops_match`` holds the package equal to them on one
 tree: the strategy program field by field (as recorded by
 ``shipped_strategy_program``), each support's atoms in order, ``gains``
@@ -18,9 +22,12 @@ import random
 import pytest
 
 import arbcheck.verify
-from arbcheck import Q, conditional_support, gains as shipped_gains, verify_martingale
+from arbcheck import (Q, conditional_support, find_arbitrage, gains as shipped_gains,
+                      verify_martingale)
+from arbcheck.lp import solve_lp
 from arbcheck.tree import LeafDensity
 from helpers import dot, rational_atoms, support_from_atoms, vec_sub
+from linalg_oracle import rref_basis
 from lp_oracle import rational_lp
 
 ZERO = Q(0)
@@ -39,24 +46,35 @@ def _reach(tree):
     return prob
 
 
-def strategy_program(tree):
-    """``find_arbitrage``'s program: maximize the expected gain over
-    leaf gains >= 0 and the budget E[gain] <= 1, with each node's
-    columns numbered before its parent's."""
+def pivot_coordinates(tree, nid):
+    """The coordinates of ``nid``'s increments that head a row of their
+    rational reduced row-echelon basis."""
+    basis = rref_basis([x for x, _ in support_atoms(tree, nid)])
+    return [next(j for j, c in enumerate(row) if c) for row in basis]
+
+
+def _columns(tree, coordinates):
+    """{(node, coordinate): column} over ``coordinates(node)`` at each
+    non-leaf, each node's columns numbered before its parent's."""
     col = {}
     for nid in reversed([nd.id for nd in tree.order]):
-        if not tree.children(nid):
-            continue
-        for j in range(tree.d):
-            col[(nid, j)] = len(col)
+        if tree.children(nid):
+            for j in coordinates(nid):
+                col[(nid, j)] = len(col)
+    return col
+
+
+def _strategy_program(tree, col):
+    """Maximize the expected gain over leaf gains >= 0 and the budget
+    E[gain] <= 1, with a strategy column at each key of ``col``."""
     reach = _reach(tree)
     objective = {}
     loss = {tree.root: {}}
     for nd in tree.order[1:]:
         row = dict(loss[nd.parent])
         for j, diff in enumerate(_increment(tree, nd.id)):
-            if diff:
-                k = col[(nd.parent, j)]
+            k = col.get((nd.parent, j))
+            if diff and k is not None:
                 objective[k] = objective.get(k, ZERO) + reach[nd.id] * diff
                 row[k] = -diff
         loss[nd.id] = row
@@ -65,13 +83,33 @@ def strategy_program(tree):
     return rational_lp(len(col), objective, rows)
 
 
+def strategy_columns(tree):
+    """``find_arbitrage``'s columns: one per pivot coordinate of each
+    non-leaf."""
+    return _columns(tree, lambda nid: pivot_coordinates(tree, nid))
+
+
+def strategy_program(tree):
+    """``find_arbitrage``'s program over ``strategy_columns``, or None
+    when the tree has no column and so no program."""
+    col = strategy_columns(tree)
+    return _strategy_program(tree, col) if col else None
+
+
+def full_strategy_program(tree):
+    """The program with all d columns at each non-leaf, as
+    ``find_arbitrage`` once built it, and its column map."""
+    col = _columns(tree, lambda nid: range(tree.d))
+    return _strategy_program(tree, col), col
+
+
 class _Stop(Exception):
     pass
 
 
 def shipped_strategy_program(tree):
     """The program ``find_arbitrage`` hands to ``solve_lp``, recorded
-    and not solved."""
+    and not solved; None when it solves none."""
     programs = []
 
     def record(lp):
@@ -80,9 +118,34 @@ def shipped_strategy_program(tree):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arbcheck.verify, "solve_lp", record)
-        with pytest.raises(_Stop):
+        try:
             arbcheck.verify.find_arbitrage(tree)
-    return programs[0]
+        except _Stop:
+            pass
+    return programs[0] if programs else None
+
+
+def assert_full_strategy_program_matches(tree):
+    """The full-column program reaches the shipped program's optimum at
+    the shipped point, with 0 at every column the shipped program
+    drops, and its point over its max-norm is ``find_arbitrage``'s
+    witness (None at optimum 0)."""
+    full, col = full_strategy_program(tree)
+    outcome = solve_lp(full)
+    shipped = shipped_strategy_program(tree)
+    spread = [ZERO] * full.n_vars
+    if shipped is not None:
+        reduced = solve_lp(shipped)
+        assert outcome.value == reduced.value
+        for key, k in strategy_columns(tree).items():
+            spread[col[key]] = reduced.point[k]
+    assert outcome.point == tuple(spread)
+    witness = None
+    if outcome.value:
+        top = max(abs(c) for c in outcome.point)
+        witness = {nid: tuple(outcome.point[col[(nid, j)]] / top for j in range(tree.d))
+                   for nid in tree.non_leaves()}
+    assert find_arbitrage(tree) == witness
 
 
 def support_atoms(tree, nid):
