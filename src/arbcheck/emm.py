@@ -21,7 +21,6 @@ which build_emm re-checks in the pasted density.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 
 from .errors import GeometryError, InputError, InternalError, Record
@@ -59,23 +58,19 @@ def support_function(support: ConditionalSupport, a: Vector) -> Rational:
         return ZERO  # span {0}: T = {0}
     rows_int, den = support.int_values
     n = len(rows_int)
-    # variables: y_1..y_r free (h = sum y_k b_k), then t_1..t_n >= 0; over
-    # the lcm L of the basis rows' denominators, basis row k is
-    # scale[k] * b_k / L
-    big = lcm(*(q for _, q in basis))
-    scale = [big // q for _, q in basis]
+    # variables: y_1..y_r free, h = sum_k y_k row_k over the basis's
+    # integer rows, then t_1..t_n >= 0
     rows = []
     for i, x in enumerate(rows_int):
-        row = {k: -s * v for k, ((b, _), s) in enumerate(zip(basis, scale))
-               if (v := sum(map(mul, b, x)))}
-        row[r + i] = -big * den
-        rows.append((row, 0, False, big * den))  # t_i >= -(h, x_i)
+        row = {k: -v for k, (_, b) in enumerate(basis) if (v := sum(map(mul, b, x)))}
+        row[r + i] = -den
+        rows.append((row, 0, False, den))  # t_i >= -(h, x_i)
     probs, prob_den = support.int_probs
     budget = {r + i: p for i, p in enumerate(probs)}
     rows.append((budget, prob_den, False, prob_den))  # expected lifted loss <= 1
     a_nums, a_den = int_row(a)
-    objective = ({k: s * v for k, ((b, _), s) in enumerate(zip(basis, scale))
-                  if (v := sum(map(mul, b, a_nums)))}, big * a_den)
+    objective = ({k: v for k, (_, b) in enumerate(basis) if (v := sum(map(mul, b, a_nums)))},
+                 a_den)
     outcome = solve_lp(make_lp(r + n, objective, rows, [None] * r + [ZERO] * n))
     if isinstance(outcome, Unbounded):
         # the ray's direction part certifies the origin outside the

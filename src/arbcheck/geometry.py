@@ -25,7 +25,6 @@ every property used downstream is scale-invariant).
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul
 from typing import Optional, Union
 
@@ -71,19 +70,16 @@ def separation_optimum(support: ConditionalSupport) -> tuple[Rational, Vector]:
     r = len(basis)
     if r == 0:
         return ZERO, (ZERO,) * support.d
-    # variables: y_1..y_r, h = sum_k y_k basis_k; over the lcm L of the
-    # basis rows' denominators, basis row k is scale[k] * b_k / L, and
-    # (b_k, x_i) is inner[i][k] / (L * den), an integer sum
-    big = lcm(*(q for _, q in basis))
-    scale = [big // q for _, q in basis]
-    inner = [[s * sum(map(mul, b, x)) for (b, _), s in zip(basis, scale)] for x in rows_int]
-    rows = [({k: -v for k, v in enumerate(coeffs) if v}, 0, False, big * den)
+    # variables: y_1..y_r, h = sum_k y_k row_k over the basis's integer
+    # rows, and (row_k, x_i) is inner[i][k] / den, an integer sum
+    inner = [[sum(map(mul, b, x)) for _, b in basis] for x in rows_int]
+    rows = [({k: -v for k, v in enumerate(coeffs) if v}, 0, False, den)
             for coeffs in inner]  # (h, x_i) >= 0
     for j in range(support.d):
-        col = {k: s * b[j] for k, ((b, _), s) in enumerate(zip(basis, scale)) if b[j]}
-        rows.append((col, big, False, big))  # h_j <= 1
-        rows.append(({k: -c for k, c in col.items()}, big, False, big))  # -h_j <= 1
-    objective = ({k: v for k, v in enumerate(map(sum, zip(*inner))) if v}, big * den)
+        col = {k: b[j] for k, (_, b) in enumerate(basis) if b[j]}
+        rows.append((col, 1, False, 1))  # h_j <= 1
+        rows.append(({k: -c for k, c in col.items()}, 1, False, 1))  # -h_j <= 1
+    objective = ({k: v for k, v in enumerate(map(sum, zip(*inner))) if v}, den)
     outcome = solve_lp(make_lp(r, objective, rows))  # maximize sum_i (h, x_i)
     if not isinstance(outcome, Optimal):
         raise InternalError(f"node {support.node}: separation program must be feasible "

@@ -5,18 +5,16 @@ elimination is an integer multiply-and-subtract plus one gcd
 (fraction-free elimination, Bareiss 1968). A span is scale-invariant,
 so rows carry no denominator. ``span_basis`` takes points in integer
 form, ``(rows, den)`` as a support's ``int_values`` holds them, and
-returns each basis row as ``(row, pivot entry)``; ``in_span`` reduces a
-Rational vector, by way of ``int_row``, against such a basis, and
-``unit_gain_direction`` solves the Gram system of independent rows for
-the direction in their span that gains 1 on each, and ``kernel_line``
-reduces the transpose of n rows of rank n - 1 for the one integer
-combination of them that vanishes. The vector
-conversions (``int_row``, ``rational_row``) and the row normalisation
+returns the basis as (pivot column, integer row) pairs, the one form
+that ``in_span`` (which checks it) and ``combination`` read as it
+stands; ``unit_gain_direction`` solves the Gram system of independent
+rows for the direction in their span that gains 1 on each, and
+``kernel_line`` reduces the transpose of n rows of rank n - 1 for the
+one integer combination of them that vanishes. The vector conversions
+(``int_row``, ``rational_row``) and the row normalisation
 (``lowest_terms``) belong to ``rationals``; this module owns the
-elimination and ``combination``, which sums integer basis rows with
-rational coordinates. The leftmost-pivot rule with back-elimination
-gives an integer reduced row-echelon form; dividing each row by its
-pivot yields a basis that is canonical for the subspace spanned
+elimination. The leftmost-pivot rule with back-elimination gives an
+integer reduced row-echelon form, canonical for the subspace spanned
 (independent of input order).
 """
 
@@ -88,13 +86,14 @@ def _echelon(rows: Sequence[Sequence[int]]) -> _Echelon:
 
 
 def span_basis(points: tuple[Sequence[Sequence[int]], int]
-               ) -> tuple[tuple[tuple[int, ...], int], ...]:
+               ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Reduced row-echelon basis of the linear span of the given points.
 
     ``points`` is their integer form, a pair (rows, den) of int rows
     over an int den > 0, as in ``ConditionalSupport.int_values``. Each
-    basis row comes back as (numerators, pivot entry): its Rational
-    view ``rational_row(row, pivot)`` has 1 at the pivot. Zero rows
+    basis row comes back as (pivot column, integer row): the row in
+    lowest terms, zero before its pivot, positive at it, and the other
+    rows zero there; the pivots rise. Zero rows
     contribute nothing; no rows, or only zero rows, give the empty
     basis.
     """
@@ -105,34 +104,38 @@ def span_basis(points: tuple[Sequence[Sequence[int]], int]
     _common_dim(rows)
     if type(den) is not int or den <= 0 or any(type(a) is not int for row in rows for a in row):
         raise InputError(f"{points!r} is not int rows over an int denominator > 0")
-    return tuple([(tuple(row), row[piv]) for piv, row in _echelon(rows)])
+    return tuple([(piv, tuple(row)) for piv, row in _echelon(rows)])
 
 
-def in_span(v: Sequence[Rational], basis: Sequence[tuple[Sequence[int], int]]) -> bool:
+def in_span(v: Sequence[Rational], basis: Sequence[tuple[int, Sequence[int]]]) -> bool:
     """True iff the Rational vector v is an exact rational combination
-    of the rows of ``basis``, a basis in ``span_basis``'s integer form
-    (as ``ConditionalSupport.int_basis``), which is not reduced again."""
+    of the rows of ``basis``, in ``span_basis``'s form (as ``int_basis``
+    holds it), which is checked, not reduced again: InputError if not."""
     try:
-        rows = [row for row, _ in basis]
+        echelon = [(piv, row) for piv, row in basis]
     except (TypeError, ValueError):
-        raise InputError(f"{basis!r} is not a basis of (row, pivot) pairs") from None
-    _common_dim(rows, v)
+        raise InputError(f"{basis!r} is not a basis of (pivot, row) pairs") from None
+    rows = [row for _, row in echelon]
+    d = _common_dim(rows, v)
     if any(type(a) is not int for row in rows for a in row) or not all(map(any, rows)):
         raise InputError(f"{basis!r} is not a basis of nonzero int rows")
-    echelon = [(next(j for j, a in enumerate(row) if a), row) for row in rows]
+    pivots = [piv for piv, _ in echelon]
+    if not all(type(p) is int and 0 <= p < d for p in pivots) or pivots != sorted(set(pivots)):
+        raise InputError(f"{basis!r}: pivots {pivots} not strictly rising in 0..{d - 1}")
+    for p, row in echelon:
+        if row[p] <= 0 or any(row[:p]) or any(other[p] for q, other in echelon if q != p):
+            raise InputError(f"{basis!r} is not in reduced echelon form")
     return not any(_reduce(int_row(v)[0], echelon))
 
 
-def combination(basis: Sequence[tuple[Sequence[int], int]], coords: Sequence[Rational]) -> Vector:
-    """``sum_k coords[k] * basis[k]`` over a non-empty basis of integer
-    rows, each (numerators, denominator), as integer sums over one
+def combination(basis: Sequence[tuple[int, Sequence[int]]], coords: Sequence[Rational]) -> Vector:
+    """``sum_k coords[k] * row_k`` over the integer rows of a non-empty
+    basis in ``span_basis``'s form, as integer sums over one
     denominator and one Rational per entry; coordinates past the basis
     are ignored."""
     nums, den = int_row(coords[:len(basis)])
-    row_den = lcm(*(q for _, q in basis))
-    scaled = [c * (row_den // q) for c, (_, q) in zip(nums, basis)]
-    columns = zip(*(row for row, _ in basis))
-    return rational_row([sum(map(mul, scaled, column)) for column in columns], den * row_den)
+    columns = zip(*(row for _, row in basis))
+    return rational_row([sum(map(mul, nums, column)) for column in columns], den)
 
 
 def unit_gain_direction(rows: Sequence[Sequence[int]]) -> Vector:

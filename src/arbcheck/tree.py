@@ -266,11 +266,11 @@ class ConditionalSupport(Record):
     ``int_probs``, the weights as (numerators, den), one int > 0 per row
     over an int den > 0. Anything else raises InputError. It puts both
     pairs in lowest terms, so supports of the same numbers compare,
-    hash, print and pickle alike, and derives ``int_basis``, each row of
-    the reduced row-echelon basis of the values' span as (numerators,
-    pivot entry): the integer echelon rows that ``span_basis`` reduces
-    ``int_values`` to. Equality, hashing and pickling read the node and
-    the two pairs; copy and pickle rebuild the basis from them."""
+    hash, print and pickle alike, and derives ``int_basis``, the reduced
+    row-echelon basis of the values' span as (pivot column, integer row)
+    pairs, the one form, which ``span_basis`` reduces ``int_values`` to.
+    Equality, hashing and pickling read the node and the two pairs; copy
+    and pickle rebuild the basis from them."""
 
     __slots__ = ("node", "int_values", "int_probs", "int_basis")
     _fields = ("node", "int_values", "int_probs")
@@ -278,7 +278,7 @@ class ConditionalSupport(Record):
     node: int
     int_values: tuple[tuple[tuple[int, ...], ...], int]
     int_probs: tuple[tuple[int, ...], int]
-    int_basis: tuple[tuple[tuple[int, ...], int], ...]
+    int_basis: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __init__(self, node, int_values, int_probs) -> None:
         _check_int(node, "support node")

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .emm import MartingaleConstruction, build_emm, one_step_scale
 from .errors import GeometryError, InputError, InternalError, Record
-from .geometry import InRi, NotInRi, RiCertificate, ri_conv_contains_origin
+from .geometry import InRi, NotInRi, RiCertificate, max_norm_normalize, ri_conv_contains_origin
 from .lp import Optimal, make_lp, solve_lp
 from .rationals import (
     ONE,
@@ -28,7 +28,6 @@ from .rationals import (
     ZERO,
     format_rational,
     int_row,
-    rational_row,
 )
 from .tree import (
     LeafDensity,
@@ -60,15 +59,15 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     on all d coordinates.
 
     A node's gain depends on its strategy only through the span of its
-    increments, so each node gets a column only at the pivot coordinate
-    of each row of its support's ``int_basis`` (the row's first
-    nonzero), and the witness is ZERO at its other coordinates. Those
-    are the only columns the full program would ever enter: in the
-    leftmost-pivot echelon form, each other coordinate's column of the
-    node's increments is a combination of pivot columns to its left, and
-    so are its objective and budget entries; its reduced cost is then
-    that combination of reduced costs at smaller columns, so Bland's
-    rule enters one of those first and the column stays nonbasic at 0.
+    increments, so each node gets a column only at the pivot column of
+    each row of its support's ``int_basis``, and the witness is ZERO at
+    its other coordinates. Those are the only columns the full program
+    would ever enter: in the leftmost-pivot echelon form, each other
+    coordinate's column of the node's increments is a combination of
+    pivot columns to its left, and so are its objective and budget
+    entries; its reduced cost is then that combination of reduced costs
+    at smaller columns, so Bland's rule enters one of those first and
+    the column stays nonbasic at 0.
     A tree with no increment at all has no column and no program.
 
     The nodes' columns come before their parents' (reversed
@@ -88,7 +87,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     for nd in reversed(tree.order):
         if tree._children[nd.id]:
             basis = conditional_support(tree, nd.id).int_basis
-            pivots[nd.id] = [next(j for j, a in enumerate(row) if a) for row, _ in basis]
+            pivots[nd.id] = [piv for piv, _ in basis]
             first[nd.id] = nvars
             nvars += len(basis)
     if nvars == 0:
@@ -126,8 +125,7 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
         raise InternalError("strategy route: arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
         return None
-    nums, _ = int_row(outcome.point)
-    point = rational_row(nums, max(map(abs, nums)))  # max-norm 1
+    point = max_norm_normalize(outcome.point)
     strategy = {}
     for nid, coords in pivots.items():
         h = [ZERO] * tree.d
@@ -236,11 +234,13 @@ def random_tree(params: TreeParams, seed: int) -> ScenarioTree:
     non-leaf. martingale_perturbed: reference child probabilities per
     non-leaf, leaf prices, interior prices as reference-weighted child
     averages bottom-up (so a martingale measure exists by construction),
-    then fresh actual probabilities per non-leaf.
+    then fresh actual probabilities per non-leaf. InputError unless
+    ``seed`` is an int (a bool is not).
     """
     import random  # only the generator needs it; the CLI's check path does not
 
     _check_params(params)
+    _check_int(seed, "seed")
     rng = random.Random(seed)
     lo, hi = params.value_range
 
@@ -314,8 +314,11 @@ def equivalence_report(tree: ScenarioTree, seed: Optional[int] = None) -> Equiva
 
     Disagreement is never raised from here: the report carries every
     witness so an inconsistency (which must never happen) stays
-    diagnosable. Callers treat consistent=False as an alarm.
+    diagnosable. Callers treat consistent=False as an alarm. ``seed``,
+    which the report carries, is None or an int; InputError otherwise.
     """
+    if seed is not None:
+        _check_int(seed, "seed")
     arbitrage = find_arbitrage(tree)  # validates the tree first
 
     certificates: dict[int, RiCertificate] = {}

@@ -49,9 +49,15 @@ def atom_values(support):
     return tuple(x for x, _ in rational_atoms(support))
 
 
+def integer_basis(support):
+    """The support's echelon basis as it is stored, each integer row as
+    Rationals: the rows the node programs combine."""
+    return tuple(rational_row(row, 1) for _, row in support.int_basis)
+
+
 def rational_basis(support):
     """The support's echelon basis as Rational vectors, 1 at each pivot."""
-    return tuple(rational_row(row, pivot) for row, pivot in support.int_basis)
+    return tuple(rational_row(row, row[piv]) for piv, row in support.int_basis)
 
 
 def dot(u, v):

@@ -20,7 +20,11 @@ optimal; its weights stay the certificate. At one atom x = 0, such a
 line, the martingale route solves none either. The ``density``
 program is solved at floor 1 and its vertex scaled by the floor f;
 ``assert_floor_f_density_matches`` holds the floor-f program of
-``density_program_at_floor`` to that.
+``density_program_at_floor`` to that. The ``separation`` and
+``support`` programs combine the support's integer basis rows
+(``integer_basis``); over ``rational_basis``, 1 at each pivot, they are
+the lifted programs, and ``assert_lifted_programs_match`` holds those
+to the shipped answers.
 """
 
 import pytest
@@ -28,12 +32,13 @@ import pytest
 import arbcheck.emm
 import arbcheck.geometry
 from arbcheck import Q
-from arbcheck.emm import one_step_density
+from arbcheck.emm import one_step_density, support_function
 from arbcheck.errors import GeometryError
-from arbcheck.geometry import InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin
+from arbcheck.geometry import (InRi, NotInRi, max_norm_normalize, ri_conv_contains_origin,
+                               separation_optimum)
 from arbcheck.lp import Infeasible, Optimal, Unbounded, solve_lp
 from arbcheck.tree import conditional_mean
-from helpers import atom_values, dot, rational_atoms, rational_basis
+from helpers import atom_values, dot, integer_basis, rational_atoms, rational_basis
 from linalg_oracle import kernel_line_reference, unit_gain_reference
 from lp_oracle import rational_lp
 
@@ -62,8 +67,12 @@ def ri_program(support):
     return rational_lp(n, {}, rows, [ONE] * n)
 
 
-def separation_program(support):
-    basis = rational_basis(support)
+def separation_program(support, basis=None):
+    """The separation program over ``basis``, by default the support's
+    integer rows as ``separation_optimum`` builds it; over
+    ``rational_basis`` it is the lifted program, each column divided by
+    its row's pivot entry."""
+    basis = integer_basis(support) if basis is None else basis
     inner = [[dot(b, x) for b in basis] for x in atom_values(support)]
     rows = [(dict(enumerate(-c for c in coeffs)), ZERO, False) for coeffs in inner]
     for j in range(support.d):
@@ -74,8 +83,10 @@ def separation_program(support):
     return rational_lp(len(basis), objective, rows)
 
 
-def support_program(support, a):
-    basis = rational_basis(support)
+def support_program(support, a, basis=None):
+    """The support program for ``a`` over ``basis``, by default the
+    support's integer rows as ``support_function`` builds it."""
+    basis = integer_basis(support) if basis is None else basis
     atoms = rational_atoms(support)
     r, n = len(basis), len(atoms)
     rows = []
@@ -123,14 +134,14 @@ def reference_node(support, solved):
     else:  # the origin is never outside the hull of zero atoms alone
         programs.append(separation_program(support))
         point = solve(programs[-1]).point
-        cert = NotInRi(max_norm_normalize(combination(rational_basis(support), point)))
+        cert = NotInRi(max_norm_normalize(combination(integer_basis(support), point)))
     a = mean(support)
     f = ONE  # s(a | T) = 0 when the span is {0}: no support program
     if support.int_basis:
         programs.append(support_program(support, a))
         outcome = solve(programs[-1])
         if isinstance(outcome, Unbounded):
-            h = combination(rational_basis(support), outcome.ray)
+            h = combination(integer_basis(support), outcome.ray)
             return programs, a, cert, NotInRi(max_norm_normalize(h))
         f = 1 / (1 + outcome.value)
     programs.append(density_program(support))
@@ -200,3 +211,32 @@ def assert_floor_f_density_matches(support):
     assert at_floor.point == tuple(ds.scale * v for v in at_one.point), support
     assert at_floor.point[:-1] == ds.raw, support
     assert at_floor.value == ds.scale * at_one.value, support
+
+
+def assert_lifted_programs_match(support):
+    """The lifted ``separation`` and ``support`` programs, over the
+    basis rows divided by their pivot entries, give the shipped optimum
+    value and optimizer h, and an unbounded ``support`` program the
+    shipped max-norm ray direction: each shipped column is a lifted one
+    times that pivot entry, which Bland's rule does not see."""
+    if not support.int_basis:
+        return  # span {0}: neither program is built
+    lifted = rational_basis(support)
+    outcome = solve_lp(separation_program(support, lifted))
+    assert (outcome.value, combination(lifted, outcome.point)) == separation_optimum(support), \
+        support
+    a = mean(support)
+    outcome = solve_lp(support_program(support, a, lifted))
+    shipped = solve_lp(support_program(support, a))
+    if isinstance(outcome, Unbounded):
+        h = max_norm_normalize(combination(lifted, outcome.ray))
+        assert isinstance(shipped, Unbounded), support
+        assert h == max_norm_normalize(combination(integer_basis(support), shipped.ray)), support
+        with pytest.raises(GeometryError) as exc:
+            support_function(support, a)
+        assert exc.value.certificate.direction == h, support
+    else:
+        assert isinstance(shipped, Optimal) and outcome.value == shipped.value, support
+        assert combination(lifted, outcome.point) \
+            == combination(integer_basis(support), shipped.point), support
+        assert outcome.value == support_function(support, a), support

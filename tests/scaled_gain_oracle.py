@@ -19,7 +19,7 @@ from arbcheck.tree import (
     ensure_valid,
     path_probabilities,
 )
-from helpers import dot, rational_atoms, rational_basis
+from helpers import dot, integer_basis, rational_atoms
 from lp_oracle import dense_lp
 
 
@@ -37,7 +37,7 @@ def scaled_gain_lp(tree: ScenarioTree) -> Rational:
     blocks = []  # (node, support, basis, floor)
     for nid in tree.non_leaves():
         support = conditional_support(tree, nid)
-        basis = rational_basis(support)
+        basis = integer_basis(support)
         if not basis:
             # a deterministic zero step contributes nothing anywhere
             one_step_scale(support)  # still enforce the precondition

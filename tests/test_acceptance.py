@@ -43,7 +43,8 @@ from arbcheck.verify import MODES, TreeParams, random_tree, report_to_json
 from helpers import (assert_in_span_matches_reference, atom_values, binomial, reweight,
                      skewed_coin, support)
 from lp_oracle import oracle_check, random_lp
-from node_program_oracle import assert_floor_f_density_matches, expected_node, shipped_node
+from node_program_oracle import (assert_floor_f_density_matches, assert_lifted_programs_match,
+                                 expected_node, shipped_node)
 from scaled_gain_oracle import scaled_gain_lp
 from tree_oracle import (assert_full_strategy_program_matches, assert_support_matches_constructor,
                          assert_tree_loops_match)
@@ -201,6 +202,19 @@ def test_sweep_reduced_programs_match_the_full_ones(sweep):
                 assert_floor_f_density_matches(conditional_support(tree, nid))
         except AssertionError as exc:
             raise AssertionError(f"seed {seed}: {exc}") from exc
+
+
+def test_sweep_lifted_node_programs_match_the_shipped_ones(sweep):
+    """At every sweep node, the separation and support programs over the
+    basis rows divided by their pivot entries give the shipped optimum,
+    optimizer and max-norm ray direction."""
+    records, _ = sweep
+    for seed, tree, _ in records:
+        for nid in tree.non_leaves():
+            try:
+                assert_lifted_programs_match(conditional_support(tree, nid))
+            except AssertionError as exc:
+                raise AssertionError(f"seed {seed}, node {nid}: {exc}") from exc
 
 
 def test_criterion_2_martingale_construction_exactness(sweep):

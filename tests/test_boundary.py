@@ -73,7 +73,10 @@ BAD_CALLS = {
                         lambda: density_process(skewed_coin(), LeafDensity(((1,),))),
                         lambda: density_process(skewed_coin(), LeafDensity((([1], Q(1)),)))],
     "ensure_valid": [lambda: ensure_valid("x")],
-    "equivalence_report": [lambda: equivalence_report("x")],
+    "equivalence_report": [lambda: equivalence_report("x"),
+                           lambda: equivalence_report(skewed_coin(), seed=1.5),
+                           lambda: equivalence_report(skewed_coin(), seed=True),
+                           lambda: equivalence_report(skewed_coin(), seed="7")],
     "find_arbitrage": [lambda: find_arbitrage("x")],
     "format_rational": [lambda: format_rational(0.5), lambda: format_rational("x"),
                         lambda: format_rational(1), lambda: format_rational(None)],
@@ -90,7 +93,12 @@ BAD_CALLS = {
     "parse_rational": [lambda: parse_rational(5), lambda: parse_rational("0.5")],
     "path_probabilities": [lambda: path_probabilities("x")],
     "random_tree": [lambda: random_tree("x", 1), lambda: random_tree(None, 1),
-                    lambda: random_tree(TreeParams(assets=0), 1)],
+                    lambda: random_tree(TreeParams(assets=0), 1),
+                    lambda: random_tree(TreeParams(), None),
+                    lambda: random_tree(TreeParams(), True),
+                    lambda: random_tree(TreeParams(), [1]),
+                    lambda: random_tree(TreeParams(), (1,)),
+                    lambda: random_tree(TreeParams(), 1.5)],
     "report_to_json": [lambda: report_to_json("x"), lambda: report_to_json(None)],
     "ri_conv_contains_origin": [lambda: ri_conv_contains_origin("x")],
     "scaled_gain_optimum": [lambda: scaled_gain_optimum("x")],

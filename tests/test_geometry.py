@@ -23,8 +23,9 @@ from helpers import (assert_in_span_matches_reference, atom_values, dot, kernel_
                      one_step, support, support_from_atoms, vec)
 from linalg_oracle import rref_in_span
 from lp_oracle import exact_vector
-from node_program_oracle import (assert_floor_f_density_matches, expected_node, reference_node,
-                                 ri_program, separation_program, shipped_node)
+from node_program_oracle import (assert_floor_f_density_matches, assert_lifted_programs_match,
+                                 expected_node, reference_node, ri_program, separation_program,
+                                 shipped_node)
 from tree_oracle import (assert_full_strategy_program_matches, assert_support_matches_constructor,
                          assert_tree_loops_match)
 
@@ -363,6 +364,15 @@ def test_degenerate_node_programs_match_the_rational_reference(tree):
     cs = conditional_support(tree, 0)
     solved = {}
     assert shipped_node(cs, solved) == expected_node(cs, solved)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)
+@given(_degenerate_one_step())
+def test_degenerate_lifted_node_programs_match_the_shipped_ones(tree):
+    """With zero, repeated and dependent increments, the separation and
+    support programs over the basis rows divided by their pivot entries
+    give the shipped optimum, optimizer and max-norm ray direction."""
+    assert_lifted_programs_match(conditional_support(tree, 0))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, phases=_NO_EXPLAIN)

@@ -34,7 +34,7 @@ def basis_of(points):
 def rational_basis(points):
     """The Rational view of ``basis_of(points)``: each row divided by
     its pivot entry."""
-    return tuple(rational_row(row, q) for row, q in basis_of(points))
+    return tuple(rational_row(row, row[piv]) for piv, row in basis_of(points))
 
 
 def test_span_basis_examples():
@@ -63,7 +63,7 @@ def test_in_span():
 def test_in_span_against_an_integer_basis():
     """``span_basis``'s integer form is reduced against as it stands."""
     basis = span_basis((((2, 2, 0), (0, 3, 3)), 1))
-    assert basis == (((1, 0, -1), 1), ((0, 1, 1), 1))
+    assert basis == ((0, (1, 0, -1)), (1, (0, 1, 1)))
     assert in_span(vec((1, 2, 1)), basis)
     assert in_span(vec(("1/2", "-1/3", "-5/6")), basis)
     assert not in_span(vec((1, 0, 0)), basis)
@@ -81,16 +81,29 @@ def test_in_span_against_the_empty_integer_basis():
 
 
 @pytest.mark.parametrize("basis, message", [
-    ((((1, 0), 1), ((0, Q(1)), 1)), "not a basis of nonzero int rows"),
-    ((((1, 0), 1), ((0, 0), 1)), "not a basis of nonzero int rows"),
-    ((((1, 0, 0), 1),), "mixed dimensions"),
+    (((0, (1, 0)), (1, (0, Q(1)))), "not a basis of nonzero int rows"),
+    (((0, (1, 0)), (1, (0, 0))), "not a basis of nonzero int rows"),
+    (((0, (1, 0, 0)),), "mixed dimensions"),
+    # (0, 1) is in the span of these rows, but not of an echelon
+    # reduction that takes both to pivot at column 0
+    (((0, (1, 1)), (0, (1, 0))), "not strictly rising"),
+    # a nonzero entry before the row's pivot column
+    (((1, (2, 2)),), "not in reduced echelon form"),
+    (((0, (1, 1)), (1, (0, 1))), "not in reduced echelon form"),
+    (((0, (-1, 0)),), "not in reduced echelon form"),
+    (((1, (0, 1)), (0, (1, 0))), "not strictly rising"),
+    (((2, (1, 0)),), "not strictly rising in 0..1"),
+    (((True, (1, 0)),), "not strictly rising"),
 ])
 def test_malformed_integer_basis_is_refused(basis, message):
-    with pytest.raises(InputError, match=message):
-        in_span(vec((1, 0)), basis)
+    """A basis not in ``span_basis``'s form raises InputError before
+    any reduction, whatever the query."""
+    for v in (vec((1, 0)), vec((0, 1))):
+        with pytest.raises(InputError, match=message):
+            in_span(v, basis)
 
 
-ONE_BASIS = (((1,), 1),)
+ONE_BASIS = ((0, (1,)),)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -107,11 +120,11 @@ def test_entries_that_are_not_rational_are_refused(call, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: span_basis(([1, 2], 1)), "1 is not a vector"),
     (lambda: span_basis(None), "None is not a \\(rows, den\\) pair"),
-    (lambda: in_span((Q(1),), 5), "5 is not a basis of \\(row, pivot\\) pairs"),
+    (lambda: in_span((Q(1),), 5), "5 is not a basis of \\(pivot, row\\) pairs"),
     (lambda: in_span(None, ONE_BASIS), "None is not a vector"),
     # a generator would be used up by the dimension check, leaving no rows
     (lambda: span_basis(((x for x in ((1,),)), 1)), "generator .* is not a sequence of vectors"),
-    (lambda: in_span(vec((1,)), (x for x in V((1,)))), "not a basis of \\(row, pivot\\) pairs"),
+    (lambda: in_span(vec((1,)), (x for x in V((1,)))), "not a basis of \\(pivot, row\\) pairs"),
 ], ids=["span_basis-ints", "span_basis-None", "in_span-int", "in_span-None",
         "span_basis-generator", "in_span-generator"])
 def test_vectors_of_the_wrong_shape_are_refused(call, message):
@@ -128,7 +141,7 @@ def test_vectors_of_the_wrong_shape_are_refused(call, message):
         "in_span-one-vector"])
 def test_the_rational_form_is_refused(call):
     """``span_basis`` takes only (rows, den) of int rows, and ``in_span``
-    only a basis of (int row, pivot) pairs: Rational points or a
+    only a basis of (pivot, int row) pairs: Rational points or a
     Rational basis raise InputError, whatever their shape."""
     with pytest.raises(InputError):
         call()
@@ -202,13 +215,17 @@ def test_integer_kernel_matches_rational_oracle(case):
 @given(_points_and_queries())
 def test_integer_form_in_gives_the_basis_in_integer_form(case):
     """The points' numerators over one denominator give each basis row
-    as (numerators, pivot entry), whose Rational view is the reference
-    basis."""
+    as (pivot column, integer row): an int row in lowest terms whose
+    first nonzero is positive and at its pivot, where every other row
+    is zero, and whose Rational view, divided by that entry, is the
+    reference basis."""
     points, _, _ = case
     int_basis = span_basis(int_points(points))
-    assert tuple(rational_row(row, q) for row, q in int_basis) == rref_basis(points)
-    for row, q in int_basis:
-        assert all(type(a) is int for a in row) and q == next(a for a in row if a) > 0
+    assert tuple(rational_row(row, row[piv]) for piv, row in int_basis) == rref_basis(points)
+    for piv, row in int_basis:
+        assert all(type(a) is int for a in row) and gcd(*row) == 1
+        assert piv == next(j for j, a in enumerate(row) if a) and row[piv] > 0
+        assert not any(other[piv] for q, other in int_basis if q != piv)
 
 
 _ints = st.integers(-9, 9) | st.integers(-10**30, 10**30)

@@ -397,7 +397,7 @@ class TestSupports:
 
     def test_basis(self):
         t = one_step([(1, 2, 0), (2, 4, 0), (-1, -2, 0)], ["1/3", "1/3", "1/3"])
-        assert conditional_support(t, 0).int_basis == (((1, 2, 0), 1),)
+        assert conditional_support(t, 0).int_basis == ((0, (1, 2, 0)),)
         flat = one_step([(0, 0), (0, 0)], ["1/2", "1/2"])
         assert conditional_support(flat, 0).int_basis == ()
 
@@ -414,7 +414,7 @@ class TestSupports:
                 assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
                 for name in ConditionalSupport.__slots__:
                     assert getattr(twin, name) == getattr(built, name), name
-        assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
+        assert cs.int_basis == ((0, (1, 0)), (1, (0, 1)))
 
     def test_integer_forms_and_their_copies(self):
         """The constructor puts the atoms' integer forms in lowest terms
@@ -422,11 +422,11 @@ class TestSupports:
         cs = ConditionalSupport(4, (((6, 0), (0, 4), (-12, -12)), 12), ((2, 6, 4), 12))
         assert cs.int_values == (((3, 0), (0, 2), (-6, -6)), 6)
         assert cs.int_probs == ((1, 3, 2), 6)
-        assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
+        assert cs.int_basis == ((0, (1, 0)), (1, (0, 1)))
         assert cs.d == 2
         assert cs == ConditionalSupport(4, (((3, 0), (0, 2), (-6, -6)), 6), ((1, 3, 2), 6))
         line = ConditionalSupport(0, (((2, 3),), 2), ((1,), 1))
-        assert line.int_basis == (((2, 3), 2),)
+        assert line.int_basis == ((0, (2, 3)),)
         for twin in (copy.copy(cs), copy.deepcopy(cs), pickle.loads(pickle.dumps(cs))):
             assert twin == cs
             assert (twin.int_values, twin.int_probs, twin.int_basis) \
@@ -440,7 +440,7 @@ class TestSupports:
         cs = conditional_support(t, 0)
         assert cs.int_values == (((2, 1), (-2, 0)), 2)
         assert cs.int_probs == ((1, 3), 4)
-        assert cs.int_basis == (((1, 0), 1), ((0, 1), 1))
+        assert cs.int_basis == ((0, (1, 0)), (1, (0, 1)))
         assert_support_matches_constructor(t, 0)
 
     @pytest.mark.parametrize("call", [
