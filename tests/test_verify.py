@@ -173,7 +173,7 @@ class TestEquivalenceReport:
         for nid in tree.non_leaves():
             support = conditional_support(tree, nid)
             rows, _ = support.int_values
-            assert rows != tuple(row for row, _ in support.int_basis)
+            assert rows != tuple(row for _, row in support.int_basis)
             assert reduced.count(rows) == 1
 
     def test_no_basis_is_reduced_again(self, monkeypatch):
