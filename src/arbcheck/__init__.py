@@ -22,7 +22,6 @@ from .tree import (
     conditional_support,
     density_process,
     ensure_valid,
-    gains,
     leaf_probabilities,
     path_probabilities,
     tree_from_json,

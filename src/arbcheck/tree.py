@@ -19,7 +19,6 @@ from .errors import InputError, Record
 from .linalg import span_basis
 from .rationals import (
     ONE,
-    Q,
     Rational,
     Vector,
     ZERO,
@@ -368,21 +367,19 @@ def conditional_mean(support: ConditionalSupport) -> Vector:
 Strategy = Mapping[int, Vector]
 
 
-def gains(tree: ScenarioTree, strategy: Strategy) -> dict[int, Rational]:
-    """Terminal gain per leaf of a valid tree: the sum over the path of
-    the one-step inner products (strategy at the parent, price
-    increment)."""
-    nums, den = int_gains(tree, strategy)
-    return {leaf: Q(v, den) if v else ZERO for leaf, v in nums.items()}
-
-
 def int_gains(tree: ScenarioTree, strategy: Strategy) -> tuple[dict[int, int], int]:
-    """``gains`` as integer numerators over one positive denominator:
+    """Terminal gain per leaf of a valid tree, the sum over the path of
+    the one-step inner products (strategy at the parent, price
+    increment), as integer numerators over one positive denominator:
     the strategy's entries over their common denominator, times the
-    tree's integer increments, summed down each path."""
+    tree's integer increments, summed down each path. ``strategy`` maps
+    each non-leaf node id, an ``int`` that is not a ``bool``, to d
+    Rationals; any other key or value raises InputError."""
     ensure_valid(tree)
     if not isinstance(strategy, abc.Mapping):
         raise InputError("strategy is not a mapping from node id to vector")
+    for key in strategy:
+        _check_int(key, "strategy node id")  # before a membership test, where False is 0
     d = tree.d
     non_leaves = tree.non_leaves()
     for nid in non_leaves:
@@ -392,6 +389,9 @@ def int_gains(tree: ScenarioTree, strategy: Strategy) -> tuple[dict[int, int], i
         if not (isinstance(vec, abc.Sequence) and len(vec) == d
                 and all(isinstance(v, Rational) for v in vec)):
             raise InputError(f"strategy at node {nid} is not {d} Rationals")
+    if len(strategy) > len(non_leaves):
+        extra = sorted(set(strategy).difference(non_leaves))
+        raise InputError(f"strategy given at {extra}, which are not non-leaf node ids")
     den, increment, _ = _integer_form(tree)
     nums, h_den = int_row([v for nid in non_leaves for v in strategy[nid]])
     h = {nid: nums[i * d:(i + 1) * d] for i, nid in enumerate(non_leaves)}

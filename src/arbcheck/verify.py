@@ -12,8 +12,6 @@ Every tree entry point rejects an invalid tree with InputError.
 
 from __future__ import annotations
 
-from math import lcm
-from operator import mul
 from typing import TYPE_CHECKING, Optional
 
 from .emm import MartingaleConstruction, build_emm, one_step_scale
@@ -39,7 +37,7 @@ from .tree import (
     conditional_support,
     ensure_valid,
     int_gains,
-    path_probabilities,
+    leaf_probabilities,
 )
 
 if TYPE_CHECKING:
@@ -76,60 +74,53 @@ def find_arbitrage(tree: ScenarioTree) -> Optional[dict[int, Vector]]:
     rows eliminated children-first take no fill-in (Parter 1961).
 
     The program is built from the tree's integer increments over their
-    denominator D, in ``make_lp``'s integer form: each objective entry
-    is one integer sum of the children's reach numerators times an
-    increment coordinate, all over one denominator, and each leaf row
-    holds the increments' numerators over D, negated. The witness is
-    normalized and re-checked in integers.
+    denominator D, in ``make_lp``'s integer form: each leaf row holds
+    its path's increments' numerators over D, negated, and the
+    objective, which is also the budget row, is the expected gain
+    E_P[gain] = sum_l p_l gain_l, minus the leaf rows weighted by the
+    leaf probabilities' numerators, over their denominator times D. The
+    witness is normalized and re-checked in integers.
     """
     ensure_valid(tree)
-    pivots, first, nvars = {}, {}, 0  # node -> its pivot coordinates, its first column
+    columns, nvars = {}, 0  # node -> its (column, pivot coordinate) pairs
     for nd in reversed(tree.order):
         if tree._children[nd.id]:
             basis = conditional_support(tree, nd.id).int_basis
-            pivots[nd.id] = [piv for piv, _ in basis]
-            first[nd.id] = nvars
+            columns[nd.id] = [(nvars + i, piv) for i, (piv, _) in enumerate(basis)]
             nvars += len(basis)
     if nvars == 0:
         return None  # horizon zero, or no increment anywhere: no strategy gains
     den, increment, _ = _integer_form(tree)
-    reach = path_probabilities(tree)
-
-    # the expected gain: node by node, the children's reach over one
-    # denominator against each pivot coordinate of their increments,
-    # then every entry over the lcm of those denominators
-    gain = []  # (column, numerator, denominator) of each nonzero entry
-    for nid, coords in pivots.items():
-        kids = tree.children(nid)
-        weights, reach_den = int_row([reach[c] for c in kids])
-        columns = list(zip(*(increment[c] for c in kids)))
-        for k, j in enumerate(coords, first[nid]):
-            if v := sum(map(mul, weights, columns[j])):
-                gain.append((k, v, reach_den))
-    common = lcm(*(q for _, _, q in gain))
-    objective = {k: v * (common // q) for k, v, q in gain}
     # one pass from the root: each node's gain numerators over D negated
     loss: dict[int, dict[int, int]] = {tree.root: {}}
     for nd in tree.order[1:]:
         row = dict(loss[nd.parent])
         x = increment[nd.id]
-        for k, j in enumerate(pivots[nd.parent], first[nd.parent]):
+        for k, j in columns[nd.parent]:
             if x[j]:
                 row[k] = -x[j]
         loss[nd.id] = row
 
-    rows = [(loss[leaf], 0, False, den) for leaf in tree.leaves()]  # terminal gain >= 0
-    rows.append((objective, common * den, False, common * den))  # the budget E[gain] <= 1
-    outcome = solve_lp(make_lp(nvars, (objective, common * den), rows))
+    # the expected gain: minus the leaf rows weighted by p_l, over p_den * D
+    prob = leaf_probabilities(tree)
+    weights, p_den = int_row(list(prob.values()))
+    objective: dict[int, int] = {}
+    rows = []
+    for w, leaf in zip(weights, prob):
+        for k, v in loss[leaf].items():
+            objective[k] = objective.get(k, 0) - w * v
+        rows.append((loss[leaf], 0, False, den))  # terminal gain >= 0
+    rows.append((objective, p_den * den, False, p_den * den))  # the budget E[gain] <= 1
+    outcome = solve_lp(make_lp(nvars, (objective, p_den * den), rows))
     if not isinstance(outcome, Optimal) or outcome.value not in (0, 1):
         raise InternalError("strategy route: arbitrage search must end at optimum 0 or 1")
     if outcome.value == 0:
         return None
     point = max_norm_normalize(outcome.point)
     strategy = {}
-    for nid, coords in pivots.items():
+    for nid, pairs in columns.items():
         h = [ZERO] * tree.d
-        for k, j in enumerate(coords, first[nid]):
+        for k, j in pairs:
             h[j] = point[k]
         strategy[nid] = tuple(h)
     g, _ = int_gains(tree, strategy)

@@ -21,7 +21,6 @@ from arbcheck import (
     build_emm,
     conditional_support,
     equivalence_report,
-    gains,
     leaf_probabilities,
     scaled_gain_optimum,
     verify_martingale,
@@ -47,7 +46,7 @@ from node_program_oracle import (assert_floor_f_density_matches, assert_lifted_p
                                  expected_node, shipped_node)
 from scaled_gain_oracle import scaled_gain_lp
 from tree_oracle import (assert_full_strategy_program_matches, assert_support_matches_constructor,
-                         assert_tree_loops_match)
+                         assert_tree_loops_match, gains)
 
 ZERO = Q(0)
 ONE = Q(1)

@@ -30,7 +30,6 @@ from arbcheck import (
     equivalence_report,
     find_arbitrage,
     format_rational,
-    gains,
     in_span,
     leaf_probabilities,
     make_lp,
@@ -80,7 +79,6 @@ BAD_CALLS = {
     "find_arbitrage": [lambda: find_arbitrage("x")],
     "format_rational": [lambda: format_rational(0.5), lambda: format_rational("x"),
                         lambda: format_rational(1), lambda: format_rational(None)],
-    "gains": [lambda: gains("x", {}), lambda: gains(skewed_coin(), "x")],
     "in_span": [lambda: in_span("x", []), lambda: in_span((Q(1),), None),
                 lambda: in_span((Q(1),), [(Q(1),)])],
     "leaf_probabilities": [lambda: leaf_probabilities("x")],

@@ -6,7 +6,8 @@ are the public API, read by the package's users. Each other module
 under ``src/arbcheck`` is parsed with ``ast``, so a removal that leaves
 a dead import behind fails here, and so does a public function or
 method that no module of the package and no non-test file of ``bench/``
-loads.
+loads. A bare name counts as a load only in a file that imports or
+defines it, so a local variable that shadows a public name is none.
 """
 
 import ast
@@ -51,11 +52,22 @@ def public_definitions(source):
 
 
 def loaded_names(source):
-    """Every name ``source`` reads, as a variable or as an attribute."""
+    """Every name ``source`` reads as an attribute, and every name it
+    reads as a variable where it imports or defines that name, by its
+    imported name (``r`` for ``from m import r as s``): a local variable
+    that shadows a public name does not load it."""
+    tree = ast.parse(source)
+    bound = {node.name: node.name for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.name.partition(".")[0]
+                bound[alias.asname or name] = name
     names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+            names.add(bound[node.id])
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
@@ -68,10 +80,14 @@ def test_unused_imports_are_found():
 
 
 def test_public_definitions_and_loads_are_found():
-    source = ("def f():\n    return g.h + k\ndef _p():\n    pass\nclass C:\n"
+    source = ("from m import g, r as s\ndef f():\n    return g.h + k + s + _p()\n"
+              "def _p():\n    pass\nclass C:\n"
               "    def m(self):\n        self.n = 1\n    def _q(self):\n        pass\n")
     assert public_definitions(source) == {"f", "m"}
-    assert loaded_names(source) == {"g", "h", "k", "self"}
+    assert loaded_names(source) == {"g", "h", "r", "_p"}
+    # a local list named like a public function does not load it
+    shadowed = "def f(xs):\n    gains = []\n    gains.append(xs)\n    return gains\n"
+    assert loaded_names(shadowed) == {"append"}
 
 
 def test_the_package_has_modules():

@@ -13,7 +13,6 @@ from arbcheck import (
     check_ri_certificate,
     conditional_mean,
     conditional_support,
-    gains,
     leaf_probabilities,
     one_step_density,
     one_step_scale,
@@ -35,6 +34,7 @@ from arbcheck.tree import (
     density_process,
     _integer_form,
     ensure_valid,
+    int_gains,
 )
 from helpers import (
     atom_values,
@@ -285,7 +285,7 @@ class TestTreeFunctionsRefuseBadTrees:
         self.refused(lambda t: conditional_support(t, 0))
 
     def test_gains(self):
-        self.refused(lambda t: gains(t, {0: (Q(1),)}))
+        self.refused(lambda t: int_gains(t, {0: (Q(1),)}))
 
     def test_path_probabilities(self):
         self.refused(path_probabilities)
@@ -503,6 +503,12 @@ class TestSupports:
         assert conditional_mean(cs) == (Q(0), Q(0))
 
 
+def gains(tree, strategy):
+    """``int_gains`` as one Rational per leaf."""
+    nums, den = int_gains(tree, strategy)
+    return {leaf: Q(v, den) for leaf, v in nums.items()}
+
+
 class TestGains:
     def test_one_step(self):
         g = gains(skewed_coin(), {0: (Q(2),)})
@@ -515,17 +521,17 @@ class TestGains:
 
     def test_missing_node(self):
         with pytest.raises(InputError):
-            gains(skewed_coin_two_period(), {0: (Q(1),)})
+            int_gains(skewed_coin_two_period(), {0: (Q(1),)})
 
     def test_wrong_dim(self):
         with pytest.raises(InputError):
-            gains(skewed_coin(), {0: (Q(1), Q(2))})
+            int_gains(skewed_coin(), {0: (Q(1), Q(2))})
         for inexact in ((0.5,), ("1",), (1,), 0.5, None, "1"):
             with pytest.raises(InputError, match="Rationals"):
-                gains(skewed_coin(), {0: inexact})
+                int_gains(skewed_coin(), {0: inexact})
         for not_a_mapping in ("abc", None, [(Q(1),)]):
             with pytest.raises(InputError, match="mapping"):
-                gains(skewed_coin(), not_a_mapping)
+                int_gains(skewed_coin(), not_a_mapping)
         assert gains(skewed_coin(), {0: [Q(2)]}) == {1: Q(2), 2: Q(-2)}
 
     def test_linearity(self):
@@ -537,6 +543,17 @@ class TestGains:
             combo = {k: (a[k][0] * 3 + b[k][0],) for k in a}
             ga, gb, gc = gains(t, a), gains(t, b), gains(t, combo)
             assert all(gc[l] == 3 * ga[l] + gb[l] for l in gc)
+
+    @pytest.mark.parametrize("strategy, message", [
+        ({False: (Q(1),)}, "node id must be an integer, got False"),  # False == 0, not node 0
+        ({0.0: (Q(1),)}, "node id must be an integer, got 0.0"),
+        ({0: (Q(1),), 1: "junk", "x": None}, "node id must be an integer, got 'x'"),
+        ({0: (Q(1),), 1: "junk"}, r"given at \[1\], which are not non-leaf"),
+        ({0: (Q(1),), 7: (Q(1),)}, r"given at \[7\], which are not non-leaf"),
+    ], ids=["bool", "float", "string", "leaf", "unknown"])
+    def test_a_key_that_is_not_a_non_leaf_id_is_refused(self, strategy, message):
+        with pytest.raises(InputError, match=message):
+            int_gains(skewed_coin(), strategy)
 
 
 class TestProbabilities:

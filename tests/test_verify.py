@@ -13,7 +13,6 @@ from arbcheck import (
     conditional_support,
     equivalence_report,
     find_arbitrage,
-    gains,
     scaled_gain_optimum,
     tree_to_json,
     validate,
@@ -35,7 +34,7 @@ from arbcheck.verify import (
 )
 from density_oracle import find_martingale_density
 from scaled_gain_oracle import scaled_gain_lp
-from tree_oracle import assert_tree_loops_match, shipped_strategy_program
+from tree_oracle import assert_tree_loops_match, gains, shipped_strategy_program
 from helpers import (
     binomial,
     build,

@@ -11,7 +11,7 @@ per node, and ``assert_full_strategy_program_matches`` holds its
 optimum, point and witness to the shipped ones.
 ``assert_tree_loops_match`` holds the package equal to them on one
 tree: the strategy program field by field (as recorded by
-``shipped_strategy_program``), each support's atoms in order, ``gains``
+``shipped_strategy_program``), each support's atoms in order, ``int_gains``
 on a seeded strategy and ``verify_martingale`` on densities whose
 residuals are mostly nonzero. ``assert_support_matches_constructor``
 holds one support equal to the one built from its reference atoms.
@@ -22,10 +22,9 @@ import random
 import pytest
 
 import arbcheck.verify
-from arbcheck import (Q, conditional_support, find_arbitrage, gains as shipped_gains,
-                      verify_martingale)
+from arbcheck import Q, conditional_support, find_arbitrage, verify_martingale
 from arbcheck.lp import solve_lp
-from arbcheck.tree import LeafDensity
+from arbcheck.tree import LeafDensity, int_gains
 from helpers import dot, rational_atoms, support_from_atoms, vec_sub
 from linalg_oracle import rref_basis
 from lp_oracle import rational_lp
@@ -66,7 +65,9 @@ def _columns(tree, coordinates):
 
 def _strategy_program(tree, col):
     """Maximize the expected gain over leaf gains >= 0 and the budget
-    E[gain] <= 1, with a strategy column at each key of ``col``."""
+    E[gain] <= 1, with a strategy column at each key of ``col``. The
+    expected gain is summed edge by edge, each child's reach times its
+    increment, not as the package sums it, from the leaf rows."""
     reach = _reach(tree)
     objective = {}
     loss = {tree.root: {}}
@@ -223,7 +224,7 @@ def densities(tree, base=None):
 
 
 def assert_tree_loops_match(tree, seed, witness=None, density=None):
-    """The package's strategy program, supports, ``gains`` and
+    """The package's strategy program, supports, ``int_gains`` and
     ``verify_martingale`` on ``tree``, each equal to the reference: the
     gains on a seeded strategy and on ``witness`` when given, the
     residuals on ``densities(tree, density)``."""
@@ -231,6 +232,7 @@ def assert_tree_loops_match(tree, seed, witness=None, density=None):
     for nid in tree.non_leaves():
         assert rational_atoms(conditional_support(tree, nid)) == support_atoms(tree, nid), nid
     for strategy in [arbitrary_strategy(tree, seed)] + ([witness] if witness else []):
-        assert shipped_gains(tree, strategy) == gains(tree, strategy), strategy
+        nums, den = int_gains(tree, strategy)
+        assert {leaf: Q(v, den) for leaf, v in nums.items()} == gains(tree, strategy), strategy
     for z in densities(tree, density):
         assert verify_martingale(tree, z) == martingale_residuals(tree, z), z
